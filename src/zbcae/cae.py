@@ -1,10 +1,13 @@
 """Zero-bias tied-weight convolutional auto-encoder.
 
 The model owns a single encoder filter bank; decoder filters are always
-derived on the fly by :func:`zbcae.ops.tied_decoder_weights`, so no stale
-decoder state can exist.  Encoding is ReLU(conv(x, W_e) + b), decoding is
-act(conv(z, tied(W_e)) + b_d); reconstruction loss is half the summed
-squared error over a batch.
+derived from it, so no stale decoder state can exist.  Encoding is
+ReLU(conv(x, W_e) + b), decoding is act(conv(z, tied(W_e)) + b_d);
+reconstruction loss is half the summed squared error over a batch.
+:func:`encode` and :func:`decode` are the per-sample reference definitions;
+training runs the whole batch at once and computes the tied decoder as the
+transposed convolution with W_e, which it equals at stride 1 and pad
+(kernel - 1) / 2, the only geometry training accepts.
 
 Two bias regimes are supported.  ``train-then-zero`` (default) lets the
 biases learn during reconstruction training and pins them to zero only for
@@ -26,6 +29,7 @@ from .ops import (
     conv2d_input_grad,
     conv2d_weight_grad,
     flatten,
+    im2col,
     maxpool2,
     relu,
     tied_decoder_weights,
@@ -182,62 +186,102 @@ def decode(model: CaeModel, z: np.ndarray, zero_bias: bool = False) -> np.ndarra
     return relu(g) if model.decoder_relu else g
 
 
-def _check_batch(model: CaeModel, batch) -> list:
+def _as_batch(model: CaeModel, batch) -> np.ndarray:
+    """Validate a batch of (C, H, W) samples, given as a sequence or as one
+    array, and return it as a single (B, C, H, W) float64 array."""
     if len(batch) == 0:
         raise ShapeError("batch must contain at least one sample")
-    tensors = [np.ascontiguousarray(x, dtype=np.float64) for x in batch]
-    shape = tensors[0].shape
-    for i, t in enumerate(tensors):
-        if t.ndim != 3:
-            raise ShapeError(f"sample {i} must be C x H x W, got shape {t.shape}")
-        if t.shape != shape:
-            raise ShapeError(f"sample {i} has shape {t.shape}, expected {shape}")
-    if shape[0] != model.n_channels:
-        raise ShapeError(f"samples have {shape[0]} channels but the model expects {model.n_channels}")
-    return tensors
+    if isinstance(batch, np.ndarray) and batch.ndim == 4:
+        x = np.ascontiguousarray(batch, dtype=np.float64)
+    else:
+        tensors = [np.asarray(t, dtype=np.float64) for t in batch]
+        shape = tensors[0].shape
+        for i, t in enumerate(tensors):
+            if t.ndim != 3:
+                raise ShapeError(f"sample {i} must be C x H x W, got shape {t.shape}")
+            if t.shape != shape:
+                raise ShapeError(f"sample {i} has shape {t.shape}, expected {shape}")
+        x = np.stack(tensors)
+    if x.shape[1] != model.n_channels:
+        raise ShapeError(f"samples have {x.shape[1]} channels but the model expects {model.n_channels}")
+    return x
+
+
+def _check_trainable(model: CaeModel) -> None:
+    """The tied decoder maps a code back onto the input grid only at stride 1
+    with pad (kernel - 1) / 2, so training accepts no other geometry."""
+    k, s, p = model.kernel, model.spec.stride, model.spec.pad
+    if s != 1 or 2 * p != k - 1:
+        raise ShapeError(
+            f"training needs stride 1 and pad (kernel - 1) / 2 so that the reconstruction keeps "
+            f"the input's extent; got kernel {k}, stride {s}, pad {p}"
+        )
+
+
+def chunk_size(model: CaeModel, sample_shape: tuple, budget_bytes: int) -> int:
+    """Samples per chunk such that the largest per-chunk matrix, a code map
+    (K x n*H*W) or a column matrix (C*kh*kw x n*H*W), stays within
+    ``budget_bytes`` (at least one sample)."""
+    k, c, kh, kw = model.w_e.shape
+    _, h, w = sample_shape
+    return max(1, budget_bytes // (8 * h * w * max(k, c * kh * kw)))
+
+
+# Working-set budget of one training chunk.  At the paper geometry (K=4096,
+# 14x14 maps) a chunk is ten samples: a batch of 8 runs as one GEMM per layer,
+# and batch 512 stays in bounded memory.
+TRAIN_CHUNK_BYTES = 64 * 2**20
+
+
+def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray):
+    """One batched forward and backward pass over a (B, C, H, W) chunk.
+
+    The decoder conv(z, tied(W)) equals the transposed convolution
+    conv2d_input_grad(z, W) at stride 1 and pad (k-1)/2, so the decoder, its
+    input gradient conv2d(dG, W) and its weight gradient
+    conv2d_weight_grad(dG, z) all use W itself and the two column matrices
+    cols(x) and cols(dG); no tied copy of the bank is formed.
+    """
+    k, _, kh, kw = model.w_e.shape
+    w, spec = model.w_e, model.spec
+    cols_x = im2col(x, kh, kw, spec)
+    z = relu(conv2d(x, w, b_e, spec, cols=cols_x))
+    g = conv2d_input_grad(z, w, x.shape, spec) + b_d[:, None, None]
+    y = relu(g) if model.decoder_relu else g
+    r = y - x
+    loss = 0.5 * float((r * r).sum())
+
+    dg = r * (g > 0.0) if model.decoder_relu else r
+    db_d = conv2d_bias_grad(dg)
+    cols_dg = im2col(dg, kh, kw, spec)
+    dw_dec = conv2d_weight_grad(dg, z, kh, kw, spec, cols=cols_dg)
+    da = conv2d(dg, w, np.zeros(k), spec, cols=cols_dg)
+    da *= z > 0.0  # z > 0 exactly where the pre-activation is
+    del z, cols_dg  # free before the last GEMM: tens of MB each at K=4096
+    db_e = conv2d_bias_grad(da)
+    dw_enc = conv2d_weight_grad(x, da, kh, kw, spec, cols=cols_x)
+    return loss, dw_enc, dw_dec, db_e, db_d
 
 
 def _forward_backward(model: CaeModel, batch, bias_mode: str):
     """Loss plus gradients, with the encoder- and decoder-path weight terms
-    kept separate (both flow into W_e through the tie)."""
-    tensors = _check_batch(model, batch)
+    kept separate (both flow into W_e through the tie).  The batch runs in
+    chunks of :data:`TRAIN_CHUNK_BYTES` working set whose results are summed."""
+    _check_trainable(model)
+    x = _as_batch(model, batch)
     use_bias = bias_mode == BIAS_TRAIN_THEN_ZERO
-    k, c, kh, _ = model.w_e.shape
-    spec = model.spec
-    b_e = model.b_e if use_bias else np.zeros(k)
-    b_d = model.b_d if use_bias else np.zeros(c)
-    w_d = tied_decoder_weights(model.w_e)
-
-    loss = 0.0
-    dw_enc = np.zeros_like(model.w_e)
-    dw_dec_tied = np.zeros_like(model.w_e)
-    db_e = np.zeros(k)
-    db_d = np.zeros(c)
-    for x in tensors:
-        a = conv2d(x, model.w_e, b_e, spec)
-        z = relu(a)
-        g = conv2d(z, w_d, b_d, spec)
-        y = relu(g) if model.decoder_relu else g
-        if y.shape != x.shape:
-            raise ShapeError(
-                f"reconstruction shape {y.shape} differs from input shape {x.shape}; "
-                f"the convolution geometry must preserve spatial extent"
-            )
-        r = y - x
-        loss += 0.5 * float((r * r).sum())
-
-        dg = r * (g > 0.0) if model.decoder_relu else r
-        db_d += conv2d_bias_grad(dg)
-        dw_d = conv2d_weight_grad(z, dg, kh, kh, spec)
-        dw_dec_tied += tied_decoder_weights(dw_d)
-        da = conv2d_input_grad(dg, w_d, z.shape, spec) * (a > 0.0)
-        db_e += conv2d_bias_grad(da)
-        dw_enc += conv2d_weight_grad(x, da, kh, kh, spec)
-
+    b_e = model.b_e if use_bias else np.zeros(model.n_filters)
+    b_d = model.b_d if use_bias else np.zeros(model.n_channels)
+    step = chunk_size(model, x.shape[1:], TRAIN_CHUNK_BYTES)
+    total = None
+    for start in range(0, len(x), step):
+        part = _chunk_forward_backward(model, x[start : start + step], b_e, b_d)
+        total = part if total is None else tuple(a + b for a, b in zip(total, part))
+    loss, dw_enc, dw_dec, db_e, db_d = total
     if not use_bias:
-        db_e = np.zeros(k)
-        db_d = np.zeros(c)
-    return loss, dw_enc, dw_dec_tied, db_e, db_d
+        db_e = np.zeros(model.n_filters)
+        db_d = np.zeros(model.n_channels)
+    return loss, dw_enc, dw_dec, db_e, db_d
 
 
 def reconstruction_loss(model: CaeModel, batch, zero_bias: bool = False) -> float:
@@ -246,9 +290,8 @@ def reconstruction_loss(model: CaeModel, batch, zero_bias: bool = False) -> floa
     ``zero_bias`` evaluates the forward pass with both encoder and decoder
     biases pinned to zero, matching gradients taken in always-zero mode.
     """
-    tensors = _check_batch(model, batch)
     total = 0.0
-    for x in tensors:
+    for x in _as_batch(model, batch):
         y = decode(model, encode(model, x, zero_bias=zero_bias), zero_bias=zero_bias)
         if y.shape != x.shape:
             raise ShapeError(
@@ -287,8 +330,9 @@ def sgd_step(model: CaeModel, grads: CaeGradients, lr: float) -> CaeModel:
 def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
     """Run SGD with per-epoch shuffling and plateau-triggered annealing.
 
-    The dataset is a sequence of (C, H, W) tensors; labels never enter this
-    function.  Each epoch the data is reshuffled with the seeded generator
+    The dataset is a (N, C, H, W) array or a sequence of (C, H, W) tensors;
+    labels never enter this function.  The model must have the trainable
+    geometry (stride 1, pad (kernel - 1) / 2); ShapeError otherwise.  Each epoch the data is reshuffled with the seeded generator
     and split into batches (the trailing short batch is kept).  The recorded
     epoch metric is the mean per-sample loss.  An epoch counts toward a
     plateau unless it improves on the best mean loss seen so far by at
@@ -299,12 +343,14 @@ def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
     ``progress``, if given, is called as progress(epoch, mean_loss, lr)
     after every epoch.  Returns (model, LossHistory).
     """
+    _check_trainable(model)
     n = len(dataset)
     if n == 0:
         raise ShapeError("training dataset is empty")
     history = LossHistory()
     if config.epochs == 0:
         return model, history
+    data = _as_batch(model, dataset)
 
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
@@ -315,14 +361,15 @@ def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
         order = rng.permutation(n)
         total = 0.0
         for b, start in enumerate(range(0, n, config.batch_size)):
-            batch = [dataset[i] for i in order[start : start + config.batch_size]]
-            loss, dw_enc, dw_dec, db_e, db_d = _forward_backward(model, batch, config.bias_mode)
+            batch = data[order[start : start + config.batch_size]]
+            loss, dw_e, dw_dec, db_e, db_d = _forward_backward(model, batch, config.bias_mode)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(
                     f"non-finite reconstruction loss at epoch {epoch}, batch {b}; "
                     f"reduce the learning rate"
                 )
-            sgd_step(model, CaeGradients(dw_enc + dw_dec, db_e, db_d), lr)
+            dw_e += dw_dec  # in place: one bank-sized array fewer at K=4096
+            sgd_step(model, CaeGradients(dw_e, db_e, db_d), lr)
             total += loss
         mean = total / n
         history.mean_loss.append(mean)
@@ -351,8 +398,13 @@ def extract_features(model: CaeModel, x: np.ndarray) -> np.ndarray:
     """Feed-forward feature vector: zero-bias encode, 2x2 max-pool, flatten.
 
     Bias values never influence the output, so the result has length
-    K * ceil(H/2) * ceil(W/2) and is elementwise non-negative.
+    D = K * ceil(H/2) * ceil(W/2) and is elementwise non-negative.  A
+    (B, C, H, W) batch is encoded in one pass and gives a (B, D) matrix.
     """
     z = encode(model, x, zero_bias=True)
-    pooled, _ = maxpool2(z)
-    return flatten(pooled)
+    if z.ndim == 3:
+        pooled, _ = maxpool2(z)
+        return flatten(pooled)
+    b, k, h, w = z.shape
+    pooled, _ = maxpool2(z.reshape(b * k, h, w))
+    return pooled.reshape(b, -1)

@@ -69,11 +69,11 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def load_dataset(manifest: DatasetManifest):
-    """Load every referenced tensor; returns (list of C x H x W arrays,
+    """Load every referenced tensor; returns ((N, C, H, W) float64 array,
     int64 label array).  All tensors must share one shape."""
-    tensors = []
-    labels = []
-    shape = None
+    if not manifest.items:
+        raise ManifestError(f"{manifest.base_dir}: manifest lists no items")
+    tensors = None
     for i, item in enumerate(manifest.items):
         file_path = manifest.base_dir / item.path
         records = load_tensors(file_path)
@@ -82,15 +82,14 @@ def load_dataset(manifest: DatasetManifest):
         t = records[item.record]
         if t.ndim != 3:
             raise ManifestError(f"{file_path}: record {item.record!r} is {t.ndim}-D, expected C x H x W")
-        if shape is None:
-            shape = t.shape
-        elif t.shape != shape:
+        if tensors is None:
+            tensors = np.empty((len(manifest.items), *t.shape))
+        elif t.shape != tensors.shape[1:]:
             raise ManifestError(
-                f"{file_path}: record {item.record!r} has shape {t.shape}, other items have {shape}"
+                f"{file_path}: record {item.record!r} has shape {t.shape}, other items have {tensors.shape[1:]}"
             )
-        tensors.append(t)
-        labels.append(item.label)
-    return tensors, np.asarray(labels, dtype=np.int64)
+        tensors[i] = t
+    return tensors, np.asarray([item.label for item in manifest.items], dtype=np.int64)
 
 
 @dataclass

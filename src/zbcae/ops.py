@@ -2,9 +2,11 @@
 
 Everything here is a pure function of its inputs: 2D cross-correlation and
 its adjoints, kernel flipping, ReLU, 2x2 max-pooling with argmax routing,
-and row-major flattening.  Tensors are plain C-contiguous ``numpy`` arrays
-of ``float64``; a feature map is ``(C, H, W)`` and a filter bank is
-``(K, C, kh, kw)``.
+and row-major flattening.  Tensors are plain ``numpy`` arrays of ``float64``;
+a feature map is ``(C, H, W)``, a batch of maps is ``(B, C, H, W)`` and a
+filter bank is ``(K, C, kh, kw)``.  ``im2col``/``col2im`` and the
+convolutions accept either a single map or a batch; a batch runs as one
+GEMM per call.
 
 ``conv2d`` is cross-correlation: no kernel flip happens inside it.  The
 decoder's 180-degree flip is explicit, via :func:`flip180` and
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -48,83 +51,111 @@ class ConvSpec:
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, spec: ConvSpec) -> np.ndarray:
-    """Unfold a padded (C, H, W) map into a (C*kh*kw, Ho*Wo) patch matrix.
+    """Unfold a (C, H, W) map, or a (B, C, H, W) batch of them, into a
+    (C*kh*kw, B*Ho*Wo) patch matrix (B = 1 for a single map).
 
-    Column p holds the receptive field of output position p (row-major over
-    the output grid); rows run over (c, u, v) in row-major order, so a
-    filter bank reshaped to (K, C*kh*kw) multiplies it directly.
+    Rows run over (c, u, v) in row-major order, so a filter bank reshaped to
+    (K, C*kh*kw) multiplies the matrix directly; columns run over
+    (b, i, j), the output positions of every sample in turn.  The whole
+    batch is padded once into one zero-filled buffer and read through a
+    strided window view.
     """
-    c, h, w = x.shape
+    xb = x if x.ndim == 4 else x[None]
+    b, c, h, w = xb.shape
     ho = spec.out_extent(h, kh)
     wo = spec.out_extent(w, kw)
     p, s = spec.pad, spec.stride
-    xp = np.pad(x, ((0, 0), (p, p), (p, p))) if p else x
-    patches = np.empty((c, kh, kw, ho, wo))
-    for u in range(kh):
-        for v in range(kw):
-            patches[:, u, v] = xp[:, u : u + s * ho : s, v : v + s * wo : s]
-    return patches.reshape(c * kh * kw, ho * wo)
+    if p:
+        xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+        xp[:, :, p : p + h, p : p + w] = xb
+    else:
+        xp = xb
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, : s * ho : s, : s * wo : s]
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * ho * wo)
 
 
 def col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, spec: ConvSpec) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add patch columns back to (C, H, W)."""
-    c, h, w = shape
+    """Adjoint of :func:`im2col`: scatter-add patch columns back to a map of
+    ``shape``, either (C, H, W) or (B, C, H, W)."""
+    b, c, h, w = shape if len(shape) == 4 else (1, *shape)
     ho = spec.out_extent(h, kh)
     wo = spec.out_extent(w, kw)
     p, s = spec.pad, spec.stride
-    patches = cols.reshape(c, kh, kw, ho, wo)
-    xp = np.zeros((c, h + 2 * p, w + 2 * p))
+    patches = cols.reshape(c, kh, kw, b, ho, wo)
+    xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
     for u in range(kh):
         for v in range(kw):
-            xp[:, u : u + s * ho : s, v : v + s * wo : s] += patches[:, u, v]
-    return xp[:, p : p + h, p : p + w] if p else xp
+            xp[:, :, u : u + s * ho : s, v : v + s * wo : s] += patches[:, u, v].swapaxes(0, 1)
+    out = xp[:, :, p : p + h, p : p + w]
+    return out if len(shape) == 4 else out[0]
 
 
-def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Cross-correlate a (C, H, W) map with a (K, C, kh, kw) bank.
+def _by_channel(maps: np.ndarray) -> np.ndarray:
+    """(K, H, W) or (B, K, H, W) maps as a (K, B*H*W) matrix whose columns
+    follow :func:`im2col`'s order (a view for the outputs of :func:`conv2d`)."""
+    k = maps.shape[-3]
+    return maps.reshape(k, -1) if maps.ndim == 3 else maps.swapaxes(0, 1).reshape(k, -1)
+
+
+def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, spec: ConvSpec,
+           cols: np.ndarray | None = None) -> np.ndarray:
+    """Cross-correlate a (C, H, W) map, or a (B, C, H, W) batch, with a
+    (K, C, kh, kw) bank.
 
     out[k, i, j] = bias[k]
                  + sum_{c,u,v} xpad[c, i*stride + u, j*stride + v] * weights[k, c, u, v]
 
-    with xpad the zero-padded input.  Bias is one scalar per output map.
+    with xpad the zero-padded input.  Bias is one scalar per output map.  A
+    batch is one GEMM; its (B, K, Ho, Wo) result is a view of (K, B, Ho, Wo)
+    memory.  ``cols``, when given, is ``im2col(x, kh, kw, spec)`` already
+    computed by the caller.
     """
-    x = _as_f64(x)
+    x = np.asarray(x, dtype=np.float64)
     w = _as_f64(weights)
     b = _as_f64(bias)
-    if x.ndim != 3:
-        raise ShapeError(f"conv2d input must be C x H x W, got {x.ndim}-D shape {x.shape}")
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"conv2d input must be C x H x W or B x C x H x W, got {x.ndim}-D shape {x.shape}")
     if w.ndim != 4:
         raise ShapeError(f"conv2d weights must be K x C x kh x kw, got {w.ndim}-D shape {w.shape}")
     k, c, kh, kw = w.shape
-    if x.shape[0] != c:
-        raise ShapeError(f"input has {x.shape[0]} channels but weights expect {c}")
+    if x.shape[-3] != c:
+        raise ShapeError(f"input has {x.shape[-3]} channels but weights expect {c}")
     if b.shape != (k,):
         raise ShapeError(f"bias has length {b.size} but there are {k} filters")
-    ho = spec.out_extent(x.shape[1], kh)
-    wo = spec.out_extent(x.shape[2], kw)
-    cols = im2col(x, kh, kw, spec)
+    ho = spec.out_extent(x.shape[-2], kh)
+    wo = spec.out_extent(x.shape[-1], kw)
+    if cols is None:
+        cols = im2col(x, kh, kw, spec)
     out = w.reshape(k, c * kh * kw) @ cols
     out += b[:, None]
-    return out.reshape(k, ho, wo)
+    if x.ndim == 3:
+        return out.reshape(k, ho, wo)
+    return out.reshape(k, x.shape[0], ho, wo).swapaxes(0, 1)
 
 
-def conv2d_weight_grad(x: np.ndarray, dout: np.ndarray, kh: int, kw: int, spec: ConvSpec) -> np.ndarray:
-    """Gradient of conv2d w.r.t. its weights, given dL/dout of shape (K, Ho, Wo)."""
-    k = dout.shape[0]
-    cols = im2col(_as_f64(x), kh, kw, spec)
-    return (dout.reshape(k, -1) @ cols.T).reshape(k, x.shape[0], kh, kw)
+def conv2d_weight_grad(x: np.ndarray, dout: np.ndarray, kh: int, kw: int, spec: ConvSpec,
+                       cols: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of conv2d w.r.t. its weights, given dL/dout of shape
+    (K, Ho, Wo), or (B, K, Ho, Wo) summed over the batch.  ``cols``, when
+    given, is ``im2col(x, kh, kw, spec)``."""
+    if cols is None:
+        cols = im2col(np.asarray(x, dtype=np.float64), kh, kw, spec)
+    d = _by_channel(dout)
+    return (d @ cols.T).reshape(d.shape[0], x.shape[-3], kh, kw)
 
 
 def conv2d_input_grad(dout: np.ndarray, weights: np.ndarray, x_shape: tuple, spec: ConvSpec) -> np.ndarray:
-    """Gradient of conv2d w.r.t. its input, given dL/dout of shape (K, Ho, Wo)."""
+    """Gradient of conv2d w.r.t. its input, given dL/dout of shape (K, Ho, Wo)
+    or (B, K, Ho, Wo): the transposed convolution of ``dout``."""
     k, c, kh, kw = weights.shape
-    dcols = weights.reshape(k, c * kh * kw).T @ dout.reshape(k, -1)
+    dcols = weights.reshape(k, c * kh * kw).T @ _by_channel(dout)
     return col2im(dcols, x_shape, kh, kw, spec)
 
 
 def conv2d_bias_grad(dout: np.ndarray) -> np.ndarray:
-    """Gradient of conv2d w.r.t. its per-map bias: sum over each output map."""
-    return dout.sum(axis=(1, 2))
+    """Gradient of conv2d w.r.t. its per-map bias: sum over each output map
+    (and over the batch for a (B, K, Ho, Wo) gradient)."""
+    return dout.sum(axis=(1, 2)) if dout.ndim == 3 else dout.sum(axis=(0, 2, 3))
 
 
 def _check_4d(w, opname: str) -> np.ndarray:
@@ -152,8 +183,8 @@ def tied_decoder_weights(w_e: np.ndarray) -> np.ndarray:
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(_as_f64(x), 0.0)
+    """Elementwise max(0, x), in the memory layout of ``x``."""
+    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
 def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

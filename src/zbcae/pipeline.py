@@ -145,12 +145,14 @@ def load_svm_checkpoint(path):
 
 def train_cae_stage(train_manifest: DatasetManifest, cae_config: CaeTrainConfig, n_filters: int,
                     kernel: int = 3, stride: int = 1, pad: int | None = None,
-                    decoder_relu: bool = True, progress=None):
+                    decoder_relu: bool = True, progress=None, data=None):
     """Train the auto-encoder on a manifest's tensors (labels are ignored;
-    learning is unsupervised).  Returns (model, history, meta)."""
-    tensors, _ = load_dataset(train_manifest)
+    learning is unsupervised).  ``data`` is the manifest's
+    :func:`load_dataset` result when the caller has already loaded it.
+    Returns (model, history, meta)."""
+    tensors, _ = load_dataset(train_manifest) if data is None else data
     model = cae_mod.init_model(
-        n_filters, tensors[0].shape[0], kernel,
+        n_filters, tensors.shape[1], kernel,
         seed=cae_config.seed, stride=stride, pad=pad, decoder_relu=decoder_relu,
     )
     model, history = cae_mod.train(model, tensors, cae_config, progress=progress)
@@ -171,11 +173,21 @@ def l2_normalize_rows(features: np.ndarray) -> np.ndarray:
     return features / np.where(norms > 0.0, norms, 1.0)
 
 
-def extract_stage(model: CaeModel, manifest: DatasetManifest, l2_normalize: bool = False):
-    """Zero-bias features for every manifest item, in manifest order.
+# Working-set budget of one extraction chunk.  Kept small: on desk-scale
+# inputs (12x6x6, K=16) larger chunks raise the run's peak RSS for no
+# measurable speed, and at K=4096 over 14x14 maps a chunk is one sample.
+EXTRACT_CHUNK_BYTES = 2**18
+
+
+def extract_stage(model: CaeModel, manifest: DatasetManifest, l2_normalize: bool = False, data=None):
+    """Zero-bias features for every manifest item, in manifest order, encoded
+    in batched chunks.  ``data`` is the manifest's :func:`load_dataset`
+    result when the caller has already loaded it.
     Returns (n x D matrix, labels, class names)."""
-    tensors, labels = load_dataset(manifest)
-    features = np.stack([cae_mod.extract_features(model, t) for t in tensors])
+    tensors, labels = load_dataset(manifest) if data is None else data
+    step = cae_mod.chunk_size(model, tensors.shape[1:], EXTRACT_CHUNK_BYTES)
+    features = np.concatenate([cae_mod.extract_features(model, tensors[i : i + step])
+                               for i in range(0, len(tensors), step)])
     if l2_normalize:
         features = l2_normalize_rows(features)
     return features, labels, list(manifest.classes)
@@ -262,9 +274,10 @@ def run_pipeline(train_manifest: DatasetManifest, test_manifest: DatasetManifest
     SVM on train features, and score the test split."""
     if list(train_manifest.classes) != list(test_manifest.classes):
         raise ShapeError("train and test manifests declare different class tables")
-    model, _, meta = train_cae_stage(train_manifest, cae_config, n_filters,
-                                     kernel=kernel, stride=stride, pad=pad, progress=progress)
-    train_x, train_y, classes = extract_stage(model, train_manifest, l2_normalize)
+    train_data = load_dataset(train_manifest)
+    model, _, meta = train_cae_stage(train_manifest, cae_config, n_filters, kernel=kernel,
+                                     stride=stride, pad=pad, progress=progress, data=train_data)
+    train_x, train_y, classes = extract_stage(model, train_manifest, l2_normalize, data=train_data)
     test_x, test_y, _ = extract_stage(model, test_manifest, l2_normalize)
     if train_x.shape[1] != test_x.shape[1]:
         raise ShapeError(

@@ -95,7 +95,10 @@ def load_tensors(path) -> dict:
     for _ in range(count):
         name_offset = r.offset
         (name_len,) = r.unpack("<H", "record name length")
-        name = r.take(name_len, "record name").decode("utf-8")
+        try:
+            name = r.take(name_len, "record name").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise TensorFileError(f"{path}: record name at offset {name_offset + 2} is not valid UTF-8: {e}") from e
         if name in out:
             raise DuplicateRecordError(f"{path}: duplicate record name {name!r} at offset {name_offset}")
         dtype_offset = r.offset
@@ -104,12 +107,19 @@ def load_tensors(path) -> dict:
             raise TensorFileError(
                 f"{path}: unknown dtype code {dtype} at offset {dtype_offset} in record {name!r}"
             )
+        extents_offset = r.offset
         extents = r.unpack(f"<{ndim}Q", "extents") if ndim else ()
         n_elems = 1
         for e in extents:
             n_elems *= e
         payload = r.take(8 * n_elems, f"payload of record {name!r}")
-        out[name] = np.frombuffer(payload, dtype="<f8").reshape(extents).copy()
+        try:
+            out[name] = np.frombuffer(payload, dtype="<f8").reshape(extents).copy()
+        except ValueError as e:
+            raise TensorFileError(
+                f"{path}: extents {extents} at offset {extents_offset} in record {name!r} "
+                f"do not form an array: {e}"
+            ) from e
     if r.offset != len(data):
         raise TensorFileError(
             f"{path}: {len(data) - r.offset} trailing bytes after the last record at offset {r.offset}"

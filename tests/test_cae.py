@@ -25,7 +25,15 @@ from zbcae.cae import (
     train,
 )
 from zbcae.errors import NonFiniteLossError, ShapeError
-from zbcae.ops import ConvSpec, conv2d, relu, tied_decoder_weights
+from zbcae.ops import (
+    ConvSpec,
+    conv2d,
+    conv2d_bias_grad,
+    conv2d_input_grad,
+    conv2d_weight_grad,
+    relu,
+    tied_decoder_weights,
+)
 
 
 def identity_center_model(bias=0.0, decoder_relu=True):
@@ -236,6 +244,110 @@ class TestLossGradients:
             loss_gradients(model, [np.ones((1, 3, 3))], "sometimes-zero")
 
 
+def per_sample_reference_step(model, batch, bias_mode):
+    """(loss, dw_enc, dw_dec, db_e, db_d) summed over samples, with the
+    decoder run as conv2d with the explicit tied bank."""
+    use_bias = bias_mode == BIAS_TRAIN_THEN_ZERO
+    k, c, kh, _ = model.w_e.shape
+    spec = model.spec
+    b_e = model.b_e if use_bias else np.zeros(k)
+    b_d = model.b_d if use_bias else np.zeros(c)
+    w_d = tied_decoder_weights(model.w_e)
+    loss, dw_enc, dw_dec = 0.0, np.zeros_like(model.w_e), np.zeros_like(model.w_e)
+    db_e, db_d = np.zeros(k), np.zeros(c)
+    for x in batch:
+        a = conv2d(x, model.w_e, b_e, spec)
+        z = relu(a)
+        g = conv2d(z, w_d, b_d, spec)
+        y = relu(g) if model.decoder_relu else g
+        r = y - x
+        loss += 0.5 * float((r * r).sum())
+        dg = r * (g > 0.0) if model.decoder_relu else r
+        db_d += conv2d_bias_grad(dg)
+        dw_dec += tied_decoder_weights(conv2d_weight_grad(z, dg, kh, kh, spec))
+        da = conv2d_input_grad(dg, w_d, z.shape, spec) * (a > 0.0)
+        db_e += conv2d_bias_grad(da)
+        dw_enc += conv2d_weight_grad(x, da, kh, kh, spec)
+    if not use_bias:
+        db_e, db_d = np.zeros(k), np.zeros(c)
+    return loss, dw_enc, dw_dec, db_e, db_d
+
+
+def assert_rel_close(actual, expected, tol=1e-12):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    scale = max(float(np.abs(expected).max()), 1e-300)
+    assert float(np.abs(actual - expected).max()) <= tol * scale
+
+
+class TestBatchedStep:
+    """The batched step (tied decoder as a transposed conv) against the
+    per-sample reference built from conv2d and tied_decoder_weights."""
+
+    @pytest.mark.parametrize("bias_mode", [BIAS_TRAIN_THEN_ZERO, BIAS_ALWAYS_ZERO])
+    @pytest.mark.parametrize("decoder_relu", [True, False])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_matches_per_sample_reference(self, bias_mode, decoder_relu, kernel):
+        rng = np.random.default_rng(100 + kernel)
+        model = random_model(rng, k=5, c=3, kernel=kernel)
+        model.decoder_relu = decoder_relu
+        batch = [rng.normal(size=(3, 6, 5)) for _ in range(4)]
+        got = cae._forward_backward(model, batch, bias_mode)
+        want = per_sample_reference_step(model, batch, bias_mode)
+        for g, w in zip(got, want):
+            assert_rel_close(g, w)
+
+    def test_chunks_sum_to_whole_batch(self, monkeypatch):
+        rng = np.random.default_rng(110)
+        model = random_model(rng, k=4, c=2)
+        batch = np.stack([rng.normal(size=(2, 5, 5)) for _ in range(5)])
+        whole = cae._forward_backward(model, batch, BIAS_TRAIN_THEN_ZERO)
+        monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 1)  # one sample per chunk
+        assert cae.chunk_size(model, batch.shape[1:], cae.TRAIN_CHUNK_BYTES) == 1
+        chunked = cae._forward_backward(model, batch, BIAS_TRAIN_THEN_ZERO)
+        for g, w in zip(chunked, whole):
+            assert_rel_close(g, w)
+
+    def test_array_and_list_batches_agree(self):
+        rng = np.random.default_rng(111)
+        model = random_model(rng)
+        batch = [rng.normal(size=(2, 4, 4)) for _ in range(3)]
+        for a, b in zip(cae._forward_backward(model, batch, BIAS_TRAIN_THEN_ZERO),
+                        cae._forward_backward(model, np.stack(batch), BIAS_TRAIN_THEN_ZERO)):
+            npt.assert_array_equal(a, b)
+
+    def test_paper_batch_chunks_stay_bounded(self):
+        # at K=4096 over 256x14x14 maps a batch of 8 is one chunk, and
+        # batch 512 is split so that a chunk's code map fits the budget
+        model = CaeModel(w_e=np.zeros((4096, 256, 3, 3)), b_e=np.zeros(4096), b_d=np.zeros(256),
+                         spec=ConvSpec(stride=1, pad=1))
+        n = cae.chunk_size(model, (256, 14, 14), cae.TRAIN_CHUNK_BYTES)
+        assert 8 <= n < 512
+        assert 8 * n * 14 * 14 * 4096 <= cae.TRAIN_CHUNK_BYTES
+
+
+class TestTrainingGeometry:
+    """The tied decoder reconstructs the input grid only at stride 1 and
+    pad (k-1)/2; anything else is rejected before any step."""
+
+    @pytest.mark.parametrize("kernel,stride,pad", [(3, 1, 0), (3, 2, 1), (3, 1, 2), (2, 1, 0)])
+    def test_train_rejects_before_any_step(self, kernel, stride, pad):
+        rng = np.random.default_rng(120)
+        model = init_model(2, 2, kernel, seed=1, stride=stride, pad=pad)
+        before = model.w_e.copy()
+        calls = []
+        with pytest.raises(ShapeError, match="stride 1 and pad"):
+            train(model, tiny_dataset(rng, n=4), CaeTrainConfig(epochs=2, batch_size=2, learning_rate=1e-3),
+                  progress=lambda *a: calls.append(a))
+        npt.assert_array_equal(model.w_e, before)
+        assert calls == []
+
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1)])
+    def test_gradients_reject_untrainable_geometry(self, stride, pad):
+        model = init_model(2, 2, 3, seed=1, stride=stride, pad=pad)
+        with pytest.raises(ShapeError, match="stride 1 and pad"):
+            loss_gradients(model, [np.ones((2, 6, 6))])
+
+
 class TestSgdStep:
     def test_zero_lr_leaves_model_unchanged(self):
         rng = np.random.default_rng(19)
@@ -405,6 +517,16 @@ class TestExtractFeatures:
         rng = np.random.default_rng(35)
         model = random_model(rng)
         assert (extract_features(model, rng.normal(size=(2, 6, 6))) >= 0).all()
+
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0), (1, 0)])
+    def test_batch_matches_per_sample(self, stride, pad):
+        rng = np.random.default_rng(37)
+        model = init_model(5, 3, 3, seed=38, stride=stride, pad=pad)
+        x = np.abs(rng.normal(size=(4, 3, 7, 6)))
+        batched = extract_features(model, x)
+        assert batched.shape == (4, extract_features(model, x[0]).size)
+        for row, sample in zip(batched, x):
+            assert_rel_close(row, extract_features(model, sample))
 
     def test_bitwise_invariant_under_bias_randomization(self):
         rng = np.random.default_rng(36)

@@ -138,6 +138,18 @@ class TestExitCodes:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("geometry", ["stride = 2\n", "pad = 0\n"])
+    def test_untrainable_geometry_is_data_error(self, synth_dir, tmp_path, capsys, geometry):
+        config = tmp_path / "geometry.cfg"
+        config.write_text(PIPE_CONFIG + geometry)
+        model = tmp_path / "m.zten"
+        code = dispatch(["train-cae", "--train", str(synth_dir / "train.json"), "--out", str(model),
+                         "--config", str(config)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "stride 1 and pad" in captured.err
+        assert captured.out == "" and not model.exists()
+
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0
         assert "COMMAND" in capsys.readouterr().out

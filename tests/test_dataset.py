@@ -63,6 +63,11 @@ class TestManifest:
         with pytest.raises(ManifestError, match="no record named 'missing'"):
             load_dataset(manifest)
 
+    def test_load_dataset_rejects_manifest_without_items(self, tmp_path):
+        manifest = DatasetManifest(classes=["x", "y"], items=[], base_dir=tmp_path)
+        with pytest.raises(ManifestError, match="no items"):
+            load_dataset(manifest)
+
     def test_load_dataset_returns_labels_in_order(self, tmp_path):
         for name, fill in (("a", 1.0), ("b", 2.0)):
             save_tensors(tmp_path / f"{name}.zten", {"r": np.full((1, 2, 2), fill)})

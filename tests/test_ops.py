@@ -164,6 +164,83 @@ class TestConvAdjoints:
         npt.assert_allclose(db, dout.sum(axis=(1, 2)), rtol=1e-12)
 
 
+class TestBatchedKernels:
+    """A leading batch axis: im2col lays the samples' columns side by side,
+    col2im stays its adjoint, and the convolutions agree with per-sample calls."""
+
+    @staticmethod
+    def random_geometry(rng):
+        b, c, kh = (int(v) for v in rng.integers(1, 4, size=3))
+        stride, pad = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        h = int(rng.integers(max(1, kh - 2 * pad), kh + 6))
+        w = int(rng.integers(max(1, kh - 2 * pad), kh + 6))
+        return (b, c, h, w), kh, ConvSpec(stride=stride, pad=pad)
+
+    def test_im2col_col2im_adjoint_over_random_geometry(self):
+        rng = np.random.default_rng(301)
+        for _ in range(40):
+            shape, kh, spec = self.random_geometry(rng)
+            x = rng.normal(size=shape)
+            cols = im2col(x, kh, kh, spec)
+            y = rng.normal(size=cols.shape)
+            lhs = float((cols * y).sum())
+            rhs = float((x * col2im(y, x.shape, kh, kh, spec)).sum())
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    def test_batched_columns_are_per_sample_blocks(self):
+        rng = np.random.default_rng(302)
+        for _ in range(20):
+            shape, kh, spec = self.random_geometry(rng)
+            x = rng.normal(size=shape)
+            per_sample = [im2col(xb, kh, kh, spec) for xb in x]
+            npt.assert_array_equal(im2col(x, kh, kh, spec), np.concatenate(per_sample, axis=1))
+            y = rng.normal(size=(per_sample[0].shape[0], shape[0] * per_sample[0].shape[1]))
+            blocks = np.split(y, shape[0], axis=1)
+            npt.assert_array_equal(col2im(y, shape, kh, kh, spec),
+                                   np.stack([col2im(yb, shape[1:], kh, kh, spec) for yb in blocks]))
+
+    def test_batched_convolutions_match_per_sample(self):
+        rng = np.random.default_rng(303)
+        for _ in range(20):
+            (b, c, h, w), kh, spec = self.random_geometry(rng)
+            k = int(rng.integers(1, 4))
+            x = rng.normal(size=(b, c, h, w))
+            wt = rng.normal(size=(k, c, kh, kh))
+            bias = rng.normal(size=k)
+            out = conv2d(x, wt, bias, spec)
+            npt.assert_allclose(out, np.stack([conv2d(xb, wt, bias, spec) for xb in x]), rtol=1e-12, atol=1e-12)
+            dout = rng.normal(size=out.shape)
+            npt.assert_allclose(conv2d_weight_grad(x, dout, kh, kh, spec),
+                                sum(conv2d_weight_grad(xb, db, kh, kh, spec) for xb, db in zip(x, dout)),
+                                rtol=1e-12, atol=1e-12)
+            npt.assert_allclose(conv2d_input_grad(dout, wt, x.shape, spec),
+                                np.stack([conv2d_input_grad(db, wt, x.shape[1:], spec) for db in dout]),
+                                rtol=1e-12, atol=1e-12)
+            npt.assert_allclose(conv2d_bias_grad(dout), dout.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+    def test_precomputed_columns_give_identical_results(self):
+        rng = np.random.default_rng(304)
+        spec = ConvSpec(stride=1, pad=1)
+        x = rng.normal(size=(3, 2, 5, 4))
+        wt = rng.normal(size=(4, 2, 3, 3))
+        cols = im2col(x, 3, 3, spec)
+        out = conv2d(x, wt, np.zeros(4), spec)
+        npt.assert_array_equal(conv2d(x, wt, np.zeros(4), spec, cols=cols), out)
+        npt.assert_array_equal(conv2d_weight_grad(x, out, 3, 3, spec, cols=cols),
+                               conv2d_weight_grad(x, out, 3, 3, spec))
+
+    def test_transposed_conv_equals_tied_decoder_at_same_padding(self):
+        # conv2d(z, tied(W)) == conv2d_input_grad(z, W) at stride 1, pad (k-1)/2
+        rng = np.random.default_rng(305)
+        for kh in (1, 3, 5):
+            spec = ConvSpec(stride=1, pad=(kh - 1) // 2)
+            wt = rng.normal(size=(4, 3, kh, kh))
+            z = rng.normal(size=(2, 4, 6, 5))
+            npt.assert_allclose(conv2d_input_grad(z, wt, (2, 3, 6, 5), spec),
+                                conv2d(z, tied_decoder_weights(wt), np.zeros(3), spec),
+                                rtol=1e-12, atol=1e-12)
+
+
 class TestFlip180:
     def test_two_by_two(self):
         w = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])

@@ -155,6 +155,21 @@ class TestRunPipeline:
         report = run_pipeline(test_m, train_m, small_cae_config(epochs=5), SvmTrainConfig(), 4)
         assert report.n_test == len(train_m)
 
+    def test_each_manifest_is_loaded_once(self, small_synthetic, monkeypatch):
+        import zbcae.pipeline as pipeline_mod
+
+        loaded = []
+        real = pipeline_mod.load_dataset
+
+        def counting_load(manifest):
+            loaded.append(id(manifest))
+            return real(manifest)
+
+        monkeypatch.setattr(pipeline_mod, "load_dataset", counting_load)
+        train_m, test_m = small_synthetic
+        run_pipeline(train_m, test_m, small_cae_config(epochs=2), SvmTrainConfig(), 4)
+        assert sorted(loaded) == sorted([id(train_m), id(test_m)])
+
     def test_mismatched_class_tables_rejected(self, small_synthetic, tmp_path):
         train_m, _ = small_synthetic
         other_spec = SyntheticSpec(n_classes=3, samples_per_class=5, channels=6, height=4, width=4, seed=1)

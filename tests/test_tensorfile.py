@@ -108,3 +108,21 @@ def test_trailing_garbage_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(TensorFileError, match="trailing"):
         load_tensors(path)
+
+
+def test_invalid_utf8_record_name_names_offset(tmp_path):
+    path = tmp_path / "name.zten"
+    record = struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<BB", DTYPE_F64, 1) + struct.pack("<Q", 1) + struct.pack("<d", 1.0)
+    path.write_bytes(MAGIC + struct.pack("<II", VERSION, 1) + record)
+    with pytest.raises(TensorFileError, match="offset 14 is not valid UTF-8"):
+        load_tensors(path)
+
+
+def test_extents_beyond_numpy_limit_name_offset(tmp_path):
+    # zero elements, so no payload bytes follow, but 2**63 exceeds the
+    # largest dimension numpy can represent
+    path = tmp_path / "extents.zten"
+    record = struct.pack("<H", 1) + b"x" + struct.pack("<BB", DTYPE_F64, 2) + struct.pack("<2Q", 0, 2**63)
+    path.write_bytes(MAGIC + struct.pack("<II", VERSION, 1) + record)
+    with pytest.raises(TensorFileError, match=r"extents \(0, 9223372036854775808\) at offset 17"):
+        load_tensors(path)
