@@ -60,8 +60,7 @@ def _progress(epoch, mean_loss, lr) -> None:
     print(json.dumps({"epoch": epoch, "mean_loss": mean_loss, "lr": lr}), file=sys.stderr)
 
 
-def _write_report(report, path) -> None:
-    text = report.to_json()
+def _write_report(text: str, path) -> None:
     sys.stdout.write(text)
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
@@ -91,20 +90,13 @@ def cmd_train_cae(args) -> int:
         "seed": args.seed,
     })
     manifest = load_manifest(args.train)
-    model, history, meta = train_cae_stage(
-        manifest, config.to_cae_config(), config.filters,
+    model, _, meta = train_cae_stage(
+        manifest, config.cae, config.filters,
         kernel=config.kernel, stride=config.stride, pad=config.pad,
         progress=_progress,
     )
-    save_cae_checkpoint(args.out, model, config.bias_mode, meta)
-    _emit({
-        "model": str(args.out),
-        "filters": config.filters,
-        "epochs_run": len(history.mean_loss),
-        "initial_mean_loss": history.mean_loss[0] if history.mean_loss else None,
-        "final_mean_loss": history.mean_loss[-1] if history.mean_loss else None,
-        "anneal_events": [{"epoch": e, "lr": lr} for e, lr in history.anneal_events],
-    })
+    save_cae_checkpoint(args.out, model, config.cae.bias_mode, meta)
+    _emit({"model": str(args.out), "filters": config.filters, **meta["cae_summary"]})
     return 0
 
 
@@ -126,16 +118,15 @@ def cmd_encode(args) -> int:
 def cmd_train_svm(args) -> int:
     config = resolve_config(args.config, {"lambda": getattr(args, "lambda")})
     features, labels, classes, meta = load_features_file(args.features)
-    svm_config = config.to_svm_config()
-    model = train_svm(features, labels, len(classes), svm_config, class_names=classes)
-    meta = {**meta, "svm_config_echo": svm_config_echo(svm_config)}
-    save_svm_checkpoint(args.out, model, svm_config.lam, meta)
+    model = train_svm(features, labels, len(classes), config.svm, class_names=classes)
+    meta = {**meta, "svm_config_echo": svm_config_echo(config.svm)}
+    save_svm_checkpoint(args.out, model, config.svm.lam, meta)
     _emit({
         "model": str(args.out),
         "n_train": int(features.shape[0]),
         "feature_dim": int(features.shape[1]),
         "n_classes": len(classes),
-        "lambda": svm_config.lam,
+        "lambda": config.svm.lam,
     })
     return 0
 
@@ -150,7 +141,7 @@ def cmd_evaluate(args) -> int:
             meta, meta.get("svm_config_echo", {"lambda": lam}), meta.get("l2_normalize", False)
         ),
     )
-    _write_report(report, args.report)
+    _write_report(report.to_json(), args.report)
     return 0
 
 
@@ -159,11 +150,11 @@ def cmd_run_all(args) -> int:
     train_m = load_manifest(args.train)
     test_m = load_manifest(args.test)
     report = run_pipeline(
-        train_m, test_m, config.to_cae_config(), config.to_svm_config(), config.filters,
+        train_m, test_m, config.cae, config.svm, config.filters,
         l2_normalize=config.l2_normalize, kernel=config.kernel,
         stride=config.stride, pad=config.pad, progress=_progress,
     )
-    _write_report(report, args.report)
+    _write_report(report.to_json(), args.report)
     return 0
 
 
@@ -178,17 +169,15 @@ def cmd_sweep(args) -> int:
     train_m = load_manifest(args.train)
     test_m = load_manifest(args.test)
     rows = filter_size_sweep(
-        train_m, test_m, config.to_cae_config(), config.to_svm_config(), k_values,
-        l2_normalize=config.l2_normalize, kernel=config.kernel, progress=_progress,
+        train_m, test_m, config.cae, config.svm, k_values,
+        l2_normalize=config.l2_normalize, kernel=config.kernel,
+        stride=config.stride, pad=config.pad, progress=_progress,
     )
     doc = {"rows": [
         {"filters": r.filters, "top1_accuracy": r.top1, "feature_dim": r.report.feature_dim}
         for r in rows
     ]}
-    text = json.dumps(doc, indent=2) + "\n"
-    sys.stdout.write(text)
-    if args.report is not None:
-        Path(args.report).write_text(text, encoding="utf-8")
+    _write_report(json.dumps(doc, indent=2) + "\n", args.report)
     return 0
 
 

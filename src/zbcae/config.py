@@ -1,17 +1,19 @@
 """Flat key=value configuration files and the resolved CLI configuration.
 
-Precedence is flag > config file > built-in default.  Built-in defaults are
-the reference operating point: kernel 3, stride 1, pad 1, pool 2, 4096
-filters, 100 epochs, batch 512, learning rate 1e-5, anneal factor 0.1,
-regularization 1, L-BFGS initial step 0.1.
+Precedence is flag > config file > built-in default.  The keys and their
+defaults are derived from the component configs: every
+:class:`~zbcae.cae.CaeTrainConfig` field under its own name,
+:class:`~zbcae.svm.SvmTrainConfig`'s ``lam`` as ``lambda``, every
+:class:`~zbcae.svm.LbfgsConfig` field with an ``lbfgs_`` prefix, and
+:class:`CliConfig`'s own geometry and ``l2_normalize`` fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .cae import BIAS_MODES, BIAS_TRAIN_THEN_ZERO, CaeTrainConfig
+from .cae import CaeTrainConfig
 from .dataset import SyntheticSpec
 from .errors import ConfigError
 from .svm import LbfgsConfig, SvmTrainConfig
@@ -46,88 +48,45 @@ def _parse_bool(value: str, key: str) -> bool:
 
 @dataclass
 class CliConfig:
-    """Fully resolved settings, echoed verbatim into every report."""
+    """Fully resolved settings: the conv geometry, the feature
+    post-processing switch and the component configs the stages run with."""
 
-    # auto-encoder geometry
     filters: int = 4096
     kernel: int = 3
     stride: int = 1
-    pad: int = 1
+    pad: int | None = None  # (kernel - 1) // 2 when unset
     pool: int = 2
-    # auto-encoder training
-    epochs: int = 100
-    batch_size: int = 512
-    learning_rate: float = 1e-5
-    anneal_factor: float = 0.1
-    plateau_patience: int = 5
-    plateau_rel_tol: float = 1e-3
-    max_anneals: int = 3
-    bias_mode: str = BIAS_TRAIN_THEN_ZERO
-    seed: int = 0
-    # feature post-processing
     l2_normalize: bool = False
-    # classifier
-    svm_lambda: float = 1.0
-    lbfgs_memory: int = 10
-    lbfgs_initial_step: float = 0.1
-    lbfgs_armijo_c1: float = 1e-4
-    lbfgs_backtrack_factor: float = 0.5
-    lbfgs_max_iters: int = 500
-    lbfgs_grad_tol: float = 1e-6
-    lbfgs_rel_loss_tol: float = 1e-9
+    cae: CaeTrainConfig = field(default_factory=CaeTrainConfig)
+    svm: SvmTrainConfig = field(default_factory=SvmTrainConfig)
 
     def __post_init__(self):
         if self.pool != 2:
             raise ConfigError(f"pool must be 2 (the only supported window), got {self.pool}")
-        if self.bias_mode not in BIAS_MODES:
-            raise ConfigError(f"bias_mode must be one of {BIAS_MODES}, got {self.bias_mode!r}")
         if self.filters < 1 or self.kernel < 1:
             raise ConfigError("filters and kernel must be >= 1")
-
-    def to_cae_config(self) -> CaeTrainConfig:
-        return CaeTrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            anneal_factor=self.anneal_factor,
-            plateau_patience=self.plateau_patience,
-            plateau_rel_tol=self.plateau_rel_tol,
-            max_anneals=self.max_anneals,
-            bias_mode=self.bias_mode,
-            seed=self.seed,
-        )
-
-    def to_svm_config(self) -> SvmTrainConfig:
-        return SvmTrainConfig(
-            lam=self.svm_lambda,
-            lbfgs=LbfgsConfig(
-                memory=self.lbfgs_memory,
-                initial_step=self.lbfgs_initial_step,
-                armijo_c1=self.lbfgs_armijo_c1,
-                backtrack_factor=self.lbfgs_backtrack_factor,
-                max_iters=self.lbfgs_max_iters,
-                grad_tol=self.lbfgs_grad_tol,
-                rel_loss_tol=self.lbfgs_rel_loss_tol,
-            ),
-            seed=self.seed,
-        )
+        if self.pad is None:
+            self.pad = (self.kernel - 1) // 2
 
     def echo(self) -> dict:
         """Config-file-keyed view of every resolved value."""
-        out = {}
-        for f in fields(self):
-            out["lambda" if f.name == "svm_lambda" else f.name] = getattr(self, f.name)
-        return out
+        owners = {"": self, "cae": self.cae, "svm": self.svm, "lbfgs": self.svm.lbfgs}
+        return {key: getattr(owners[owner], f.name) for key, (owner, f) in _KEYS.items()}
 
 
-_KEY_TO_FIELD = {("lambda" if f.name == "svm_lambda" else f.name): f.name for f in fields(CliConfig)}
-_FIELD_TYPES = {f.name: f.type for f in fields(CliConfig)}
+# config key -> (owner, field), the owner named as in CliConfig.echo
+_KEYS = {
+    **{f.name: ("", f) for f in fields(CliConfig) if f.name not in ("cae", "svm")},
+    **{f.name: ("cae", f) for f in fields(CaeTrainConfig)},
+    "lambda": ("svm", next(f for f in fields(SvmTrainConfig) if f.name == "lam")),
+    **{f"lbfgs_{f.name}": ("lbfgs", f) for f in fields(LbfgsConfig)},
+}
 
 
-def _coerce(key: str, field_name: str, value):
+def _coerce(key: str, value):
     if not isinstance(value, str):
         return value  # flag values arrive already typed
-    kind = _FIELD_TYPES[field_name]
+    kind = _KEYS[key][1].type.split(" |")[0]  # the annotation as a string: "int", "int | None", ...
     try:
         if kind == "int":
             return int(value)
@@ -141,27 +100,32 @@ def _coerce(key: str, field_name: str, value):
 
 
 def resolve_config(config_path=None, overrides: dict | None = None) -> CliConfig:
-    """Merge defaults, the optional config file, and flag overrides.
+    """Merge defaults, the optional config file, and flag overrides, and
+    build the component configs.
 
     ``overrides`` maps config keys to already-typed values (None entries are
-    ignored).  Unknown keys in either source raise ConfigError.
+    ignored).  Unknown keys in either source, and every value a component
+    config rejects, raise ConfigError.
     """
     values = {}
     if config_path is not None:
         for key, raw in parse_config_file(config_path).items():
-            if key not in _KEY_TO_FIELD:
+            if key not in _KEYS:
                 raise ConfigError(f"{config_path}: unknown config key {key!r}")
-            field_name = _KEY_TO_FIELD[key]
-            values[field_name] = _coerce(key, field_name, raw)
+            values[key] = _coerce(key, raw)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _KEY_TO_FIELD:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        field_name = _KEY_TO_FIELD[key]
-        values[field_name] = _coerce(key, field_name, value)
+        values[key] = _coerce(key, value)
+    parts = {owner: {} for owner, _ in _KEYS.values()}
+    for key, value in values.items():
+        owner, f = _KEYS[key]
+        parts[owner][f.name] = value
     try:
-        return CliConfig(**values)
+        svm = SvmTrainConfig(lbfgs=LbfgsConfig(**parts["lbfgs"]), **parts["svm"])
+        return CliConfig(cae=CaeTrainConfig(**parts["cae"]), svm=svm, **parts[""])
     except ValueError as e:
         raise ConfigError(str(e)) from e
 

@@ -57,7 +57,7 @@ def cae_config_echo(config: CaeTrainConfig) -> dict:
 
 
 def svm_config_echo(config: SvmTrainConfig) -> dict:
-    return {"lambda": config.lam, "lbfgs": asdict(config.lbfgs), "seed": config.seed}
+    return {"lambda": config.lam, "lbfgs": asdict(config.lbfgs)}
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +272,20 @@ def run_pipeline(train_manifest: DatasetManifest, test_manifest: DatasetManifest
     """Unsupervised feature learning end to end: train the auto-encoder on
     the train split, extract zero-bias features for both splits, fit the
     SVM on train features, and score the test split."""
+    return _run_stages(train_manifest, test_manifest, load_dataset(train_manifest), None, cae_config,
+                       svm_config, n_filters, l2_normalize, kernel, stride, pad, progress)
+
+
+def _run_stages(train_manifest, test_manifest, train_data, test_data, cae_config, svm_config,
+                n_filters, l2_normalize, kernel, stride, pad, progress) -> EvalReport:
+    """:func:`run_pipeline` on already loaded data; a ``test_data`` of None
+    is loaded only once the features are extracted."""
     if list(train_manifest.classes) != list(test_manifest.classes):
         raise ShapeError("train and test manifests declare different class tables")
-    train_data = load_dataset(train_manifest)
     model, _, meta = train_cae_stage(train_manifest, cae_config, n_filters, kernel=kernel,
                                      stride=stride, pad=pad, progress=progress, data=train_data)
     train_x, train_y, classes = extract_stage(model, train_manifest, l2_normalize, data=train_data)
-    test_x, test_y, _ = extract_stage(model, test_manifest, l2_normalize)
+    test_x, test_y, _ = extract_stage(model, test_manifest, l2_normalize, data=test_data)
     if train_x.shape[1] != test_x.shape[1]:
         raise ShapeError(
             f"train and test manifests produce different feature dimensions "
@@ -301,14 +308,16 @@ class SweepRow:
 
 def filter_size_sweep(train_manifest: DatasetManifest, test_manifest: DatasetManifest,
                       cae_config: CaeTrainConfig, svm_config: SvmTrainConfig, k_values,
-                      l2_normalize: bool = False, kernel: int = 3, progress=None) -> list:
-    """Re-run the full pipeline for each filter count, sharing every seed,
-    and tabulate (filters, top-1)."""
+                      l2_normalize: bool = False, kernel: int = 3, stride: int = 1,
+                      pad: int | None = None, progress=None) -> list:
+    """Re-run the full pipeline for each filter count, sharing every seed and
+    loading each manifest once, and tabulate (filters, top-1)."""
     if not k_values:
         raise ValueError("k_values must be non-empty")
+    train_data, test_data = load_dataset(train_manifest), load_dataset(test_manifest)
     rows = []
     for k in k_values:
-        report = run_pipeline(train_manifest, test_manifest, cae_config, svm_config, int(k),
-                              l2_normalize=l2_normalize, kernel=kernel, progress=progress)
+        report = _run_stages(train_manifest, test_manifest, train_data, test_data, cae_config,
+                             svm_config, int(k), l2_normalize, kernel, stride, pad, progress)
         rows.append(SweepRow(filters=int(k), top1=report.top1, report=report))
     return rows

@@ -79,7 +79,6 @@ class LbfgsConfig:
 class SvmTrainConfig:
     lam: float = 1.0
     lbfgs: LbfgsConfig = field(default_factory=LbfgsConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam < 0:

@@ -3,6 +3,7 @@ JSON stdout, and equivalence between run-all and the staged commands."""
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,18 @@ batch_size = 4
 learning_rate = 2e-4
 seed = 0
 """
+
+
+def _cell_value(text):
+    """A README table cell as the Python value it spells."""
+    if text in ("true", "false"):
+        return text == "true"
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 @pytest.fixture(scope="module")
@@ -60,19 +73,19 @@ class TestConfigFile:
         assert config.pad == 1
         assert config.pool == 2
         assert config.filters == 4096
-        assert config.epochs == 100
-        assert config.batch_size == 512
-        assert config.learning_rate == 1e-5
-        assert config.anneal_factor == 0.1
-        assert config.svm_lambda == 1.0
-        assert config.lbfgs_initial_step == 0.1
+        assert config.cae.epochs == 100
+        assert config.cae.batch_size == 512
+        assert config.cae.learning_rate == 1e-5
+        assert config.cae.anneal_factor == 0.1
+        assert config.svm.lam == 1.0
+        assert config.svm.lbfgs.initial_step == 0.1
 
     def test_flag_beats_file_beats_default(self, tmp_path):
         f = tmp_path / "c.cfg"
         f.write_text("epochs = 7\nbatch_size = 9\n")
         config = resolve_config(f, {"epochs": 3})
-        assert config.epochs == 3  # flag wins
-        assert config.batch_size == 9  # file wins
+        assert config.cae.epochs == 3  # flag wins
+        assert config.cae.batch_size == 9  # file wins
         assert config.filters == 4096  # default
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -91,12 +104,37 @@ class TestConfigFile:
         f = tmp_path / "c.cfg"
         f.write_text("lambda = 0.5\n")
         config = resolve_config(f, {})
-        assert config.svm_lambda == 0.5
+        assert config.svm.lam == 0.5
         assert config.echo()["lambda"] == 0.5
 
     def test_pool_other_than_two_rejected(self):
         with pytest.raises(ConfigError, match="pool"):
             CliConfig(pool=3)
+
+    @pytest.mark.parametrize("line, match", [
+        ("epochs = -1\n", "epochs"),
+        ("bias_mode = sometimes\n", "bias_mode"),
+        ("lambda = -1\n", "regularization"),
+        ("lbfgs_memory = 0\n", "memory"),
+    ])
+    def test_component_rejection_is_config_error(self, tmp_path, line, match):
+        f = tmp_path / "c.cfg"
+        f.write_text(line)
+        with pytest.raises(ConfigError, match=match):
+            resolve_config(f, {})
+
+    def test_readme_defaults_table_matches_resolved_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        table = {}
+        for row in section.splitlines():
+            if row.startswith("| `"):  # skips the header, the rule and the prose
+                cells = [c.strip().strip("`") for c in row.strip("|").split("|")]
+                table.update((k, _cell_value(v)) for k, v in zip(cells[0::2], cells[1::2]) if k)
+        echo = resolve_config(None, {}).echo()
+        assert sorted(table) == sorted(echo)
+        for key, value in echo.items():
+            assert (type(table[key]), table[key]) == (type(value), value), key
 
 
 class TestExitCodes:
@@ -138,17 +176,38 @@ class TestExitCodes:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("geometry", ["stride = 2\n", "pad = 0\n"])
-    def test_untrainable_geometry_is_data_error(self, synth_dir, tmp_path, capsys, geometry):
+    @pytest.mark.parametrize("command, geometry", [
+        pytest.param("train-cae", "stride = 2\n", id="stride = 2\n"),
+        pytest.param("train-cae", "pad = 0\n", id="pad = 0\n"),
+        pytest.param("sweep", "stride = 2\n", id="sweep-stride = 2\n"),
+    ])
+    def test_untrainable_geometry_is_data_error(self, synth_dir, tmp_path, capsys, command, geometry):
         config = tmp_path / "geometry.cfg"
         config.write_text(PIPE_CONFIG + geometry)
-        model = tmp_path / "m.zten"
-        code = dispatch(["train-cae", "--train", str(synth_dir / "train.json"), "--out", str(model),
-                         "--config", str(config)])
+        out = tmp_path / "out"
+        if command == "train-cae":
+            argv = ["train-cae", "--train", str(synth_dir / "train.json"), "--out", str(out)]
+        else:
+            argv = ["sweep", "--filters", "2,4", "--train", str(synth_dir / "train.json"),
+                    "--test", str(synth_dir / "test.json"), "--report", str(out)]
+        code = dispatch(argv + ["--config", str(config)])
         assert code == 2
         captured = capsys.readouterr()
         assert "stride 1 and pad" in captured.err
-        assert captured.out == "" and not model.exists()
+        assert captured.out == "" and not out.exists()
+
+    def test_unset_pad_follows_kernel(self, synth_dir, tmp_path, capsys):
+        config = tmp_path / "kernel.cfg"
+        config.write_text(PIPE_CONFIG.replace("epochs = 30", "epochs = 2") + "kernel = 5\n")
+        report = tmp_path / "report.json"
+        code = dispatch(["run-all", "--train", str(synth_dir / "train.json"),
+                         "--test", str(synth_dir / "test.json"),
+                         "--config", str(config), "--report", str(report)])
+        assert code == 0
+        capsys.readouterr()
+        echo = json.loads(report.read_text())["config"]
+        assert (echo["kernel"], echo["stride"], echo["pad"]) == (5, 1, 2)
+        assert resolve_config(config, {}).echo()["pad"] == 2
 
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0

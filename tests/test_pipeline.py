@@ -169,6 +169,9 @@ class TestRunPipeline:
         train_m, test_m = small_synthetic
         run_pipeline(train_m, test_m, small_cae_config(epochs=2), SvmTrainConfig(), 4)
         assert sorted(loaded) == sorted([id(train_m), id(test_m)])
+        loaded.clear()  # a sweep too loads each manifest once, however many filter counts it runs
+        filter_size_sweep(train_m, test_m, small_cae_config(epochs=2), SvmTrainConfig(), [2, 4, 8])
+        assert sorted(loaded) == sorted([id(train_m), id(test_m)])
 
     def test_mismatched_class_tables_rejected(self, small_synthetic, tmp_path):
         train_m, _ = small_synthetic
