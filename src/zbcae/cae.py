@@ -28,7 +28,6 @@ from .ops import (
     conv2d_bias_grad,
     conv2d_input_grad,
     conv2d_weight_grad,
-    flatten,
     im2col,
     maxpool2,
     relu,
@@ -240,7 +239,9 @@ def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d
     conv2d_input_grad(z, W) at stride 1 and pad (k-1)/2, so the decoder, its
     input gradient conv2d(dG, W) and its weight gradient
     conv2d_weight_grad(dG, z) all use W itself and the two column matrices
-    cols(x) and cols(dG); no tied copy of the bank is formed.
+    cols(x) and cols(dG); no tied copy of the bank is formed.  Both weight
+    terms reach W_e through the tie, so one summed gradient is returned:
+    (loss, dw_e, db_e, db_d).
     """
     k, _, kh, kw = model.w_e.shape
     w, spec = model.w_e, model.spec
@@ -259,14 +260,14 @@ def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d
     da *= z > 0.0  # z > 0 exactly where the pre-activation is
     del z, cols_dg  # free before the last GEMM: tens of MB each at K=4096
     db_e = conv2d_bias_grad(da)
-    dw_enc = conv2d_weight_grad(x, da, kh, kw, spec, cols=cols_x)
-    return loss, dw_enc, dw_dec, db_e, db_d
+    dw = conv2d_weight_grad(x, da, kh, kw, spec, cols=cols_x)
+    dw += dw_dec  # in place: one bank-sized array fewer at K=4096
+    return loss, dw, db_e, db_d
 
 
-def _forward_backward(model: CaeModel, batch, bias_mode: str):
-    """Loss plus gradients, with the encoder- and decoder-path weight terms
-    kept separate (both flow into W_e through the tie).  The batch runs in
-    chunks of :data:`TRAIN_CHUNK_BYTES` working set whose results are summed."""
+def _forward_backward(model: CaeModel, batch, bias_mode: str) -> tuple[float, CaeGradients]:
+    """(loss, gradients) of a batch.  The batch runs in chunks of
+    :data:`TRAIN_CHUNK_BYTES` working set whose results are summed."""
     _check_trainable(model)
     x = _as_batch(model, batch)
     use_bias = bias_mode == BIAS_TRAIN_THEN_ZERO
@@ -277,11 +278,11 @@ def _forward_backward(model: CaeModel, batch, bias_mode: str):
     for start in range(0, len(x), step):
         part = _chunk_forward_backward(model, x[start : start + step], b_e, b_d)
         total = part if total is None else tuple(a + b for a, b in zip(total, part))
-    loss, dw_enc, dw_dec, db_e, db_d = total
+    loss, dw_e, db_e, db_d = total
     if not use_bias:
         db_e = np.zeros(model.n_filters)
         db_d = np.zeros(model.n_channels)
-    return loss, dw_enc, dw_dec, db_e, db_d
+    return loss, CaeGradients(dw_e, db_e, db_d)
 
 
 def reconstruction_loss(model: CaeModel, batch, zero_bias: bool = False) -> float:
@@ -313,8 +314,7 @@ def loss_gradients(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO
     """
     if bias_mode not in BIAS_MODES:
         raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
-    _, dw_enc, dw_dec, db_e, db_d = _forward_backward(model, batch, bias_mode)
-    return CaeGradients(dw_e=dw_enc + dw_dec, db_e=db_e, db_d=db_d)
+    return _forward_backward(model, batch, bias_mode)[1]
 
 
 def sgd_step(model: CaeModel, grads: CaeGradients, lr: float) -> CaeModel:
@@ -362,14 +362,13 @@ def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
         total = 0.0
         for b, start in enumerate(range(0, n, config.batch_size)):
             batch = data[order[start : start + config.batch_size]]
-            loss, dw_e, dw_dec, db_e, db_d = _forward_backward(model, batch, config.bias_mode)
+            loss, grads = _forward_backward(model, batch, config.bias_mode)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(
                     f"non-finite reconstruction loss at epoch {epoch}, batch {b}; "
                     f"reduce the learning rate"
                 )
-            dw_e += dw_dec  # in place: one bank-sized array fewer at K=4096
-            sgd_step(model, CaeGradients(dw_e, db_e, db_d), lr)
+            sgd_step(model, grads, lr)
             total += loss
         mean = total / n
         history.mean_loss.append(mean)
@@ -401,10 +400,4 @@ def extract_features(model: CaeModel, x: np.ndarray) -> np.ndarray:
     D = K * ceil(H/2) * ceil(W/2) and is elementwise non-negative.  A
     (B, C, H, W) batch is encoded in one pass and gives a (B, D) matrix.
     """
-    z = encode(model, x, zero_bias=True)
-    if z.ndim == 3:
-        pooled, _ = maxpool2(z)
-        return flatten(pooled)
-    b, k, h, w = z.shape
-    pooled, _ = maxpool2(z.reshape(b * k, h, w))
-    return pooled.reshape(b, -1)
+    return maxpool2(encode(model, x, zero_bias=True)).reshape(*x.shape[:-3], -1)

@@ -21,6 +21,7 @@ import argparse
 import json
 from pathlib import Path
 
+from .cae import BIAS_MODES
 from .config import parse_synthetic_spec, resolve_config
 from .dataset import gen_synthetic, load_manifest
 from .errors import ConfigError, ManifestError, NonFiniteLossError, ShapeError, TensorFileError
@@ -203,7 +204,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--bias-mode", dest="bias_mode", choices=["train-then-zero", "always-zero"], default=None)
+    p.add_argument("--bias-mode", dest="bias_mode", choices=BIAS_MODES, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train_cae)
 

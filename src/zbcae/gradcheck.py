@@ -15,6 +15,10 @@ from .svm import squared_hinge_objective
 EPS = 1e-6
 GUARD = 1e-8
 
+# Problem sizes: small enough for a central difference over every parameter.
+CAE_FILTERS, CAE_CHANNELS, CAE_EXTENT, CAE_BATCH = 3, 2, 5, 2
+SVM_SAMPLES, SVM_FEATURES, SVM_CLASSES = 12, 5, 3
+
 
 def _central_diff(f, arr, eps=EPS):
     grad = np.zeros_like(arr)
@@ -38,24 +42,15 @@ def _max_rel(analytic, numeric) -> float:
     return float((np.abs(a - n) / denom).max()) if a.size else 0.0
 
 
-def gradcheck_report(
-    seed: int = 0,
-    cae_filters: int = 3,
-    cae_channels: int = 2,
-    cae_extent: int = 5,
-    cae_batch: int = 2,
-    svm_samples: int = 12,
-    svm_features: int = 5,
-    svm_classes: int = 3,
-) -> dict:
+def gradcheck_report(seed: int = 0) -> dict:
     """Max relative errors for the four parameter groups, as a dict with
     keys cae_weights, cae_biases, svm_weights, svm_biases."""
     rng = np.random.default_rng(seed)
 
-    model = init_model(cae_filters, cae_channels, 3, seed=seed)
-    model.b_e = rng.normal(0.0, 0.3, size=cae_filters)
-    model.b_d = rng.normal(0.0, 0.3, size=cae_channels)
-    batch = [rng.normal(size=(cae_channels, cae_extent, cae_extent)) for _ in range(cae_batch)]
+    model = init_model(CAE_FILTERS, CAE_CHANNELS, 3, seed=seed)
+    model.b_e = rng.normal(0.0, 0.3, size=CAE_FILTERS)
+    model.b_d = rng.normal(0.0, 0.3, size=CAE_CHANNELS)
+    batch = [rng.normal(size=(CAE_CHANNELS, CAE_EXTENT, CAE_EXTENT)) for _ in range(CAE_BATCH)]
     grads = loss_gradients(model, batch, BIAS_TRAIN_THEN_ZERO)
 
     def cae_loss():
@@ -67,10 +62,10 @@ def gradcheck_report(
         _max_rel(grads.db_d, _central_diff(cae_loss, model.b_d)),
     )
 
-    x = rng.normal(size=(svm_samples, svm_features))
-    y = rng.permutation(np.arange(svm_samples) % svm_classes)
-    w = rng.normal(0.0, 0.5, size=(svm_classes, svm_features))
-    b = rng.normal(0.0, 0.5, size=svm_classes)
+    x = rng.normal(size=(SVM_SAMPLES, SVM_FEATURES))
+    y = rng.permutation(np.arange(SVM_SAMPLES) % SVM_CLASSES)
+    w = rng.normal(0.0, 0.5, size=(SVM_CLASSES, SVM_FEATURES))
+    b = rng.normal(0.0, 0.5, size=SVM_CLASSES)
     _, dw, db = squared_hinge_objective(w, b, x, y, lam=1.0)
 
     def svm_loss():

@@ -1,8 +1,8 @@
 """Dense float64 tensor kernels.
 
 Everything here is a pure function of its inputs: 2D cross-correlation and
-its adjoints, kernel flipping, ReLU, 2x2 max-pooling with argmax routing,
-and row-major flattening.  Tensors are plain ``numpy`` arrays of ``float64``;
+its adjoints, kernel flipping, ReLU, 2x2 max-pooling and row-major
+flattening.  Tensors are plain ``numpy`` arrays of ``float64``;
 a feature map is ``(C, H, W)``, a batch of maps is ``(B, C, H, W)`` and a
 filter bank is ``(K, C, kh, kw)``.  ``im2col``/``col2im`` and the
 convolutions accept either a single map or a batch; a batch runs as one
@@ -187,40 +187,25 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
-def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 max-pool with stride 2 over a (K, H, W) map.
+def maxpool2(x: np.ndarray) -> np.ndarray:
+    """2x2 max-pool with stride 2 over the last two axes of a (..., H, W)
+    array with at least three axes, such as a (K, H, W) map or a
+    (B, K, H, W) batch.
 
-    Odd extents keep a final window truncated at the border.  Returns the
-    pooled map of shape (K, ceil(H/2), ceil(W/2)) and an int64 index map of
-    the same shape whose entries are the flat row-major position in ``x``
-    of each window's maximum.  Ties go to the first occurrence in row-major
-    window scan order.
+    Odd extents keep a final window truncated at the border: the input is
+    copied into a -inf-padded buffer of even extents, and the result, of
+    shape (..., ceil(H/2), ceil(W/2)), is the elementwise maximum of its
+    four stride-2 slices.
     """
-    x = _as_f64(x)
-    if x.ndim != 3:
-        raise ShapeError(f"maxpool2 input must be K x H x W, got {x.ndim}-D shape {x.shape}")
-    k, h, w = x.shape
-    ho, wo = (h + 1) // 2, (w + 1) // 2
-    padded = np.full((k, 2 * ho, 2 * wo), -np.inf)
-    padded[:, :h, :w] = x
-    windows = padded.reshape(k, ho, 2, wo, 2).transpose(0, 1, 3, 2, 4).reshape(k, ho, wo, 4)
-    arg = windows.argmax(axis=3)
-    pooled = np.take_along_axis(windows, arg[..., None], axis=3)[..., 0]
-    rows = 2 * np.arange(ho)[None, :, None] + arg // 2
-    cols = 2 * np.arange(wo)[None, None, :] + arg % 2
-    index_map = (np.arange(k)[:, None, None] * h + rows) * w + cols
-    return pooled, index_map.astype(np.int64)
-
-
-def maxpool2_route_back(grad: np.ndarray, index_map: np.ndarray, input_shape: tuple) -> np.ndarray:
-    """Scatter a pooled-shape gradient back to the pooling input.
-
-    Each window's gradient lands on the position its argmax was recorded
-    from; overlaps cannot occur because windows are disjoint.
-    """
-    out = np.zeros(int(np.prod(input_shape)))
-    np.add.at(out, index_map.ravel(), np.asarray(grad, dtype=np.float64).ravel())
-    return out.reshape(input_shape)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim < 3:
+        raise ShapeError(f"maxpool2 input needs at least 3 axes (... x H x W), got {x.ndim}-D shape {x.shape}")
+    *lead, h, w = x.shape
+    padded = np.full((*lead, h + h % 2, w + w % 2), -np.inf)
+    padded[..., :h, :w] = x
+    top = np.maximum(padded[..., 0::2, 0::2], padded[..., 0::2, 1::2])
+    bottom = np.maximum(padded[..., 1::2, 0::2], padded[..., 1::2, 1::2])
+    return np.maximum(top, bottom, out=top)
 
 
 def flatten(x: np.ndarray) -> np.ndarray:

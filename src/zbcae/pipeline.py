@@ -145,16 +145,13 @@ def load_svm_checkpoint(path):
 
 def train_cae_stage(train_manifest: DatasetManifest, cae_config: CaeTrainConfig, n_filters: int,
                     kernel: int = 3, stride: int = 1, pad: int | None = None,
-                    decoder_relu: bool = True, progress=None, data=None):
+                    progress=None, data=None):
     """Train the auto-encoder on a manifest's tensors (labels are ignored;
     learning is unsupervised).  ``data`` is the manifest's
     :func:`load_dataset` result when the caller has already loaded it.
     Returns (model, history, meta)."""
     tensors, _ = load_dataset(train_manifest) if data is None else data
-    model = cae_mod.init_model(
-        n_filters, tensors.shape[1], kernel,
-        seed=cae_config.seed, stride=stride, pad=pad, decoder_relu=decoder_relu,
-    )
+    model = cae_mod.init_model(n_filters, tensors.shape[1], kernel, seed=cae_config.seed, stride=stride, pad=pad)
     model, history = cae_mod.train(model, tensors, cae_config, progress=progress)
     meta = {
         "filters": n_filters,

@@ -144,8 +144,9 @@ def lbfgs_minimize(objective, x0, config: LbfgsConfig | None = None, callback=No
     s.y <= 1e-10 are discarded.  The Armijo backtracking line search starts
     from ``initial_step`` on the first iteration and from the unit
     quasi-Newton step afterwards.  Termination reports one of "grad_tol",
-    "rel_loss_tol", "max_iters" or "line_search_failed" (the last returns
-    the best point seen).
+    "rel_loss_tol", "max_iters" or "line_search_failed".  The point returned
+    is always the last accepted one, which is also the best seen: an
+    accepted step never increases the value.
 
     ``callback``, if given, is called as callback(iteration, x, value) after
     every accepted step.
@@ -161,7 +162,6 @@ def lbfgs_minimize(objective, x0, config: LbfgsConfig | None = None, callback=No
         return LbfgsResult(x=x, value=float(f), iterations=0, reason="grad_tol")
 
     pairs = []  # (s, y, rho), newest last
-    best_f, best_x = float(f), x.copy()
     for iteration in range(1, config.max_iters + 1):
         d = _two_loop_direction(g, pairs)
         slope = float(g @ d)
@@ -179,7 +179,7 @@ def lbfgs_minimize(objective, x0, config: LbfgsConfig | None = None, callback=No
                 break
             step *= config.backtrack_factor
         if not accepted:
-            return LbfgsResult(x=best_x, value=best_f, iterations=iteration - 1, reason="line_search_failed")
+            return LbfgsResult(x=x, value=float(f), iterations=iteration - 1, reason="line_search_failed")
 
         g_new = np.asarray(g_new, dtype=np.float64)
         s = x_new - x
@@ -190,8 +190,6 @@ def lbfgs_minimize(objective, x0, config: LbfgsConfig | None = None, callback=No
             if len(pairs) > config.memory:
                 pairs.pop(0)
 
-        if f_new < best_f:
-            best_f, best_x = float(f_new), x_new.copy()
         rel_change = abs(f - f_new) / max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
         if callback is not None:

@@ -2,6 +2,7 @@
 gradients against central finite differences, trainer behavior."""
 
 import copy
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -215,14 +216,15 @@ class TestLossGradients:
     def test_split_paths_sum_to_full_gradient(self):
         """Freezing the decoder filters isolates the encoder-path term of
         the W_e gradient; finite differences on that frozen loss must match
-        the implementation's encoder-path contribution."""
+        the per-sample reference's encoder-path term, and the two reference
+        terms must sum to the implementation's W_e gradient."""
         rng = np.random.default_rng(18)
         model = random_model(rng, k=3, c=2)
         batch = [rng.normal(size=(2, 5, 5)) for _ in range(2)]
 
-        _, dw_enc, dw_dec, _, _ = cae._forward_backward(model, batch, BIAS_TRAIN_THEN_ZERO)
+        _, dw_enc, dw_dec, _, _ = per_sample_reference_step(model, batch, BIAS_TRAIN_THEN_ZERO)
         grads = loss_gradients(model, batch, BIAS_TRAIN_THEN_ZERO)
-        npt.assert_array_equal(grads.dw_e, dw_enc + dw_dec)
+        assert_rel_close(grads.dw_e, dw_enc + dw_dec)
 
         w_d_frozen = tied_decoder_weights(model.w_e).copy()
 
@@ -279,6 +281,12 @@ def assert_rel_close(actual, expected, tol=1e-12):
     assert float(np.abs(actual - expected).max()) <= tol * scale
 
 
+def batched_step(model, batch, bias_mode):
+    """(loss, dw_e, db_e, db_d) of the batched step, for elementwise comparison."""
+    loss, grads = cae._forward_backward(model, batch, bias_mode)
+    return loss, grads.dw_e, grads.db_e, grads.db_d
+
+
 class TestBatchedStep:
     """The batched step (tied decoder as a transposed conv) against the
     per-sample reference built from conv2d and tied_decoder_weights."""
@@ -291,19 +299,19 @@ class TestBatchedStep:
         model = random_model(rng, k=5, c=3, kernel=kernel)
         model.decoder_relu = decoder_relu
         batch = [rng.normal(size=(3, 6, 5)) for _ in range(4)]
-        got = cae._forward_backward(model, batch, bias_mode)
-        want = per_sample_reference_step(model, batch, bias_mode)
-        for g, w in zip(got, want):
+        got = batched_step(model, batch, bias_mode)
+        loss, dw_enc, dw_dec, db_e, db_d = per_sample_reference_step(model, batch, bias_mode)
+        for g, w in zip(got, (loss, dw_enc + dw_dec, db_e, db_d)):
             assert_rel_close(g, w)
 
     def test_chunks_sum_to_whole_batch(self, monkeypatch):
         rng = np.random.default_rng(110)
         model = random_model(rng, k=4, c=2)
         batch = np.stack([rng.normal(size=(2, 5, 5)) for _ in range(5)])
-        whole = cae._forward_backward(model, batch, BIAS_TRAIN_THEN_ZERO)
+        whole = batched_step(model, batch, BIAS_TRAIN_THEN_ZERO)
         monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 1)  # one sample per chunk
         assert cae.chunk_size(model, batch.shape[1:], cae.TRAIN_CHUNK_BYTES) == 1
-        chunked = cae._forward_backward(model, batch, BIAS_TRAIN_THEN_ZERO)
+        chunked = batched_step(model, batch, BIAS_TRAIN_THEN_ZERO)
         for g, w in zip(chunked, whole):
             assert_rel_close(g, w)
 
@@ -311,8 +319,8 @@ class TestBatchedStep:
         rng = np.random.default_rng(111)
         model = random_model(rng)
         batch = [rng.normal(size=(2, 4, 4)) for _ in range(3)]
-        for a, b in zip(cae._forward_backward(model, batch, BIAS_TRAIN_THEN_ZERO),
-                        cae._forward_backward(model, np.stack(batch), BIAS_TRAIN_THEN_ZERO)):
+        for a, b in zip(batched_step(model, batch, BIAS_TRAIN_THEN_ZERO),
+                        batched_step(model, np.stack(batch), BIAS_TRAIN_THEN_ZERO)):
             npt.assert_array_equal(a, b)
 
     def test_paper_batch_chunks_stay_bounded(self):
@@ -418,6 +426,15 @@ class TestTrain:
             runs.append((model.w_e.copy(), list(history.mean_loss)))
         npt.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
+
+    @pytest.mark.parametrize("n,batch_size", [(5, 4), (8, 8), (7, 2)])
+    def test_one_sgd_step_per_batch(self, monkeypatch, n, batch_size):
+        calls = []
+        monkeypatch.setattr(cae, "sgd_step", lambda model, grads, lr: calls.append(lr))
+        rng = np.random.default_rng(27)
+        config = CaeTrainConfig(epochs=3, batch_size=batch_size, learning_rate=1e-4, seed=0)
+        train(init_model(2, 2, 3, seed=2), tiny_dataset(rng, n=n), config)
+        assert len(calls) == config.epochs * math.ceil(n / batch_size)
 
     def test_short_final_batch_is_used(self):
         rng = np.random.default_rng(24)

@@ -158,6 +158,24 @@ class TestLbfgs:
         assert result.reason == "max_iters"
         assert result.iterations == 1
 
+    def test_line_search_failure_returns_last_accepted_point(self):
+        # the reported gradient has the wrong sign, so every trial step moves
+        # uphill; a mild backtrack factor keeps all 51 trial steps far above
+        # rounding, where a step could leave x unchanged and be accepted
+        evals = []
+
+        def objective(x):
+            evals.append(x.copy())
+            return 0.5 * float(x @ x), -x
+
+        x0 = np.array([3.0, -4.0])
+        result = lbfgs_minimize(objective, x0, LbfgsConfig(backtrack_factor=0.9))
+        assert result.reason == "line_search_failed"
+        npt.assert_array_equal(result.x, x0)
+        assert result.value == 12.5
+        assert result.iterations == 0
+        assert len(evals) == 1 + 51
+
     def test_non_finite_start_raises(self):
         def objective(x):
             return np.inf, x
