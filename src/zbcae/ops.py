@@ -1,12 +1,11 @@
 """Dense float64 tensor kernels.
 
 Everything here is a pure function of its inputs: 2D cross-correlation and
-its adjoints, kernel flipping, ReLU, 2x2 max-pooling and row-major
-flattening.  Tensors are plain ``numpy`` arrays of ``float64``;
-a feature map is ``(C, H, W)``, a batch of maps is ``(B, C, H, W)`` and a
-filter bank is ``(K, C, kh, kw)``.  ``im2col``/``col2im`` and the
-convolutions accept either a single map or a batch; a batch runs as one
-GEMM per call.
+its adjoints, kernel flipping, ReLU and 2x2 max-pooling.  Tensors are
+plain ``numpy`` arrays of ``float64``; a feature map is ``(C, H, W)``, a
+batch of maps is ``(B, C, H, W)`` and a filter bank is
+``(K, C, kh, kw)``.  ``im2col``/``col2im`` and the convolutions accept
+either a single map or a batch; a batch runs as one GEMM per call.
 
 ``conv2d`` is cross-correlation: no kernel flip happens inside it.  The
 decoder's 180-degree flip is explicit, via :func:`flip180` and
@@ -206,8 +205,3 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
     top = np.maximum(padded[..., 0::2, 0::2], padded[..., 0::2, 1::2])
     bottom = np.maximum(padded[..., 1::2, 0::2], padded[..., 1::2, 1::2])
     return np.maximum(top, bottom, out=top)
-
-
-def flatten(x: np.ndarray) -> np.ndarray:
-    """Row-major linearization to a 1-D vector."""
-    return _as_f64(x).reshape(-1)

@@ -35,8 +35,24 @@ def _json_record(obj) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
 
 
-def _record_json(arr: np.ndarray):
-    return json.loads(arr.astype(np.uint8).tobytes().decode("utf-8"))
+def _record_json(path, records, name: str):
+    """Decode record ``name`` written by :func:`_json_record`.  A value that
+    is not an integer in 0..255, or bytes that are not UTF-8 JSON, raise
+    TensorFileError naming the record."""
+    arr = records[name]
+    if not ((arr >= 0) & (arr <= 255) & (arr == np.floor(arr))).all():
+        raise TensorFileError(f"{path}: record {name!r} holds a value that is not a byte (an integer in 0..255)")
+    try:
+        return json.loads(arr.astype(np.uint8).tobytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise TensorFileError(f"{path}: record {name!r} is not UTF-8 JSON: {e}") from None
+
+
+def _class_names(path, records) -> list:
+    names = _record_json(path, records, "class_names_json")
+    if not isinstance(names, list):
+        raise TensorFileError(f"{path}: record 'class_names_json' is not a list")
+    return names
 
 
 def loss_summary(history: LossHistory) -> dict:
@@ -93,7 +109,7 @@ def load_cae_checkpoint(path):
         spec=ConvSpec(stride=int(records["conv_stride"][0]), pad=int(records["conv_pad"][0])),
         decoder_relu=bool(records["decoder_relu"][0]),
     )
-    return model, _BIAS_NAMES[code], _record_json(records["meta_json"])
+    return model, _BIAS_NAMES[code], _record_json(path, records, "meta_json")
 
 
 def save_features_file(path, features, labels, classes, meta: dict) -> None:
@@ -110,11 +126,14 @@ def load_features_file(path):
     for name in ("features", "labels", "class_names_json", "meta_json"):
         if name not in records:
             raise TensorFileError(f"{path}: features file is missing record {name!r}")
-    features = records["features"]
-    labels = records["labels"].astype(np.int64)
+    features, labels = records["features"], records["labels"]
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise TensorFileError(f"{path}: features/labels shapes are inconsistent")
-    return features, labels, _record_json(records["class_names_json"]), _record_json(records["meta_json"])
+    classes = _class_names(path, records)
+    bad = ~((labels >= 0) & (labels < len(classes)) & (labels == np.floor(labels)))
+    if bad.any():
+        raise TensorFileError(f"{path}: label {float(labels[bad][0])} is not a class index in 0..{len(classes) - 1}")
+    return features, labels.astype(np.int64), classes, _record_json(path, records, "meta_json")
 
 
 def save_svm_checkpoint(path, model: SvmModel, lam: float, meta: dict) -> None:
@@ -135,9 +154,9 @@ def load_svm_checkpoint(path):
     model = SvmModel(
         weights=records["weights"],
         biases=records["biases"],
-        class_names=_record_json(records["class_names_json"]),
+        class_names=_class_names(path, records),
     )
-    return model, float(records["lambda"][0]), _record_json(records["meta_json"])
+    return model, float(records["lambda"][0]), _record_json(path, records, "meta_json")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,15 @@ The objective over class weight rows w_c and biases b_c is
 with t_ic = +1 when y_i == c and -1 otherwise.  Biases are not regularized
 and the data term is not normalized by n.  The squared hinge is
 continuously differentiable, so plain gradient-based minimization applies.
+
+L-BFGS runs the two-loop recursion in Gram space: the newest m curvature
+pairs sit in one preallocated (2m, N) array beside the (2m, 2m) Gram matrix
+of its rows, and the recursion itself is scalar work on 2m + 1
+coefficients.  An iteration reads the array with three BLAS matrix-vector
+products: two against the new s and gradient when a pair is stored, one to
+form the direction.  The history holds 2·m·N floats, as m separate pairs
+would: at m = 10, 6.5 MB for 10 classes over 4096 features and 64 MB for
+2 classes over 200704.
 """
 
 from __future__ import annotations
@@ -136,20 +145,89 @@ def squared_hinge_objective(weights, biases, x, y, lam):
     return value, dw, db
 
 
-def lbfgs_minimize(objective, x0, config: LbfgsConfig | None = None, callback=None) -> LbfgsResult:
-    """Minimize a smooth function with L-BFGS two-loop recursion.
+class _CurvatureHistory:
+    """The newest ``memory`` curvature pairs of an L-BFGS solve.
 
-    ``objective(x)`` returns (value, gradient).  The inverse-Hessian seed is
-    gamma = (s.y)/(y.y) from the newest curvature pair; pairs with
-    s.y <= 1e-10 are discarded.  The Armijo backtracking line search starts
-    from ``initial_step`` on the first iteration and from the unit
-    quasi-Newton step afterwards.  Termination reports one of "grad_tol",
-    "rel_loss_tol", "max_iters" or "line_search_failed".  The point returned
-    is always the last accepted one, which is also the best seen: an
-    accepted step never increases the value.
+    ``rows`` is a (2m, N) ring written in place: slot k keeps s in row k and
+    y in row m + k; rows of slots not yet filled stay zero.  ``gram`` is
+    rows @ rows.T and ``hg`` is rows @ g for the newest gradient g.
+    """
+
+    def __init__(self, memory: int, size: int):
+        self.memory = memory
+        self.rows = np.zeros((2 * memory, size))
+        self.gram = np.zeros((2 * memory, 2 * memory))
+        self.hg = np.zeros(2 * memory)
+        self.sy = np.zeros(memory)  # s.y of each slot, as tested on acceptance
+        self.accepted = 0  # the newest pair sits in slot (accepted - 1) % memory
+
+    def push(self, s, y, g_new) -> None:
+        """Record a step: s = x_new - x, y = g_new - g.  The pair overwrites
+        the oldest one unless s.y <= 1e-10; a discarded pair leaves rows and
+        Gram matrix untouched.  ``hg`` moves to g_new either way."""
+        sy = float(s @ y)
+        if sy <= 1e-10:
+            if self.accepted:
+                self.hg = self.rows @ g_new
+            return
+        m, k = self.memory, self.accepted % self.memory
+        self.rows[k] = s
+        self.rows[m + k] = y
+        self.sy[k] = sy
+        hg_old, self.hg = self.hg, self.rows @ g_new
+        s_dots = self.rows @ s
+        # every other row is unchanged, so its dot with y = g_new - g is the
+        # change of its dot with the gradient; the new rows were not there
+        y_dots = self.hg - hg_old
+        y_dots[k] = s_dots[m + k]
+        y_dots[m + k] = float(y @ y)
+        self.gram[k] = self.gram[:, k] = s_dots
+        self.gram[m + k] = self.gram[:, m + k] = y_dots
+        self.accepted += 1
+
+    def direction(self, g):
+        """-H.g for the newest gradient g by the two-loop recursion on
+        coefficients: q = coef[:2m] @ rows + coef[2m] * g throughout, so each
+        dot product of q with a row is read off ``gram`` and ``hg``."""
+        if not self.accepted:
+            return -g
+        m = self.memory
+        dots = np.column_stack((self.gram, self.hg))  # row r: r . rows, then r . g
+        coef = np.zeros(2 * m + 1)
+        coef[-1] = 1.0
+        newest = (self.accepted - 1) % m
+        slots = [(newest - i) % m for i in range(min(self.accepted, m))]  # newest first
+        alphas = []
+        for k in slots:
+            a = float(dots[k] @ coef) / self.sy[k]
+            coef[m + k] -= a
+            alphas.append(a)
+        coef *= self.sy[newest] / self.gram[m + newest, m + newest]
+        for k, a in zip(reversed(slots), reversed(alphas)):
+            beta = float(dots[m + k] @ coef) / self.sy[k]
+            coef[k] += a - beta
+        d = coef[:-1] @ self.rows
+        d += coef[-1] * g
+        return np.negative(d, out=d)
+
+
+def lbfgs_minimize(objective, x0, config: LbfgsConfig | None = None, callback=None) -> LbfgsResult:
+    """Minimize a smooth function with L-BFGS.
+
+    ``objective(x)`` returns (value, gradient).  The direction is the
+    two-loop recursion (Liu & Nocedal, Math. Prog. 1989) in its vector-free
+    form (Chen, Wang & Zhou, NIPS 2014), run on the Gram matrix of the
+    newest ``memory`` curvature pairs (see :class:`_CurvatureHistory`).
+    The inverse-Hessian seed is gamma = (s.y)/(y.y) from the newest pair;
+    pairs with s.y <= 1e-10 are discarded.  The Armijo backtracking
+    line search starts from ``initial_step`` on the first iteration and from
+    the unit quasi-Newton step afterwards.  Termination reports one of
+    "grad_tol", "rel_loss_tol", "max_iters" or "line_search_failed".  The
+    point returned is always the last accepted one, which is also the best
+    seen: an accepted step never increases the value.
 
     ``callback``, if given, is called as callback(iteration, x, value) after
-    every accepted step.
+    every accepted step; the ``x`` it receives is never mutated afterwards.
     """
     config = config or LbfgsConfig()
     x = np.asarray(x0, dtype=np.float64).copy()
@@ -161,9 +239,9 @@ def lbfgs_minimize(objective, x0, config: LbfgsConfig | None = None, callback=No
     if np.abs(g).max() < config.grad_tol:
         return LbfgsResult(x=x, value=float(f), iterations=0, reason="grad_tol")
 
-    pairs = []  # (s, y, rho), newest last
+    history = _CurvatureHistory(config.memory, x.size)
     for iteration in range(1, config.max_iters + 1):
-        d = _two_loop_direction(g, pairs)
+        d = history.direction(g)
         slope = float(g @ d)
         if slope >= 0.0:
             d = -g
@@ -182,13 +260,7 @@ def lbfgs_minimize(objective, x0, config: LbfgsConfig | None = None, callback=No
             return LbfgsResult(x=x, value=float(f), iterations=iteration - 1, reason="line_search_failed")
 
         g_new = np.asarray(g_new, dtype=np.float64)
-        s = x_new - x
-        yv = g_new - g
-        sy = float(s @ yv)
-        if sy > 1e-10:
-            pairs.append((s, yv, 1.0 / sy))
-            if len(pairs) > config.memory:
-                pairs.pop(0)
+        history.push(x_new - x, g_new - g, g_new)
 
         rel_change = abs(f - f_new) / max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
@@ -201,29 +273,12 @@ def lbfgs_minimize(objective, x0, config: LbfgsConfig | None = None, callback=No
     return LbfgsResult(x=x, value=float(f), iterations=config.max_iters, reason="max_iters")
 
 
-def _two_loop_direction(g, pairs):
-    """-H.g via the standard two-loop recursion over stored (s, y) pairs."""
-    q = g.copy()
-    alphas = []
-    for s, yv, rho in reversed(pairs):
-        a = rho * float(s @ q)
-        alphas.append(a)
-        q -= a * yv
-    if pairs:
-        s, yv, _ = pairs[-1]
-        gamma = float(s @ yv) / float(yv @ yv)
-        q *= gamma
-    for (s, yv, rho), a in zip(pairs, reversed(alphas)):
-        beta = rho * float(yv @ q)
-        q += (a - beta) * s
-    return -q
-
-
 def train_svm(x, y, n_classes, config: SvmTrainConfig | None = None, class_names=None) -> SvmModel:
     """Fit the one-vs-rest squared-hinge SVM from zero initialization.
 
     The objective is convex, so the zero start makes training deterministic
-    for given inputs.  Warns when a class has no training sample.
+    for given inputs.  Warns when a class has no training sample, and when
+    L-BFGS stops on "max_iters" or "line_search_failed" without converging.
     """
     config = config or SvmTrainConfig()
     x = np.asarray(x, dtype=np.float64)
@@ -252,6 +307,9 @@ def train_svm(x, y, n_classes, config: SvmTrainConfig | None = None, class_names
         return value, np.concatenate([dw.ravel(), db])
 
     result = lbfgs_minimize(objective, np.zeros(n_classes * d + n_classes), config.lbfgs)
+    if result.reason in ("max_iters", "line_search_failed"):
+        warnings.warn(f"L-BFGS stopped on {result.reason} after {result.iterations} iterations "
+                      "without converging", stacklevel=2)
     return SvmModel(
         weights=result.x[: n_classes * d].reshape(n_classes, d),
         biases=result.x[n_classes * d :],

@@ -160,6 +160,27 @@ class TestExitCodes:
         code = dispatch(["encode", "--model", str(bad), "--manifest", str(bad), "--out", str(tmp_path / "f.zten")])
         assert code == 2
 
+    @pytest.mark.parametrize("command, label", [
+        ("train-svm", 1.5), ("train-svm", float("nan")), ("train-svm", -1.0), ("evaluate", 5.0),
+    ])
+    def test_bad_label_in_features_file_is_data_error(self, tmp_path, capsys, command, label):
+        import numpy as np
+
+        from zbcae.pipeline import save_features_file, save_svm_checkpoint
+        from zbcae.svm import SvmModel
+
+        features, out = tmp_path / "features.zten", tmp_path / "out"
+        save_features_file(features, np.eye(3), [0.0, label, 1.0], ["a", "b"], {})
+        if command == "train-svm":
+            argv = ["train-svm", "--features", str(features), "--out", str(out)]
+        else:
+            model = tmp_path / "svm.zten"
+            save_svm_checkpoint(model, SvmModel(np.eye(2, 3), np.zeros(2), ["a", "b"]), 1.0, {})
+            argv = ["evaluate", "--svm", str(model), "--features", str(features), "--report", str(out)]
+        assert dispatch(argv) == 2
+        assert "is not a class index" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_loss_is_numerical_error(self, synth_dir, tmp_path, capsys, monkeypatch):
         # a diverging CLI run with the ReLU decoder collapses to a finite
         # dead fixed point rather than overflowing, so exercise the exit

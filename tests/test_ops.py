@@ -1,5 +1,5 @@
 """Tensor-kernel tests: conv2d against a naive loop oracle, flips, ReLU,
-max-pooling, flatten."""
+max-pooling."""
 
 import numpy as np
 import numpy.testing as npt
@@ -13,7 +13,6 @@ from zbcae.ops import (
     conv2d_bias_grad,
     conv2d_input_grad,
     conv2d_weight_grad,
-    flatten,
     flip180,
     im2col,
     maxpool2,
@@ -336,15 +335,3 @@ class TestMaxpool2:
     def test_rejects_non_3d(self):
         with pytest.raises(ShapeError):
             maxpool2(np.zeros((4, 4)))
-
-
-class TestFlatten:
-    def test_row_major_order(self):
-        npt.assert_array_equal(flatten(np.array([[1.0, 2.0], [3.0, 4.0]])), np.array([1.0, 2.0, 3.0, 4.0]))
-
-    def test_paper_scale_length(self):
-        assert flatten(np.zeros((4096, 3, 3))).shape == (36864,)
-
-    def test_identity_on_vectors(self):
-        x = np.arange(5.0)
-        npt.assert_array_equal(flatten(x), x)

@@ -10,6 +10,7 @@ from zbcae.dataset import SyntheticSpec, gen_synthetic
 from zbcae.errors import ShapeError, TensorFileError
 from zbcae.gradcheck import _max_rel, gradcheck_report
 from zbcae.pipeline import (
+    _json_record,
     evaluate_features,
     filter_size_sweep,
     l2_normalize_rows,
@@ -22,6 +23,7 @@ from zbcae.pipeline import (
     save_svm_checkpoint,
 )
 from zbcae.svm import SvmModel, SvmTrainConfig
+from zbcae.tensorfile import load_tensors, save_tensors
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +86,58 @@ class TestCheckpoints:
         npt.assert_array_equal(l2, labels)
         assert classes == ["x", "y", "z"]
         assert meta == {"l2": False}
+
+    @staticmethod
+    def features_file(path, **records):
+        """A features file whose records are the valid ones overridden by
+        ``records`` (raw float64 values, written without validation)."""
+        base = {
+            "features": np.zeros((3, 2)),
+            "labels": np.array([0.0, 1.0, 1.0]),
+            "class_names_json": _json_record(["a", "b"]),
+            "meta_json": _json_record({}),
+        }
+        save_tensors(path, {**base, **records})
+        return path
+
+    @pytest.mark.parametrize("name", ["class_names_json", "meta_json"])
+    @pytest.mark.parametrize("values, message", [
+        pytest.param([123.0, 300.0, 125.0], "not a byte", id="above-255"),
+        pytest.param([123.0, -1.0, 125.0], "not a byte", id="negative"),
+        pytest.param([123.0, 44.5, 125.0], "not a byte", id="non-integral"),
+        pytest.param([123.0, np.nan, 125.0], "not a byte", id="nan"),
+        pytest.param([123.0, np.inf, 125.0], "not a byte", id="inf"),
+        pytest.param([91.0, 255.0, 93.0], "not UTF-8 JSON", id="bad-utf8"),
+        pytest.param([123.0, 44.0, 125.0], "not UTF-8 JSON", id="bad-json"),
+    ])
+    def test_malformed_json_record_is_typed_error(self, tmp_path, name, values, message):
+        path = self.features_file(tmp_path / "f.zten", **{name: np.array(values)})
+        with pytest.raises(TensorFileError, match=f"'{name}' .*{message}"):
+            load_features_file(path)
+
+    @pytest.mark.parametrize("label", [1.5, np.nan, np.inf, -1.0, 2.0])
+    def test_label_that_is_not_a_class_index_is_typed_error(self, tmp_path, label):
+        path = self.features_file(tmp_path / "f.zten", labels=np.array([0.0, label, 1.0]))
+        with pytest.raises(TensorFileError, match="label .* is not a class index"):
+            load_features_file(path)
+
+    @staticmethod
+    def svm_checkpoint(path, **records):
+        """A classifier checkpoint with ``records`` overwritten after saving."""
+        save_svm_checkpoint(path, SvmModel(weights=np.eye(2), biases=np.zeros(2), class_names=["a", "b"]), 1.0, {})
+        save_tensors(path, {**load_tensors(path), **records})
+        return path
+
+    def test_non_list_class_table_is_typed_error(self, tmp_path):
+        with pytest.raises(TensorFileError, match="not a list"):
+            load_features_file(self.features_file(tmp_path / "f.zten", class_names_json=_json_record(2)))
+        with pytest.raises(TensorFileError, match="not a list"):
+            load_svm_checkpoint(self.svm_checkpoint(tmp_path / "svm.zten", class_names_json=_json_record(2)))
+
+    def test_checkpoint_json_records_are_validated(self, tmp_path):
+        path = self.svm_checkpoint(tmp_path / "svm.zten", meta_json=_json_record({}) + 256.0)
+        with pytest.raises(TensorFileError, match="'meta_json' .*not a byte"):
+            load_svm_checkpoint(path)
 
     def test_unicode_class_names_survive(self, tmp_path):
         model = SvmModel(weights=np.eye(2), biases=np.zeros(2), class_names=["naïve", "클래스"])

@@ -1,6 +1,9 @@
 """Classifier tests: squared-hinge objective against hand calculations and
-finite differences, L-BFGS on problems with known minima, end-to-end fits
-on separable data."""
+finite differences, L-BFGS on problems with known minima, its Gram-space
+direction against the vector two-loop recursion, end-to-end fits on
+separable data and against scipy's optimum."""
+
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +15,7 @@ from zbcae.svm import (
     LbfgsConfig,
     SvmModel,
     SvmTrainConfig,
+    _CurvatureHistory,
     lbfgs_minimize,
     predict,
     predict_many,
@@ -87,6 +91,94 @@ class TestSquaredHingeObjective:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError, match="features"):
             squared_hinge_objective(np.zeros((2, 3)), np.zeros(2), np.ones((4, 2)), np.zeros(4, dtype=int), 1.0)
+
+
+def two_loop_direction(g, pairs):
+    """-H.g via the vector two-loop recursion over stored (s, y, rho) pairs,
+    newest last (Liu & Nocedal 1989): the reference for the Gram-space
+    recursion of ``_CurvatureHistory.direction``."""
+    q = g.copy()
+    alphas = []
+    for s, yv, rho in reversed(pairs):
+        a = rho * float(s @ q)
+        alphas.append(a)
+        q -= a * yv
+    if pairs:
+        s, yv, _ = pairs[-1]
+        gamma = float(s @ yv) / float(yv @ yv)
+        q *= gamma
+    for (s, yv, rho), a in zip(pairs, reversed(alphas)):
+        beta = rho * float(yv @ q)
+        q += (a - beta) * s
+    return -q
+
+
+def walk(history, rng, g, steps):
+    """Push ``steps`` random curvature pairs (s.y > 0) along a gradient path
+    starting at ``g``; returns the new gradient and the pairs the reference
+    keeps (the newest ``history.memory``)."""
+    pairs = []
+    n = g.size
+    accepted = history.accepted
+    for _ in range(steps):
+        s = rng.normal(size=n)
+        y = s + 0.5 * rng.normal(size=n)  # s.y > 0 with overwhelming probability
+        g = g + y
+        history.push(s, y, g)
+        pairs = (pairs + [(s, y, 1.0 / float(s @ y))])[-history.memory:]
+    assert history.accepted == accepted + steps
+    return g, pairs
+
+
+def relative_gap(d, ref):
+    return float(np.linalg.norm(d - ref) / np.linalg.norm(ref))
+
+
+class TestCurvatureHistory:
+    @pytest.mark.parametrize("steps", [0, 1, 3, 4, 11], ids=["empty", "one", "partly", "full", "wrapped"])
+    def test_direction_matches_two_loop_reference(self, steps):
+        rng = np.random.default_rng(60 + steps)
+        memory, n = 4, 30
+        history = _CurvatureHistory(memory, n)
+        g, pairs = walk(history, rng, rng.normal(size=n), steps)
+        assert relative_gap(history.direction(g), two_loop_direction(g, pairs)) < 1e-12
+        # rows of slots not yet filled stay zero, so they add nothing to any product
+        unused = [k for k in range(memory) if k >= steps]
+        assert not history.rows[unused].any() and not history.rows[[memory + k for k in unused]].any()
+
+    def test_gram_matrix_holds_the_row_dot_products(self):
+        rng = np.random.default_rng(64)
+        history = _CurvatureHistory(3, 20)
+        g, _ = walk(history, rng, rng.normal(size=20), 8)
+        rows = history.rows
+        npt.assert_allclose(history.gram, rows @ rows.T, rtol=1e-12, atol=1e-12 * np.abs(rows @ rows.T).max())
+        npt.assert_array_equal(history.gram, history.gram.T)
+        npt.assert_allclose(history.hg, rows @ g, rtol=1e-12, atol=1e-12 * np.abs(rows @ g).max())
+
+    @pytest.mark.parametrize("bend", ["orthogonal", "negative"])
+    @pytest.mark.parametrize("steps", [2, 6], ids=["partly", "wrapped"])
+    def test_rejected_pair_leaves_history_untouched(self, steps, bend):
+        rng = np.random.default_rng(65 + steps)
+        memory, n = 4, 30
+        history = _CurvatureHistory(memory, n)
+        g, pairs = walk(history, rng, rng.normal(size=n), steps)
+        before = (history.rows.copy(), history.gram.copy(), history.sy.copy(), history.accepted)
+
+        s = rng.normal(size=n)
+        if bend == "orthogonal":
+            v = rng.normal(size=n)
+            y = v - (v @ s) / (s @ s) * s  # s.y at rounding level, below 1e-10
+        else:
+            y = -s
+        assert float(s @ y) <= 1e-10
+        g = g + y
+        history.push(s, y, g)
+
+        npt.assert_array_equal(history.rows, before[0])
+        npt.assert_array_equal(history.gram, before[1])
+        npt.assert_array_equal(history.sy, before[2])
+        assert history.accepted == before[3]
+        assert relative_gap(history.direction(g), two_loop_direction(g, pairs)) < 1e-12
 
 
 class TestLbfgs:
@@ -176,6 +268,22 @@ class TestLbfgs:
         assert result.iterations == 0
         assert len(evals) == 1 + 51
 
+    def test_callback_points_are_never_mutated(self):
+        rng = np.random.default_rng(66)
+        m = rng.normal(size=(5, 5))
+        a = m @ m.T + np.eye(5)
+        b = rng.normal(size=5)
+
+        def objective(x):
+            return 0.5 * float(x @ a @ x) - float(b @ x), a @ x - b
+
+        seen = []
+        lbfgs_minimize(objective, np.zeros(5), LbfgsConfig(memory=2),
+                       callback=lambda i, x, f: seen.append((x, x.copy())))
+        assert len(seen) > 2  # more steps than the history holds, so its ring wrapped
+        for stored, copy in seen:
+            npt.assert_array_equal(stored, copy)
+
     def test_non_finite_start_raises(self):
         def objective(x):
             return np.inf, x
@@ -253,10 +361,70 @@ class TestTrainSvm:
         with pytest.warns(UserWarning, match="no training samples"):
             train_svm(x, y, n_classes=3)
 
+    def test_iteration_cap_warns_with_reason_and_count(self):
+        rng = np.random.default_rng(67)
+        x, y = gaussian_blobs(rng, [(0, 0), (5, 5)], n_total=40)
+        config = SvmTrainConfig(lbfgs=LbfgsConfig(max_iters=1))
+        with pytest.warns(UserWarning, match="max_iters after 1 iterations"):
+            warned = train_svm(x, y, 2, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = train_svm(x, y, 2, config)
+        npt.assert_array_equal(warned.weights, quiet.weights)
+        npt.assert_array_equal(warned.biases, quiet.biases)
+
+    def test_line_search_failure_warns(self, monkeypatch):
+        # a value that always rises along the search direction makes every
+        # trial step fail the Armijo test
+        from zbcae import svm
+
+        def uphill(weights, biases, x, y, lam):
+            value, dw, db = squared_hinge_objective(weights, biases, x, y, lam)
+            return value + 1e3 * float(np.abs(weights).sum() + np.abs(biases).sum()), dw, db
+
+        monkeypatch.setattr(svm, "squared_hinge_objective", uphill)
+        x = np.array([[-1.0], [1.0]])
+        with pytest.warns(UserWarning, match="line_search_failed after 0 iterations"):
+            train_svm(x, np.array([0, 1]), 2)
+
+    def test_converged_fit_does_not_warn(self):
+        rng = np.random.default_rng(56)
+        x, y = gaussian_blobs(rng, [(0, 0), (5, 5)], n_total=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train_svm(x, y, 2)
+
     def test_class_names_carried(self):
         x = np.array([[-1.0], [1.0]])
         model = train_svm(x, np.array([0, 1]), 2, class_names=["neg", "pos"])
         assert model.class_names == ["neg", "pos"]
+
+
+class TestScipyOptimumOracle:
+    """The optimum ``train_svm`` reaches against scipy's L-BFGS-B on the same
+    convex objective (squared-hinge primal: Chapelle, Neural Comp. 2007)."""
+
+    @pytest.mark.parametrize("seed", [70, 71, 72])
+    def test_objective_and_predictions_match_scipy(self, seed):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(seed)
+        n, d, c, lam = 60, 8, 3, 1.0
+        y = np.arange(n) % c
+        x = rng.normal(size=(n, d)) + 1.5 * np.eye(c, d)[y]
+
+        def flat_objective(theta):
+            value, dw, db = squared_hinge_objective(theta[: c * d].reshape(c, d), theta[c * d :], x, y, lam)
+            return value, np.concatenate([dw.ravel(), db])
+
+        ref = optimize.minimize(flat_objective, np.zeros(c * d + c), jac=True, method="L-BFGS-B",
+                                options={"ftol": 1e-15, "gtol": 1e-10, "maxiter": 10000})
+        assert ref.success
+        model = train_svm(x, y, c, SvmTrainConfig(lam=lam))
+        ours = squared_hinge_objective(model.weights, model.biases, x, y, lam)[0]
+        assert abs(ours - ref.fun) <= 1e-6 * abs(ref.fun)
+        ref_model = SvmModel(weights=ref.x[: c * d].reshape(c, d), biases=ref.x[c * d :], class_names=list("abc"))
+        probe = np.vstack([x, rng.normal(size=(200, d)) + 1.5 * np.eye(c, d)[np.arange(200) % c]])
+        npt.assert_array_equal(predict_many(model, probe), predict_many(ref_model, probe))
 
 
 class TestPredict:
