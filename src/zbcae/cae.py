@@ -3,11 +3,12 @@
 The model owns a single encoder filter bank; decoder filters are always
 derived from it, so no stale decoder state can exist.  Encoding is
 ReLU(conv(x, W_e) + b), decoding is act(conv(z, tied(W_e)) + b_d);
-reconstruction loss is half the summed squared error over a batch.
-:func:`encode` and :func:`decode` are the per-sample reference definitions;
-training runs the whole batch at once and computes the tied decoder as the
-transposed convolution with W_e, which it equals at stride 1 and pad
-(kernel - 1) / 2, the only geometry training accepts.
+reconstruction loss is half the summed squared error over a batch.  Every
+convolution is the same-size one of :mod:`zbcae.ops` (stride 1, pad
+(kernel - 1) / 2, odd kernel), so the reconstruction lands on the input
+grid.  One batched forward pass serves both the loss and the training
+step; it computes the tied decoder as the transposed convolution with W_e,
+which equals conv(z, tied(W_e)) at that geometry.
 
 Two bias regimes are supported.  ``train-then-zero`` (default) lets the
 biases learn during reconstruction training and pins them to zero only for
@@ -23,7 +24,6 @@ import numpy as np
 
 from .errors import NonFiniteLossError, ShapeError
 from .ops import (
-    ConvSpec,
     conv2d,
     conv2d_bias_grad,
     conv2d_input_grad,
@@ -31,7 +31,6 @@ from .ops import (
     im2col,
     maxpool2,
     relu,
-    tied_decoder_weights,
 )
 
 BIAS_TRAIN_THEN_ZERO = "train-then-zero"
@@ -41,9 +40,9 @@ BIAS_MODES = (BIAS_TRAIN_THEN_ZERO, BIAS_ALWAYS_ZERO)
 
 @dataclass
 class CaeModel:
-    """Encoder filter bank plus per-map biases and convolution geometry.
+    """Encoder filter bank plus per-map biases.
 
-    w_e: (K, C, kh, kh) encoder filters, square kernels only.
+    w_e: (K, C, kh, kh) encoder filters, square kernels of odd extent only.
     b_e: (K,) encoder biases.  b_d: (C,) decoder biases.
     decoder_relu: apply ReLU after the decoder convolution (identity when off).
     """
@@ -51,7 +50,6 @@ class CaeModel:
     w_e: np.ndarray
     b_e: np.ndarray
     b_d: np.ndarray
-    spec: ConvSpec
     decoder_relu: bool = True
 
     def __post_init__(self):
@@ -61,8 +59,8 @@ class CaeModel:
         if self.w_e.ndim != 4:
             raise ShapeError(f"encoder weights must be K x C x kh x kw, got shape {self.w_e.shape}")
         k, c, kh, kw = self.w_e.shape
-        if kh != kw:
-            raise ShapeError(f"kernels must be square, got {kh} x {kw}")
+        if kh != kw or kh % 2 == 0:
+            raise ShapeError(f"kernels must be square with an odd extent, got {kh} x {kw}")
         if self.b_e.shape != (k,):
             raise ShapeError(f"encoder bias has length {self.b_e.size}, expected {k}")
         if self.b_d.shape != (c,):
@@ -142,22 +140,17 @@ def init_model(
     n_channels: int,
     kernel: int,
     seed: int,
-    stride: int = 1,
-    pad: int | None = None,
     decoder_relu: bool = True,
 ) -> CaeModel:
     """Build a fresh model with fan-balanced uniform filters and zero biases.
 
     Filters are drawn from U[-s, s] with s = sqrt(6 / (fan_in + fan_out)),
-    fan_in = C*kh*kh and fan_out = K*kh*kh.  ``pad`` defaults to (kernel-1)//2,
-    which preserves spatial extent at stride 1.
+    fan_in = C*kh*kh and fan_out = K*kh*kh.
     """
     if n_filters < 1 or n_channels < 1 or kernel < 1:
         raise ShapeError(
             f"filters, channels and kernel must be >= 1, got {n_filters}, {n_channels}, {kernel}"
         )
-    if pad is None:
-        pad = (kernel - 1) // 2
     fan_in = n_channels * kernel * kernel
     fan_out = n_filters * kernel * kernel
     s = np.sqrt(6.0 / (fan_in + fan_out))
@@ -167,7 +160,6 @@ def init_model(
         w_e=w_e,
         b_e=np.zeros(n_filters),
         b_d=np.zeros(n_channels),
-        spec=ConvSpec(stride=stride, pad=pad),
         decoder_relu=decoder_relu,
     )
 
@@ -175,14 +167,7 @@ def init_model(
 def encode(model: CaeModel, x: np.ndarray, zero_bias: bool = False) -> np.ndarray:
     """ReLU(conv(x, W_e) + b_e), or with b_e pinned to zero when zero_bias."""
     b = np.zeros(model.n_filters) if zero_bias else model.b_e
-    return relu(conv2d(x, model.w_e, b, model.spec))
-
-
-def decode(model: CaeModel, z: np.ndarray, zero_bias: bool = False) -> np.ndarray:
-    """Map a code back to input space through the tied, flipped filters."""
-    b = np.zeros(model.n_channels) if zero_bias else model.b_d
-    g = conv2d(z, tied_decoder_weights(model.w_e), b, model.spec)
-    return relu(g) if model.decoder_relu else g
+    return relu(conv2d(x, model.w_e, b))
 
 
 def _as_batch(model: CaeModel, batch) -> np.ndarray:
@@ -206,17 +191,6 @@ def _as_batch(model: CaeModel, batch) -> np.ndarray:
     return x
 
 
-def _check_trainable(model: CaeModel) -> None:
-    """The tied decoder maps a code back onto the input grid only at stride 1
-    with pad (kernel - 1) / 2, so training accepts no other geometry."""
-    k, s, p = model.kernel, model.spec.stride, model.spec.pad
-    if s != 1 or 2 * p != k - 1:
-        raise ShapeError(
-            f"training needs stride 1 and pad (kernel - 1) / 2 so that the reconstruction keeps "
-            f"the input's extent; got kernel {k}, stride {s}, pad {p}"
-        )
-
-
 def chunk_size(model: CaeModel, sample_shape: tuple, budget_bytes: int) -> int:
     """Samples per chunk such that the largest per-chunk matrix, a code map
     (K x n*H*W) or a column matrix (C*kh*kw x n*H*W), stays within
@@ -232,51 +206,70 @@ def chunk_size(model: CaeModel, sample_shape: tuple, budget_bytes: int) -> int:
 TRAIN_CHUNK_BYTES = 64 * 2**20
 
 
-def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray):
-    """One batched forward and backward pass over a (B, C, H, W) chunk.
+def _chunks(model: CaeModel, x: np.ndarray):
+    """Consecutive slices of a (B, C, H, W) batch, each within
+    :data:`TRAIN_CHUNK_BYTES` of working set."""
+    step = chunk_size(model, x.shape[1:], TRAIN_CHUNK_BYTES)
+    return (x[start : start + step] for start in range(0, len(x), step))
 
-    The decoder conv(z, tied(W)) equals the transposed convolution
-    conv2d_input_grad(z, W) at stride 1 and pad (k-1)/2, so the decoder, its
-    input gradient conv2d(dG, W) and its weight gradient
-    conv2d_weight_grad(dG, z) all use W itself and the two column matrices
-    cols(x) and cols(dG); no tied copy of the bank is formed.  Both weight
-    terms reach W_e through the tie, so one summed gradient is returned:
-    (loss, dw_e, db_e, db_d).
+
+def _biases(model: CaeModel, use_bias: bool):
+    """(b_e, b_d) of the forward pass: the model's, or zeros when pinned."""
+    if use_bias:
+        return model.b_e, model.b_d
+    return np.zeros(model.n_filters), np.zeros(model.n_channels)
+
+
+def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray):
+    """The batched forward pass over a (B, C, H, W) chunk: (cols_x, z, g, y)
+    with cols_x = im2col(x), the code z, the decoder pre-activation g and
+    the reconstruction y.
+
+    The decoder conv(z, tied(W)) is computed as the transposed convolution
+    conv2d_input_grad(z, W), which it equals for the same-size convolution,
+    so no tied copy of the bank is formed.
+    """
+    cols_x = im2col(x, model.kernel, model.kernel)
+    z = relu(conv2d(x, model.w_e, b_e, cols=cols_x))
+    g = conv2d_input_grad(z, model.w_e) + b_d[:, None, None]
+    return cols_x, z, g, relu(g) if model.decoder_relu else g
+
+
+def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray):
+    """One forward (:func:`_forward`) and backward pass over a chunk.
+
+    The decoder's input gradient conv2d(dG, W) and weight gradient
+    conv2d_weight_grad(dG, z) use W itself and the column matrix cols(dG);
+    the encoder's weight gradient reuses the forward pass's cols(x).  Both
+    weight terms reach W_e through the tie, so one summed gradient is
+    returned: (loss, dw_e, db_e, db_d).
     """
     k, _, kh, kw = model.w_e.shape
-    w, spec = model.w_e, model.spec
-    cols_x = im2col(x, kh, kw, spec)
-    z = relu(conv2d(x, w, b_e, spec, cols=cols_x))
-    g = conv2d_input_grad(z, w, x.shape, spec) + b_d[:, None, None]
-    y = relu(g) if model.decoder_relu else g
+    cols_x, z, g, y = _forward(model, x, b_e, b_d)
     r = y - x
     loss = 0.5 * float((r * r).sum())
 
     dg = r * (g > 0.0) if model.decoder_relu else r
     db_d = conv2d_bias_grad(dg)
-    cols_dg = im2col(dg, kh, kw, spec)
-    dw_dec = conv2d_weight_grad(dg, z, kh, kw, spec, cols=cols_dg)
-    da = conv2d(dg, w, np.zeros(k), spec, cols=cols_dg)
+    cols_dg = im2col(dg, kh, kw)
+    dw_dec = conv2d_weight_grad(dg, z, kh, kw, cols=cols_dg)
+    da = conv2d(dg, model.w_e, np.zeros(k), cols=cols_dg)
     da *= z > 0.0  # z > 0 exactly where the pre-activation is
     del z, cols_dg  # free before the last GEMM: tens of MB each at K=4096
     db_e = conv2d_bias_grad(da)
-    dw = conv2d_weight_grad(x, da, kh, kw, spec, cols=cols_x)
+    dw = conv2d_weight_grad(x, da, kh, kw, cols=cols_x)
     dw += dw_dec  # in place: one bank-sized array fewer at K=4096
     return loss, dw, db_e, db_d
 
 
 def _forward_backward(model: CaeModel, batch, bias_mode: str) -> tuple[float, CaeGradients]:
-    """(loss, gradients) of a batch.  The batch runs in chunks of
-    :data:`TRAIN_CHUNK_BYTES` working set whose results are summed."""
-    _check_trainable(model)
+    """(loss, gradients) of a batch, summed over its chunks."""
     x = _as_batch(model, batch)
     use_bias = bias_mode == BIAS_TRAIN_THEN_ZERO
-    b_e = model.b_e if use_bias else np.zeros(model.n_filters)
-    b_d = model.b_d if use_bias else np.zeros(model.n_channels)
-    step = chunk_size(model, x.shape[1:], TRAIN_CHUNK_BYTES)
+    b_e, b_d = _biases(model, use_bias)
     total = None
-    for start in range(0, len(x), step):
-        part = _chunk_forward_backward(model, x[start : start + step], b_e, b_d)
+    for chunk in _chunks(model, x):
+        part = _chunk_forward_backward(model, chunk, b_e, b_d)
         total = part if total is None else tuple(a + b for a, b in zip(total, part))
     loss, dw_e, db_e, db_d = total
     if not use_bias:
@@ -286,20 +279,17 @@ def _forward_backward(model: CaeModel, batch, bias_mode: str) -> tuple[float, Ca
 
 
 def reconstruction_loss(model: CaeModel, batch, zero_bias: bool = False) -> float:
-    """Half the summed squared reconstruction error over the batch.
+    """Half the summed squared reconstruction error over the batch, from the
+    training step's forward pass, chunk by chunk.
 
     ``zero_bias`` evaluates the forward pass with both encoder and decoder
     biases pinned to zero, matching gradients taken in always-zero mode.
     """
+    x = _as_batch(model, batch)
+    b_e, b_d = _biases(model, not zero_bias)
     total = 0.0
-    for x in _as_batch(model, batch):
-        y = decode(model, encode(model, x, zero_bias=zero_bias), zero_bias=zero_bias)
-        if y.shape != x.shape:
-            raise ShapeError(
-                f"reconstruction shape {y.shape} differs from input shape {x.shape}; "
-                f"the convolution geometry must preserve spatial extent"
-            )
-        r = y - x
+    for chunk in _chunks(model, x):
+        r = _forward(model, chunk, b_e, b_d)[3] - chunk
         total += 0.5 * float((r * r).sum())
     return total
 
@@ -331,10 +321,9 @@ def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
     """Run SGD with per-epoch shuffling and plateau-triggered annealing.
 
     The dataset is a (N, C, H, W) array or a sequence of (C, H, W) tensors;
-    labels never enter this function.  The model must have the trainable
-    geometry (stride 1, pad (kernel - 1) / 2); ShapeError otherwise.  Each epoch the data is reshuffled with the seeded generator
-    and split into batches (the trailing short batch is kept).  The recorded
-    epoch metric is the mean per-sample loss.  An epoch counts toward a
+    labels never enter this function.  Each epoch the data is reshuffled
+    with the seeded generator and split into batches (the trailing short
+    batch is kept).  The recorded epoch metric is the mean per-sample loss.  An epoch counts toward a
     plateau unless it improves on the best mean loss seen so far by at
     least ``plateau_rel_tol`` (relative); after ``plateau_patience``
     consecutive plateau epochs the learning rate is multiplied by
@@ -343,7 +332,6 @@ def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
     ``progress``, if given, is called as progress(epoch, mean_loss, lr)
     after every epoch.  Returns (model, LossHistory).
     """
-    _check_trainable(model)
     n = len(dataset)
     if n == 0:
         raise ShapeError("training dataset is empty")

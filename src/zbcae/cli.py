@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every successful command prints a single JSON document on stdout; training
-progress goes to stderr as one JSON line per epoch.  Exit codes: 0 success,
-1 usage error, 2 data/format error, 3 numerical failure.
+progress goes to stderr as one JSON line per epoch, and every warning raised
+during a command as one JSON line too.  Exit codes: 0 success, 1 usage error,
+2 data/format error, 3 numerical failure.
 
 ZBCAE_THREADS, when set to a positive integer, caps the BLAS thread pools
 (it must take effect before numpy loads, which is why this module is
@@ -19,6 +20,7 @@ if _threads and _threads != "0":
 
 import argparse
 import json
+import warnings
 from pathlib import Path
 
 from .cae import BIAS_MODES
@@ -61,6 +63,11 @@ def _progress(epoch, mean_loss, lr) -> None:
     print(json.dumps({"epoch": epoch, "mean_loss": mean_loss, "lr": lr}), file=sys.stderr)
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """``warnings.showwarning`` replacement: one JSON line on stderr."""
+    print(json.dumps({"warning": str(message), "category": category.__name__}), file=sys.stderr)
+
+
 def _write_report(text: str, path) -> None:
     sys.stdout.write(text)
     if path is not None:
@@ -93,8 +100,7 @@ def cmd_train_cae(args) -> int:
     manifest = load_manifest(args.train)
     model, _, meta = train_cae_stage(
         manifest, config.cae, config.filters,
-        kernel=config.kernel, stride=config.stride, pad=config.pad,
-        progress=_progress,
+        kernel=config.kernel, progress=_progress,
     )
     save_cae_checkpoint(args.out, model, config.cae.bias_mode, meta)
     _emit({"model": str(args.out), "filters": config.filters, **meta["cae_summary"]})
@@ -152,8 +158,7 @@ def cmd_run_all(args) -> int:
     test_m = load_manifest(args.test)
     report = run_pipeline(
         train_m, test_m, config.cae, config.svm, config.filters,
-        l2_normalize=config.l2_normalize, kernel=config.kernel,
-        stride=config.stride, pad=config.pad, progress=_progress,
+        l2_normalize=config.l2_normalize, kernel=config.kernel, progress=_progress,
     )
     _write_report(report.to_json(), args.report)
     return 0
@@ -171,8 +176,7 @@ def cmd_sweep(args) -> int:
     test_m = load_manifest(args.test)
     rows = filter_size_sweep(
         train_m, test_m, config.cae, config.svm, k_values,
-        l2_normalize=config.l2_normalize, kernel=config.kernel,
-        stride=config.stride, pad=config.pad, progress=_progress,
+        l2_normalize=config.l2_normalize, kernel=config.kernel, progress=_progress,
     )
     doc = {"rows": [
         {"filters": r.filters, "top1_accuracy": r.top1, "feature_dim": r.report.feature_dim}
@@ -266,7 +270,10 @@ def dispatch(argv) -> int:
         print("error: a command is required", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _warning_line
+            return args.func(args)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

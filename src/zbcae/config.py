@@ -10,6 +10,7 @@ defaults are derived from the component configs: every
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -49,7 +50,9 @@ def _parse_bool(value: str, key: str) -> bool:
 @dataclass
 class CliConfig:
     """Fully resolved settings: the conv geometry, the feature
-    post-processing switch and the component configs the stages run with."""
+    post-processing switch and the component configs the stages run with.
+    The geometry keys admit only the same-size convolution, the one at which
+    the tied decoder's reconstruction lands on the input grid."""
 
     filters: int = 4096
     kernel: int = 3
@@ -67,6 +70,9 @@ class CliConfig:
             raise ConfigError("filters and kernel must be >= 1")
         if self.pad is None:
             self.pad = (self.kernel - 1) // 2
+        if self.stride != 1 or self.kernel % 2 == 0 or 2 * self.pad != self.kernel - 1:
+            raise ConfigError(f"the auto-encoder needs stride 1 and pad (kernel - 1) / 2 with an odd kernel; "
+                              f"got kernel {self.kernel}, stride {self.stride}, pad {self.pad}")
 
     def echo(self) -> dict:
         """Config-file-keyed view of every resolved value."""
@@ -104,8 +110,9 @@ def resolve_config(config_path=None, overrides: dict | None = None) -> CliConfig
     build the component configs.
 
     ``overrides`` maps config keys to already-typed values (None entries are
-    ignored).  Unknown keys in either source, and every value a component
-    config rejects, raise ConfigError.
+    ignored).  Unknown keys in either source, a float that is not finite, a
+    negative seed, and every value a component config rejects, raise
+    ConfigError.
     """
     values = {}
     if config_path is not None:
@@ -121,6 +128,10 @@ def resolve_config(config_path=None, overrides: dict | None = None) -> CliConfig
         values[key] = _coerce(key, value)
     parts = {owner: {} for owner, _ in _KEYS.values()}
     for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+        if key == "seed" and value < 0:
+            raise ConfigError(f"config key 'seed' must be >= 0, got {value!r}")
         owner, f = _KEYS[key]
         parts[owner][f.name] = value
     try:

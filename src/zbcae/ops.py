@@ -1,20 +1,20 @@
 """Dense float64 tensor kernels.
 
-Everything here is a pure function of its inputs: 2D cross-correlation and
-its adjoints, kernel flipping, ReLU and 2x2 max-pooling.  Tensors are
-plain ``numpy`` arrays of ``float64``; a feature map is ``(C, H, W)``, a
-batch of maps is ``(B, C, H, W)`` and a filter bank is
-``(K, C, kh, kw)``.  ``im2col``/``col2im`` and the convolutions accept
+Everything here is a pure function of its inputs: the same-size 2D
+cross-correlation and its adjoints, kernel flipping, ReLU and 2x2
+max-pooling.  Tensors are plain ``numpy`` arrays of ``float64``; a feature
+map is ``(C, H, W)``, a batch of maps is ``(B, C, H, W)`` and a filter bank
+is ``(K, C, kh, kw)``.  ``im2col``/``col2im`` and the convolutions accept
 either a single map or a batch; a batch runs as one GEMM per call.
 
-``conv2d`` is cross-correlation: no kernel flip happens inside it.  The
-decoder's 180-degree flip is explicit, via :func:`flip180` and
-:func:`tied_decoder_weights`.
+The convolution has one geometry, the same-size one: stride 1 and zero
+padding (k - 1) / 2 around an odd kernel extent k.  There the transposed
+convolution with a bank W equals the convolution with
+:func:`tied_decoder_weights` (W).  ``conv2d`` is cross-correlation: no
+kernel flip happens inside it; the decoder's 180-degree flip is explicit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,66 +26,45 @@ def _as_f64(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class ConvSpec:
-    """Stride and symmetric zero-padding width of a convolution."""
-
-    stride: int = 1
-    pad: int = 0
-
-    def __post_init__(self):
-        if self.stride < 1:
-            raise ShapeError(f"stride must be >= 1, got {self.stride}")
-        if self.pad < 0:
-            raise ShapeError(f"pad must be >= 0, got {self.pad}")
-
-    def out_extent(self, extent: int, kernel: int) -> int:
-        out = (extent + 2 * self.pad - kernel) // self.stride + 1
-        if out < 1:
-            raise ShapeError(
-                f"kernel {kernel} does not fit input extent {extent} "
-                f"with pad {self.pad} (output extent would be {out})"
-            )
-        return out
+def _half_pad(kh: int, kw: int) -> tuple:
+    """Zero padding (k - 1) / 2 of each odd kernel extent; ShapeError for an
+    even one, which has no same-size padding."""
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError(f"same-size convolution needs odd kernel extents, got {kh} x {kw}")
+    return (kh - 1) // 2, (kw - 1) // 2
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, spec: ConvSpec) -> np.ndarray:
+def im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Unfold a (C, H, W) map, or a (B, C, H, W) batch of them, into a
-    (C*kh*kw, B*Ho*Wo) patch matrix (B = 1 for a single map).
+    (C*kh*kw, B*H*W) patch matrix (B = 1 for a single map).
 
     Rows run over (c, u, v) in row-major order, so a filter bank reshaped to
     (K, C*kh*kw) multiplies the matrix directly; columns run over
     (b, i, j), the output positions of every sample in turn.  The whole
     batch is padded once into one zero-filled buffer and read through a
-    strided window view.
+    window view.
     """
+    ph, pw = _half_pad(kh, kw)
     xb = x if x.ndim == 4 else x[None]
     b, c, h, w = xb.shape
-    ho = spec.out_extent(h, kh)
-    wo = spec.out_extent(w, kw)
-    p, s = spec.pad, spec.stride
-    if p:
-        xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
-        xp[:, :, p : p + h, p : p + w] = xb
-    else:
-        xp = xb
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, : s * ho : s, : s * wo : s]
-    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * ho * wo)
+    xp = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
+    xp[:, :, ph : ph + h, pw : pw + w] = xb
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * h * w)
 
 
-def col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, spec: ConvSpec) -> np.ndarray:
+def col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add patch columns back to a map of
-    ``shape``, either (C, H, W) or (B, C, H, W)."""
+    ``shape``, either (C, H, W) or (B, C, H, W), as kh*kw shifted slice adds
+    into a padded buffer."""
+    ph, pw = _half_pad(kh, kw)
     b, c, h, w = shape if len(shape) == 4 else (1, *shape)
-    ho = spec.out_extent(h, kh)
-    wo = spec.out_extent(w, kw)
-    p, s = spec.pad, spec.stride
-    patches = cols.reshape(c, kh, kw, b, ho, wo)
-    xp = np.zeros((b, c, h + 2 * p, w + 2 * p))
+    patches = cols.reshape(c, kh, kw, b, h, w)
+    xp = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
     for u in range(kh):
         for v in range(kw):
-            xp[:, :, u : u + s * ho : s, v : v + s * wo : s] += patches[:, u, v].swapaxes(0, 1)
-    out = xp[:, :, p : p + h, p : p + w]
+            xp[:, :, u : u + h, v : v + w] += patches[:, u, v].swapaxes(0, 1)
+    out = xp[:, :, ph : ph + h, pw : pw + w]
     return out if len(shape) == 4 else out[0]
 
 
@@ -96,18 +75,19 @@ def _by_channel(maps: np.ndarray) -> np.ndarray:
     return maps.reshape(k, -1) if maps.ndim == 3 else maps.swapaxes(0, 1).reshape(k, -1)
 
 
-def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, spec: ConvSpec,
+def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
            cols: np.ndarray | None = None) -> np.ndarray:
-    """Cross-correlate a (C, H, W) map, or a (B, C, H, W) batch, with a
-    (K, C, kh, kw) bank.
+    """Same-size cross-correlation of a (C, H, W) map, or a (B, C, H, W)
+    batch, with a (K, C, kh, kw) bank of odd kernel extents.
 
     out[k, i, j] = bias[k]
-                 + sum_{c,u,v} xpad[c, i*stride + u, j*stride + v] * weights[k, c, u, v]
+                 + sum_{c,u,v} xpad[c, i + u, j + v] * weights[k, c, u, v]
 
-    with xpad the zero-padded input.  Bias is one scalar per output map.  A
-    batch is one GEMM; its (B, K, Ho, Wo) result is a view of (K, B, Ho, Wo)
-    memory.  ``cols``, when given, is ``im2col(x, kh, kw, spec)`` already
-    computed by the caller.
+    with xpad the input zero-padded by (kh - 1) / 2 rows and (kw - 1) / 2
+    columns on each side, so the output keeps the input's extent.  Bias is
+    one scalar per output map.  A batch is one GEMM; its (B, K, H, W) result
+    is a view of (K, B, H, W) memory.  ``cols``, when given, is
+    ``im2col(x, kh, kw)`` already computed by the caller.
     """
     x = np.asarray(x, dtype=np.float64)
     w = _as_f64(weights)
@@ -121,34 +101,33 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, spec: ConvSpec,
         raise ShapeError(f"input has {x.shape[-3]} channels but weights expect {c}")
     if b.shape != (k,):
         raise ShapeError(f"bias has length {b.size} but there are {k} filters")
-    ho = spec.out_extent(x.shape[-2], kh)
-    wo = spec.out_extent(x.shape[-1], kw)
     if cols is None:
-        cols = im2col(x, kh, kw, spec)
+        cols = im2col(x, kh, kw)
     out = w.reshape(k, c * kh * kw) @ cols
     out += b[:, None]
     if x.ndim == 3:
-        return out.reshape(k, ho, wo)
-    return out.reshape(k, x.shape[0], ho, wo).swapaxes(0, 1)
+        return out.reshape(k, *x.shape[1:])
+    return out.reshape(k, x.shape[0], *x.shape[2:]).swapaxes(0, 1)
 
 
-def conv2d_weight_grad(x: np.ndarray, dout: np.ndarray, kh: int, kw: int, spec: ConvSpec,
+def conv2d_weight_grad(x: np.ndarray, dout: np.ndarray, kh: int, kw: int,
                        cols: np.ndarray | None = None) -> np.ndarray:
     """Gradient of conv2d w.r.t. its weights, given dL/dout of shape
-    (K, Ho, Wo), or (B, K, Ho, Wo) summed over the batch.  ``cols``, when
-    given, is ``im2col(x, kh, kw, spec)``."""
+    (K, H, W), or (B, K, H, W) summed over the batch.  ``cols``, when
+    given, is ``im2col(x, kh, kw)``."""
     if cols is None:
-        cols = im2col(np.asarray(x, dtype=np.float64), kh, kw, spec)
+        cols = im2col(np.asarray(x, dtype=np.float64), kh, kw)
     d = _by_channel(dout)
     return (d @ cols.T).reshape(d.shape[0], x.shape[-3], kh, kw)
 
 
-def conv2d_input_grad(dout: np.ndarray, weights: np.ndarray, x_shape: tuple, spec: ConvSpec) -> np.ndarray:
-    """Gradient of conv2d w.r.t. its input, given dL/dout of shape (K, Ho, Wo)
-    or (B, K, Ho, Wo): the transposed convolution of ``dout``."""
+def conv2d_input_grad(dout: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Gradient of conv2d w.r.t. its input, given dL/dout of shape (K, H, W)
+    or (B, K, H, W): the transposed convolution of ``dout``, a (C, H, W) or
+    (B, C, H, W) map."""
     k, c, kh, kw = weights.shape
     dcols = weights.reshape(k, c * kh * kw).T @ _by_channel(dout)
-    return col2im(dcols, x_shape, kh, kw, spec)
+    return col2im(dcols, (*dout.shape[:-3], c, *dout.shape[-2:]), kh, kw)
 
 
 def conv2d_bias_grad(dout: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ from . import cae as cae_mod
 from .cae import BIAS_ALWAYS_ZERO, BIAS_TRAIN_THEN_ZERO, CaeModel, CaeTrainConfig, LossHistory
 from .dataset import DatasetManifest, load_dataset
 from .errors import ShapeError, TensorFileError
-from .ops import ConvSpec
 from .svm import SvmModel, SvmTrainConfig, predict_many, top1_accuracy, train_svm
 from .tensorfile import load_tensors, save_tensors
 
@@ -46,6 +45,17 @@ def _record_json(path, records, name: str):
         return json.loads(arr.astype(np.uint8).tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise TensorFileError(f"{path}: record {name!r} is not UTF-8 JSON: {e}") from None
+
+
+def _scalar_record(path, records, name: str, allowed=None) -> float:
+    """The value of record ``name``, which must hold exactly one finite
+    element, one of ``allowed`` when given; TensorFileError naming the
+    record otherwise."""
+    arr = records[name]
+    if arr.size != 1 or not np.isfinite(arr).all() or (allowed is not None and arr.item() not in allowed):
+        expected = "one finite value" if allowed is None else f"one value in {sorted(allowed)}"
+        raise TensorFileError(f"{path}: record {name!r} must hold {expected}, got {arr.ravel().tolist()}")
+    return arr.item()
 
 
 def _class_names(path, records) -> list:
@@ -84,8 +94,8 @@ def save_cae_checkpoint(path, model: CaeModel, bias_mode: str, meta: dict) -> No
         "encoder_weights": model.w_e,
         "encoder_bias": model.b_e,
         "decoder_bias": model.b_d,
-        "conv_stride": np.array([float(model.spec.stride)]),
-        "conv_pad": np.array([float(model.spec.pad)]),
+        "conv_stride": np.array([1.0]),
+        "conv_pad": np.array([float((model.kernel - 1) // 2)]),
         "bias_mode": np.array([_BIAS_CODES[bias_mode]]),
         "decoder_relu": np.array([1.0 if model.decoder_relu else 0.0]),
         "meta_json": _json_record(meta),
@@ -99,16 +109,16 @@ def load_cae_checkpoint(path):
     for name in required:
         if name not in records:
             raise TensorFileError(f"{path}: model checkpoint is missing record {name!r}")
-    code = float(records["bias_mode"][0])
-    if code not in _BIAS_NAMES:
-        raise TensorFileError(f"{path}: unknown bias_mode code {code}")
+    code = _scalar_record(path, records, "bias_mode", _BIAS_NAMES)
     model = CaeModel(
         w_e=records["encoder_weights"],
         b_e=records["encoder_bias"],
         b_d=records["decoder_bias"],
-        spec=ConvSpec(stride=int(records["conv_stride"][0]), pad=int(records["conv_pad"][0])),
-        decoder_relu=bool(records["decoder_relu"][0]),
+        decoder_relu=bool(_scalar_record(path, records, "decoder_relu", (0.0, 1.0))),
     )
+    # the only geometry the model runs: stride 1, pad (kernel - 1) / 2
+    _scalar_record(path, records, "conv_stride", (1.0,))
+    _scalar_record(path, records, "conv_pad", (float((model.kernel - 1) // 2),))
     return model, _BIAS_NAMES[code], _record_json(path, records, "meta_json")
 
 
@@ -156,27 +166,29 @@ def load_svm_checkpoint(path):
         biases=records["biases"],
         class_names=_class_names(path, records),
     )
-    return model, float(records["lambda"][0]), _record_json(path, records, "meta_json")
+    lam = _scalar_record(path, records, "lambda")
+    if lam < 0:
+        raise TensorFileError(f"{path}: record 'lambda' must be >= 0, got {lam}")
+    return model, lam, _record_json(path, records, "meta_json")
 
 
 # ---------------------------------------------------------------------------
 # stages
 
 def train_cae_stage(train_manifest: DatasetManifest, cae_config: CaeTrainConfig, n_filters: int,
-                    kernel: int = 3, stride: int = 1, pad: int | None = None,
-                    progress=None, data=None):
+                    kernel: int = 3, progress=None, data=None):
     """Train the auto-encoder on a manifest's tensors (labels are ignored;
     learning is unsupervised).  ``data`` is the manifest's
     :func:`load_dataset` result when the caller has already loaded it.
     Returns (model, history, meta)."""
     tensors, _ = load_dataset(train_manifest) if data is None else data
-    model = cae_mod.init_model(n_filters, tensors.shape[1], kernel, seed=cae_config.seed, stride=stride, pad=pad)
+    model = cae_mod.init_model(n_filters, tensors.shape[1], kernel, seed=cae_config.seed)
     model, history = cae_mod.train(model, tensors, cae_config, progress=progress)
     meta = {
         "filters": n_filters,
         "kernel": kernel,
-        "stride": model.spec.stride,
-        "pad": model.spec.pad,
+        "stride": 1,
+        "pad": (kernel - 1) // 2,
         "pool": POOL,
         "cae_config": cae_config_echo(cae_config),
         "cae_summary": loss_summary(history),
@@ -283,23 +295,22 @@ def assemble_config_echo(meta: dict, svm_echo: dict, l2_normalize: bool) -> dict
 
 def run_pipeline(train_manifest: DatasetManifest, test_manifest: DatasetManifest,
                  cae_config: CaeTrainConfig, svm_config: SvmTrainConfig, n_filters: int,
-                 l2_normalize: bool = False, kernel: int = 3, stride: int = 1,
-                 pad: int | None = None, progress=None) -> EvalReport:
+                 l2_normalize: bool = False, kernel: int = 3, progress=None) -> EvalReport:
     """Unsupervised feature learning end to end: train the auto-encoder on
     the train split, extract zero-bias features for both splits, fit the
     SVM on train features, and score the test split."""
     return _run_stages(train_manifest, test_manifest, load_dataset(train_manifest), None, cae_config,
-                       svm_config, n_filters, l2_normalize, kernel, stride, pad, progress)
+                       svm_config, n_filters, l2_normalize, kernel, progress)
 
 
 def _run_stages(train_manifest, test_manifest, train_data, test_data, cae_config, svm_config,
-                n_filters, l2_normalize, kernel, stride, pad, progress) -> EvalReport:
+                n_filters, l2_normalize, kernel, progress) -> EvalReport:
     """:func:`run_pipeline` on already loaded data; a ``test_data`` of None
     is loaded only once the features are extracted."""
     if list(train_manifest.classes) != list(test_manifest.classes):
         raise ShapeError("train and test manifests declare different class tables")
     model, _, meta = train_cae_stage(train_manifest, cae_config, n_filters, kernel=kernel,
-                                     stride=stride, pad=pad, progress=progress, data=train_data)
+                                     progress=progress, data=train_data)
     train_x, train_y, classes = extract_stage(model, train_manifest, l2_normalize, data=train_data)
     test_x, test_y, _ = extract_stage(model, test_manifest, l2_normalize, data=test_data)
     if train_x.shape[1] != test_x.shape[1]:
@@ -324,8 +335,7 @@ class SweepRow:
 
 def filter_size_sweep(train_manifest: DatasetManifest, test_manifest: DatasetManifest,
                       cae_config: CaeTrainConfig, svm_config: SvmTrainConfig, k_values,
-                      l2_normalize: bool = False, kernel: int = 3, stride: int = 1,
-                      pad: int | None = None, progress=None) -> list:
+                      l2_normalize: bool = False, kernel: int = 3, progress=None) -> list:
     """Re-run the full pipeline for each filter count, sharing every seed and
     loading each manifest once, and tabulate (filters, top-1)."""
     if not k_values:
@@ -334,6 +344,6 @@ def filter_size_sweep(train_manifest: DatasetManifest, test_manifest: DatasetMan
     rows = []
     for k in k_values:
         report = _run_stages(train_manifest, test_manifest, train_data, test_data, cae_config,
-                             svm_config, int(k), l2_normalize, kernel, stride, pad, progress)
+                             svm_config, int(k), l2_normalize, kernel, progress)
         rows.append(SweepRow(filters=int(k), top1=report.top1, report=report))
     return rows

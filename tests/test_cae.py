@@ -16,7 +16,6 @@ from zbcae.cae import (
     CaeGradients,
     CaeModel,
     CaeTrainConfig,
-    decode,
     encode,
     extract_features,
     init_model,
@@ -27,7 +26,6 @@ from zbcae.cae import (
 )
 from zbcae.errors import NonFiniteLossError, ShapeError
 from zbcae.ops import (
-    ConvSpec,
     conv2d,
     conv2d_bias_grad,
     conv2d_input_grad,
@@ -46,9 +44,22 @@ def identity_center_model(bias=0.0, decoder_relu=True):
         w_e=w,
         b_e=np.array([bias]),
         b_d=np.zeros(1),
-        spec=ConvSpec(stride=1, pad=1),
         decoder_relu=decoder_relu,
     )
+
+
+def decode(model, z, zero_bias=False):
+    """Per-sample reference decoder: act(conv2d(z, tied(W_e)) + b_d) through
+    the explicit tied bank."""
+    b = np.zeros(model.n_channels) if zero_bias else model.b_d
+    g = conv2d(z, tied_decoder_weights(model.w_e), b)
+    return relu(g) if model.decoder_relu else g
+
+
+def forward(model, x, zero_bias=False):
+    """The reconstruction of a (B, C, H, W) batch by the batched forward pass."""
+    b_e, b_d = cae._biases(model, not zero_bias)
+    return cae._forward(model, x, b_e, b_d)[3]
 
 
 def random_model(rng, k=3, c=2, kernel=3, bias_scale=0.1):
@@ -88,6 +99,12 @@ class TestInitModel:
         with pytest.raises(ShapeError):
             init_model(0, 1, 3, seed=0)
 
+    @pytest.mark.parametrize("kernel", [2, 4])
+    def test_rejects_even_kernel(self, kernel):
+        # an even kernel has no same-size padding
+        with pytest.raises(ShapeError, match="odd"):
+            init_model(2, 2, kernel, seed=0)
+
 
 class TestEncodeDecode:
     def test_zero_input_zero_bias_gives_zero_code(self):
@@ -105,11 +122,11 @@ class TestEncodeDecode:
 
     def test_paper_geometry_roundtrip_shapes(self):
         model = init_model(64, 256, 3, seed=7)
-        x = np.abs(np.random.default_rng(8).normal(size=(256, 6, 6)))
+        x = np.abs(np.random.default_rng(8).normal(size=(1, 256, 6, 6)))
         z = encode(model, x, zero_bias=True)
-        assert z.shape == (64, 6, 6)
-        y = decode(model, z, zero_bias=True)
-        assert y.shape == (256, 6, 6)
+        assert z.shape == (1, 64, 6, 6)
+        y = forward(model, x, zero_bias=True)
+        assert y.shape == (1, 256, 6, 6)
 
     def test_full_scale_geometry(self):
         # 256-channel 6x6 maps through 4096 filters: code 4096x6x6 and a
@@ -126,20 +143,19 @@ class TestEncodeDecode:
         npt.assert_array_equal(y, np.zeros_like(y))
 
     def test_decode_uses_tied_flipped_weights(self):
+        # the batched forward pass decodes through the tied, flipped filters
         rng = np.random.default_rng(10)
         model = random_model(rng)
-        z = relu(rng.normal(size=(3, 5, 5)))
-        expected = relu(conv2d(z, tied_decoder_weights(model.w_e), model.b_d, model.spec))
-        npt.assert_array_equal(decode(model, z), expected)
+        x = rng.normal(size=(2, 2, 5, 5))
+        expected = np.stack([decode(model, encode(model, xb)) for xb in x])
+        assert_rel_close(forward(model, x), expected)
 
     def test_symmetric_kernel_composition(self):
-        # flip-invariant single kernel: decode(z) == relu(conv(z, w))
-        w = np.zeros((1, 1, 3, 3))
-        w[0, 0, 1, 1] = 1.0
+        # flip-invariant single kernel: the reconstruction is relu(z)
         model = identity_center_model()
-        x = np.abs(np.random.default_rng(11).normal(size=(1, 4, 4)))
+        x = np.abs(np.random.default_rng(11).normal(size=(1, 1, 4, 4)))
         z = encode(model, x, zero_bias=True)
-        npt.assert_array_equal(decode(model, z, zero_bias=True), relu(z))
+        npt.assert_array_equal(forward(model, x, zero_bias=True), relu(z))
 
     def test_channel_mismatch_raises(self):
         model = random_model(np.random.default_rng(12))
@@ -159,7 +175,6 @@ class TestReconstructionLoss:
             w_e=np.zeros((1, 1, 1, 1)),
             b_e=np.zeros(1),
             b_d=np.zeros(1),
-            spec=ConvSpec(stride=1, pad=0),
         )
         assert reconstruction_loss(model, [np.full((1, 1, 1), 2.0)]) == 2.0
 
@@ -173,6 +188,21 @@ class TestReconstructionLoss:
         model = identity_center_model()
         with pytest.raises(ShapeError, match="at least one"):
             reconstruction_loss(model, [])
+
+    @pytest.mark.parametrize("zero_bias", [False, True])
+    @pytest.mark.parametrize("decoder_relu", [True, False])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_matches_per_sample_tied_decoder_reference(self, monkeypatch, zero_bias, decoder_relu, kernel):
+        rng = np.random.default_rng(130 + kernel)
+        model = random_model(rng, k=4, c=3, kernel=kernel, bias_scale=0.5)
+        model.decoder_relu = decoder_relu
+        batch = rng.normal(size=(5, 3, 6, 5))
+        # two samples per chunk, so the batch spans three chunks
+        monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 2 * 8 * 6 * 5 * max(4, 3 * kernel * kernel))
+        assert cae.chunk_size(model, batch.shape[1:], cae.TRAIN_CHUNK_BYTES) == 2
+        expected = sum(0.5 * float(((decode(model, encode(model, x, zero_bias), zero_bias) - x) ** 2).sum())
+                       for x in batch)
+        assert_rel_close(reconstruction_loss(model, batch, zero_bias=zero_bias), expected)
 
 
 class TestLossGradients:
@@ -232,7 +262,7 @@ class TestLossGradients:
             total = 0.0
             for x in batch:
                 z = encode(model, x)
-                g = conv2d(z, w_d_frozen, model.b_d, model.spec)
+                g = conv2d(z, w_d_frozen, model.b_d)
                 y = relu(g)
                 total += 0.5 * float(((y - x) ** 2).sum())
             return total
@@ -251,25 +281,24 @@ def per_sample_reference_step(model, batch, bias_mode):
     decoder run as conv2d with the explicit tied bank."""
     use_bias = bias_mode == BIAS_TRAIN_THEN_ZERO
     k, c, kh, _ = model.w_e.shape
-    spec = model.spec
     b_e = model.b_e if use_bias else np.zeros(k)
     b_d = model.b_d if use_bias else np.zeros(c)
     w_d = tied_decoder_weights(model.w_e)
     loss, dw_enc, dw_dec = 0.0, np.zeros_like(model.w_e), np.zeros_like(model.w_e)
     db_e, db_d = np.zeros(k), np.zeros(c)
     for x in batch:
-        a = conv2d(x, model.w_e, b_e, spec)
+        a = conv2d(x, model.w_e, b_e)
         z = relu(a)
-        g = conv2d(z, w_d, b_d, spec)
+        g = conv2d(z, w_d, b_d)
         y = relu(g) if model.decoder_relu else g
         r = y - x
         loss += 0.5 * float((r * r).sum())
         dg = r * (g > 0.0) if model.decoder_relu else r
         db_d += conv2d_bias_grad(dg)
-        dw_dec += tied_decoder_weights(conv2d_weight_grad(z, dg, kh, kh, spec))
-        da = conv2d_input_grad(dg, w_d, z.shape, spec) * (a > 0.0)
+        dw_dec += tied_decoder_weights(conv2d_weight_grad(z, dg, kh, kh))
+        da = conv2d_input_grad(dg, w_d) * (a > 0.0)
         db_e += conv2d_bias_grad(da)
-        dw_enc += conv2d_weight_grad(x, da, kh, kh, spec)
+        dw_enc += conv2d_weight_grad(x, da, kh, kh)
     if not use_bias:
         db_e, db_d = np.zeros(k), np.zeros(c)
     return loss, dw_enc, dw_dec, db_e, db_d
@@ -326,34 +355,10 @@ class TestBatchedStep:
     def test_paper_batch_chunks_stay_bounded(self):
         # at K=4096 over 256x14x14 maps a batch of 8 is one chunk, and
         # batch 512 is split so that a chunk's code map fits the budget
-        model = CaeModel(w_e=np.zeros((4096, 256, 3, 3)), b_e=np.zeros(4096), b_d=np.zeros(256),
-                         spec=ConvSpec(stride=1, pad=1))
+        model = CaeModel(w_e=np.zeros((4096, 256, 3, 3)), b_e=np.zeros(4096), b_d=np.zeros(256))
         n = cae.chunk_size(model, (256, 14, 14), cae.TRAIN_CHUNK_BYTES)
         assert 8 <= n < 512
         assert 8 * n * 14 * 14 * 4096 <= cae.TRAIN_CHUNK_BYTES
-
-
-class TestTrainingGeometry:
-    """The tied decoder reconstructs the input grid only at stride 1 and
-    pad (k-1)/2; anything else is rejected before any step."""
-
-    @pytest.mark.parametrize("kernel,stride,pad", [(3, 1, 0), (3, 2, 1), (3, 1, 2), (2, 1, 0)])
-    def test_train_rejects_before_any_step(self, kernel, stride, pad):
-        rng = np.random.default_rng(120)
-        model = init_model(2, 2, kernel, seed=1, stride=stride, pad=pad)
-        before = model.w_e.copy()
-        calls = []
-        with pytest.raises(ShapeError, match="stride 1 and pad"):
-            train(model, tiny_dataset(rng, n=4), CaeTrainConfig(epochs=2, batch_size=2, learning_rate=1e-3),
-                  progress=lambda *a: calls.append(a))
-        npt.assert_array_equal(model.w_e, before)
-        assert calls == []
-
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1)])
-    def test_gradients_reject_untrainable_geometry(self, stride, pad):
-        model = init_model(2, 2, 3, seed=1, stride=stride, pad=pad)
-        with pytest.raises(ShapeError, match="stride 1 and pad"):
-            loss_gradients(model, [np.ones((2, 6, 6))])
 
 
 class TestSgdStep:
@@ -379,7 +384,6 @@ class TestSgdStep:
             w_e=np.zeros((1, 1, 1, 1)),
             b_e=np.zeros(1),
             b_d=np.zeros(1),
-            spec=ConvSpec(stride=1, pad=0),
         )
         grads = CaeGradients(np.full((1, 1, 1, 1), -3.0), np.zeros(1), np.zeros(1))
         sgd_step(model, grads, lr=0.1)
@@ -510,9 +514,10 @@ class TestTrain:
         model = random_model(rng)
         dataset = tiny_dataset(rng, n=6)
         train(model, dataset, CaeTrainConfig(epochs=3, batch_size=3, learning_rate=1e-3, seed=9))
-        z = relu(rng.normal(size=(3, 5, 5)))
-        expected = relu(conv2d(z, tied_decoder_weights(model.w_e), model.b_d, model.spec))
-        npt.assert_array_equal(decode(model, z), expected)
+        # the forward pass decodes through the tied bank of the updated W_e
+        x = rng.normal(size=(2, 2, 5, 5))
+        expected = np.stack([decode(model, encode(model, xb)) for xb in x])
+        assert_rel_close(forward(model, x), expected)
 
 
 class TestExtractFeatures:
@@ -535,13 +540,14 @@ class TestExtractFeatures:
         model = random_model(rng)
         assert (extract_features(model, rng.normal(size=(2, 6, 6))) >= 0).all()
 
-    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0), (1, 0)])
-    def test_batch_matches_per_sample(self, stride, pad):
+    @pytest.mark.parametrize("batch,pad", [(1, 1), (2, 0), (1, 0)])
+    def test_batch_matches_per_sample(self, batch, pad):
+        # kernel 2 * pad + 1 over a batch of ``batch`` samples
         rng = np.random.default_rng(37)
-        model = init_model(5, 3, 3, seed=38, stride=stride, pad=pad)
-        x = np.abs(rng.normal(size=(4, 3, 7, 6)))
+        model = init_model(5, 3, 2 * pad + 1, seed=38)
+        x = np.abs(rng.normal(size=(batch, 3, 7, 6)))
         batched = extract_features(model, x)
-        assert batched.shape == (4, extract_features(model, x[0]).size)
+        assert batched.shape == (batch, extract_features(model, x[0]).size)
         for row, sample in zip(batched, x):
             assert_rel_close(row, extract_features(model, sample))
 

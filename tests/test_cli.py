@@ -5,6 +5,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zbcae.cli import dispatch
@@ -30,6 +31,9 @@ batch_size = 4
 learning_rate = 2e-4
 seed = 0
 """
+
+
+FLOAT_KEYS = sorted(k for k, v in CliConfig().echo().items() if isinstance(v, float))
 
 
 def _cell_value(text):
@@ -122,6 +126,24 @@ class TestConfigFile:
         f.write_text(line)
         with pytest.raises(ConfigError, match=match):
             resolve_config(f, {})
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, tmp_path, key):
+        f = tmp_path / "c.cfg"
+        for value in ("nan", "inf", "-inf"):
+            f.write_text(f"{key} = {value}\n")
+            with pytest.raises(ConfigError, match=key):
+                resolve_config(f, {})
+            with pytest.raises(ConfigError, match=key):
+                resolve_config(None, {key: float(value)})
+
+    def test_negative_seed_rejected(self, tmp_path):
+        f = tmp_path / "c.cfg"
+        f.write_text("seed = -1\n")
+        with pytest.raises(ConfigError, match="seed"):
+            resolve_config(f, {})
+        with pytest.raises(ConfigError, match="seed"):
+            resolve_config(None, {"seed": -1})
 
     def test_readme_defaults_table_matches_resolved_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -217,6 +239,62 @@ class TestExitCodes:
         assert "stride 1 and pad" in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("geometry", [
+        "stride = 2\n", "pad = 0\n", "pad = 2\n", "kernel = 4\n", "kernel = 2\npad = 0\n",
+    ])
+    def test_geometry_rejected_before_manifests_are_read(self, tmp_path, capsys, geometry):
+        config = tmp_path / "geometry.cfg"
+        config.write_text(PIPE_CONFIG + geometry)
+        missing = str(tmp_path / "missing.json")
+        code = dispatch(["run-all", "--train", missing, "--test", missing, "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "stride 1 and pad" in err and "missing.json" not in err
+
+    @pytest.mark.parametrize("argv", [["--lr", "nan"], ["--lr", "inf"], ["--seed", "-1"]],
+                             ids=["lr-nan", "lr-inf", "seed-negative"])
+    def test_bad_flag_value_is_config_error(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "missing.json")
+        code = dispatch(["train-cae", "--train", missing, "--out", str(tmp_path / "m.zten"), *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("learning_rate" if argv[0] == "--lr" else "seed") in err and "missing.json" not in err
+
+    @pytest.mark.parametrize("record, value", [
+        ("bias_mode", []),
+        ("conv_pad", []),
+        ("lambda", []),
+        ("lambda", [-1.0]),
+        ("conv_stride", [float("nan")]),
+        ("conv_stride", [2.7]),
+        ("conv_stride", [2.0]),
+        ("conv_pad", [0.0]),
+        ("decoder_relu", [0.5]),
+    ], ids=["bias_mode-empty", "conv_pad-empty", "lambda-empty", "lambda-negative", "conv_stride-nan",
+            "conv_stride-2.7", "conv_stride-2", "conv_pad-0", "decoder_relu-0.5"])
+    def test_bad_scalar_checkpoint_record_is_data_error(self, synth_dir, tmp_path, capsys, record, value):
+        from zbcae.cae import BIAS_TRAIN_THEN_ZERO, init_model
+        from zbcae.pipeline import save_cae_checkpoint, save_features_file, save_svm_checkpoint
+        from zbcae.svm import SvmModel
+        from zbcae.tensorfile import load_tensors, save_tensors
+
+        model, out = tmp_path / "model.zten", tmp_path / "out"
+        if record == "lambda":
+            features = tmp_path / "features.zten"
+            save_features_file(features, np.eye(2, 3), [0.0, 1.0], ["a", "b"], {})
+            save_svm_checkpoint(model, SvmModel(np.eye(2, 3), np.zeros(2), ["a", "b"]), 1.0, {})
+            argv = ["evaluate", "--svm", str(model), "--features", str(features), "--report", str(out)]
+        else:
+            save_cae_checkpoint(model, init_model(2, 4, 3, seed=0), BIAS_TRAIN_THEN_ZERO, {})
+            argv = ["encode", "--model", str(model), "--manifest", str(synth_dir / "test.json"), "--out", str(out)]
+        records = load_tensors(model)
+        records[record] = np.array(value)
+        save_tensors(model, records)
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert f"record {record!r}" in captured.err and "model.zten" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_unset_pad_follows_kernel(self, synth_dir, tmp_path, capsys):
         config = tmp_path / "kernel.cfg"
         config.write_text(PIPE_CONFIG.replace("epochs = 30", "epochs = 2") + "kernel = 5\n")
@@ -229,6 +307,17 @@ class TestExitCodes:
         echo = json.loads(report.read_text())["config"]
         assert (echo["kernel"], echo["stride"], echo["pad"]) == (5, 1, 2)
         assert resolve_config(config, {}).echo()["pad"] == 2
+
+    def test_solver_warning_keeps_stderr_json(self, synth_dir, tmp_path, capsys):
+        config = tmp_path / "pipe.cfg"
+        config.write_text(PIPE_CONFIG.replace("epochs = 30", "epochs = 2") + "lbfgs_max_iters = 1\n")
+        code = dispatch(["run-all", "--train", str(synth_dir / "train.json"),
+                         "--test", str(synth_dir / "test.json"), "--config", str(config)])
+        assert code == 0
+        lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        warnings = [line for line in lines if "warning" in line]
+        assert len(warnings) == 1 and warnings[0]["category"] == "UserWarning"
+        assert "max_iters after 1 iterations" in warnings[0]["warning"]
 
     def test_help_exits_zero(self, capsys):
         assert dispatch(["--help"]) == 0

@@ -1,13 +1,16 @@
-"""Tensor-kernel tests: conv2d against a naive loop oracle, flips, ReLU,
-max-pooling."""
+"""Tensor-kernel tests: the same-size conv2d against a naive loop oracle,
+adjoint identities of the convolution kernels, flips, ReLU, max-pooling."""
+
+import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from zbcae import ops
 from zbcae.errors import ShapeError
 from zbcae.ops import (
-    ConvSpec,
     col2im,
     conv2d,
     conv2d_bias_grad,
@@ -21,13 +24,13 @@ from zbcae.ops import (
 )
 
 
-def conv2d_loops(x, w, b, spec):
-    """Independent nested-loop oracle for conv2d over the padded input."""
+def conv2d_loops(x, w, b):
+    """Independent nested-loop oracle for conv2d over the input zero-padded
+    by (k - 1) / 2 on each side."""
     k, c, kh, kw = w.shape
-    p, s = spec.pad, spec.stride
-    xp = np.pad(x, ((0, 0), (p, p), (p, p)))
-    ho = (x.shape[1] + 2 * p - kh) // s + 1
-    wo = (x.shape[2] + 2 * p - kw) // s + 1
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    ho, wo = x.shape[1:]
     out = np.zeros((k, ho, wo))
     for kk in range(k):
         for i in range(ho):
@@ -36,16 +39,20 @@ def conv2d_loops(x, w, b, spec):
                 for cc in range(c):
                     for u in range(kh):
                         for v in range(kw):
-                            acc += xp[cc, i * s + u, j * s + v] * w[kk, cc, u, v]
+                            acc += xp[cc, i + u, j + v] * w[kk, cc, u, v]
                 out[kk, i, j] = acc
     return out
+
+
+def inner(a, b):
+    return float((a * b).sum())
 
 
 class TestConv2d:
     def test_zero_input_zero_bias(self):
         x = np.zeros((1, 3, 3))
         w = np.arange(9, dtype=float).reshape(1, 1, 3, 3)
-        out = conv2d(x, w, np.zeros(1), ConvSpec(stride=1, pad=1))
+        out = conv2d(x, w, np.zeros(1))
         npt.assert_array_equal(out, np.zeros((1, 3, 3)))
 
     def test_all_ones_same_pad(self):
@@ -53,39 +60,37 @@ class TestConv2d:
         x = np.ones((1, 3, 3))
         w = np.ones((1, 1, 3, 3))
         expected = np.array([[[4, 6, 4], [6, 9, 6], [4, 6, 4]]], dtype=float)
-        spec = ConvSpec(stride=1, pad=1)
-        npt.assert_array_equal(conv2d_loops(x, w, np.zeros(1), spec), expected)
-        npt.assert_array_equal(conv2d(x, w, np.zeros(1), spec), expected)
+        npt.assert_array_equal(conv2d_loops(x, w, np.zeros(1)), expected)
+        npt.assert_array_equal(conv2d(x, w, np.zeros(1)), expected)
 
     def test_one_by_one_kernel_scales_and_shifts(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         w = np.full((1, 1, 1, 1), 2.0)
-        out = conv2d(x, w, np.array([1.0]), ConvSpec(stride=1, pad=0))
+        out = conv2d(x, w, np.array([1.0]))
         npt.assert_array_equal(out, np.array([[[3.0, 5.0], [7.0, 9.0]]]))
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0), (1, 2)])
-    def test_matches_loop_oracle_random(self, stride, pad):
-        rng = np.random.default_rng(1234 + stride * 10 + pad)
+    @pytest.mark.parametrize("batch,pad", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1)])
+    def test_matches_loop_oracle_random(self, batch, pad):
+        # kernel 2 * pad + 1 over a batch of ``batch`` maps, some smaller than the kernel
+        rng = np.random.default_rng(1234 + batch * 10 + pad)
+        kh = 2 * pad + 1
         for _ in range(4):
-            c, k, kh = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 4)
-            h = rng.integers(kh, kh + 5)
-            w = rng.integers(kh, kh + 5)
-            x = rng.normal(size=(c, h, w))
+            c, k = rng.integers(1, 4), rng.integers(1, 4)
+            h, w = rng.integers(1, kh + 5), rng.integers(1, kh + 5)
+            x = rng.normal(size=(batch, c, h, w))
             wt = rng.normal(size=(k, c, kh, kh))
             b = rng.normal(size=k)
-            spec = ConvSpec(stride=stride, pad=pad)
-            npt.assert_allclose(conv2d(x, wt, b, spec), conv2d_loops(x, wt, b, spec), rtol=1e-12)
+            npt.assert_allclose(conv2d(x, wt, b), np.stack([conv2d_loops(xb, wt, b) for xb in x]), rtol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
-        spec = ConvSpec(stride=1, pad=1)
         for _ in range(5):
             x1 = rng.normal(size=(2, 4, 4))
             x2 = rng.normal(size=(2, 4, 4))
             w = rng.normal(size=(3, 2, 3, 3))
             a, b = rng.normal(), rng.normal()
-            lhs = conv2d(a * x1 + b * x2, w, np.zeros(3), spec)
-            rhs = a * conv2d(x1, w, np.zeros(3), spec) + b * conv2d(x2, w, np.zeros(3), spec)
+            lhs = conv2d(a * x1 + b * x2, w, np.zeros(3))
+            rhs = a * conv2d(x1, w, np.zeros(3)) + b * conv2d(x2, w, np.zeros(3))
             npt.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_identity_kernel_bank(self):
@@ -95,24 +100,29 @@ class TestConv2d:
         for k in range(c):
             w[k, k, 1, 1] = 1.0
         x = rng.normal(size=(c, 5, 6))
-        out = conv2d(x, w, np.zeros(c), ConvSpec(stride=1, pad=1))
+        out = conv2d(x, w, np.zeros(c))
         npt.assert_allclose(out, x, rtol=0, atol=0)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError, match="channels"):
-            conv2d(np.zeros((2, 3, 3)), np.zeros((1, 3, 3, 3)), np.zeros(1), ConvSpec())
+            conv2d(np.zeros((2, 3, 3)), np.zeros((1, 3, 3, 3)), np.zeros(1))
 
     def test_bias_length_mismatch(self):
         with pytest.raises(ShapeError, match="bias"):
-            conv2d(np.zeros((1, 3, 3)), np.zeros((2, 1, 3, 3)), np.zeros(1), ConvSpec())
+            conv2d(np.zeros((1, 3, 3)), np.zeros((2, 1, 3, 3)), np.zeros(1))
 
-    def test_kernel_too_large(self):
-        with pytest.raises(ShapeError, match="extent"):
-            conv2d(np.zeros((1, 2, 2)), np.zeros((1, 1, 3, 3)), np.zeros(1), ConvSpec(stride=1, pad=0))
+    def test_even_kernel_rejected(self):
+        # an even extent has no same-size padding
+        with pytest.raises(ShapeError, match="odd"):
+            conv2d(np.zeros((1, 4, 4)), np.zeros((1, 1, 2, 2)), np.zeros(1))
+        with pytest.raises(ShapeError, match="odd"):
+            im2col(np.zeros((1, 4, 4)), 3, 4)
+        with pytest.raises(ShapeError, match="odd"):
+            col2im(np.zeros((4, 16)), (1, 4, 4), 2, 2)
 
     def test_non_3d_input(self):
         with pytest.raises(ShapeError, match="C x H x W"):
-            conv2d(np.zeros((3, 3)), np.zeros((1, 1, 3, 3)), np.zeros(1), ConvSpec())
+            conv2d(np.zeros((3, 3)), np.zeros((1, 1, 3, 3)), np.zeros(1))
 
 
 class TestConvAdjoints:
@@ -121,28 +131,23 @@ class TestConvAdjoints:
 
     def test_col2im_is_adjoint_of_im2col(self):
         rng = np.random.default_rng(3)
-        spec = ConvSpec(stride=2, pad=1)
         x = rng.normal(size=(2, 5, 4))
-        cols_shape = im2col(x, 3, 3, spec).shape
-        y = rng.normal(size=cols_shape)
-        # <im2col(x), y> == <x, col2im(y)>
-        lhs = float((im2col(x, 3, 3, spec) * y).sum())
-        rhs = float((x * col2im(y, x.shape, 3, 3, spec)).sum())
-        assert abs(lhs - rhs) < 1e-10
+        cols = im2col(x, 3, 3)
+        y = rng.normal(size=cols.shape)
+        assert abs(inner(cols, y) - inner(x, col2im(y, x.shape, 3, 3))) < 1e-10
 
     def test_weight_and_input_grads_match_finite_differences(self):
         rng = np.random.default_rng(5)
-        spec = ConvSpec(stride=1, pad=1)
         x = rng.normal(size=(2, 4, 4))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
         dout = rng.normal(size=(3, 4, 4))
 
         def loss(xv, wv):
-            return float((conv2d(xv, wv, b, spec) * dout).sum())
+            return float((conv2d(xv, wv, b) * dout).sum())
 
-        dw = conv2d_weight_grad(x, dout, 3, 3, spec)
-        dx = conv2d_input_grad(dout, w, x.shape, spec)
+        dw = conv2d_weight_grad(x, dout, 3, 3)
+        dx = conv2d_input_grad(dout, w)
         db = conv2d_bias_grad(dout)
 
         eps = 1e-6
@@ -164,78 +169,102 @@ class TestConvAdjoints:
 
 class TestBatchedKernels:
     """A leading batch axis: im2col lays the samples' columns side by side,
-    col2im stays its adjoint, and the convolutions agree with per-sample calls."""
+    the adjoint identities hold over random batches and odd kernels, and the
+    convolutions agree with per-sample calls."""
 
     @staticmethod
     def random_geometry(rng):
-        b, c, kh = (int(v) for v in rng.integers(1, 4, size=3))
-        stride, pad = int(rng.integers(1, 4)), int(rng.integers(0, 3))
-        h = int(rng.integers(max(1, kh - 2 * pad), kh + 6))
-        w = int(rng.integers(max(1, kh - 2 * pad), kh + 6))
-        return (b, c, h, w), kh, ConvSpec(stride=stride, pad=pad)
+        b, c = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        kh = int(rng.choice([1, 3, 5]))
+        h, w = (int(v) for v in rng.integers(1, 8, size=2))
+        return (b, c, h, w), kh
+
+    @staticmethod
+    def assert_same_inner(lhs, rhs):
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_im2col_col2im_adjoint_over_random_geometry(self):
+        # <im2col(x), C> == <x, col2im(C)>
         rng = np.random.default_rng(301)
         for _ in range(40):
-            shape, kh, spec = self.random_geometry(rng)
+            shape, kh = self.random_geometry(rng)
             x = rng.normal(size=shape)
-            cols = im2col(x, kh, kh, spec)
+            cols = im2col(x, kh, kh)
             y = rng.normal(size=cols.shape)
-            lhs = float((cols * y).sum())
-            rhs = float((x * col2im(y, x.shape, kh, kh, spec)).sum())
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+            self.assert_same_inner(inner(cols, y), inner(x, col2im(y, x.shape, kh, kh)))
+
+    def test_input_grad_is_adjoint_of_conv2d(self):
+        # <conv2d(x, W), y> == <x, conv2d_input_grad(y, W)>
+        rng = np.random.default_rng(306)
+        for _ in range(40):
+            (b, c, h, w), kh = self.random_geometry(rng)
+            k = int(rng.integers(1, 4))
+            x = rng.normal(size=(b, c, h, w))
+            wt = rng.normal(size=(k, c, kh, kh))
+            y = rng.normal(size=(b, k, h, w))
+            self.assert_same_inner(inner(conv2d(x, wt, np.zeros(k)), y), inner(x, conv2d_input_grad(y, wt)))
+
+    def test_weight_grad_is_adjoint_of_conv2d(self):
+        # <conv2d_weight_grad(x, dy), W> == <conv2d(x, W), dy>
+        rng = np.random.default_rng(307)
+        for _ in range(40):
+            (b, c, h, w), kh = self.random_geometry(rng)
+            k = int(rng.integers(1, 4))
+            x = rng.normal(size=(b, c, h, w))
+            wt = rng.normal(size=(k, c, kh, kh))
+            dy = rng.normal(size=(b, k, h, w))
+            self.assert_same_inner(inner(conv2d_weight_grad(x, dy, kh, kh), wt),
+                                   inner(conv2d(x, wt, np.zeros(k)), dy))
 
     def test_batched_columns_are_per_sample_blocks(self):
         rng = np.random.default_rng(302)
         for _ in range(20):
-            shape, kh, spec = self.random_geometry(rng)
+            shape, kh = self.random_geometry(rng)
             x = rng.normal(size=shape)
-            per_sample = [im2col(xb, kh, kh, spec) for xb in x]
-            npt.assert_array_equal(im2col(x, kh, kh, spec), np.concatenate(per_sample, axis=1))
+            per_sample = [im2col(xb, kh, kh) for xb in x]
+            npt.assert_array_equal(im2col(x, kh, kh), np.concatenate(per_sample, axis=1))
             y = rng.normal(size=(per_sample[0].shape[0], shape[0] * per_sample[0].shape[1]))
             blocks = np.split(y, shape[0], axis=1)
-            npt.assert_array_equal(col2im(y, shape, kh, kh, spec),
-                                   np.stack([col2im(yb, shape[1:], kh, kh, spec) for yb in blocks]))
+            npt.assert_array_equal(col2im(y, shape, kh, kh),
+                                   np.stack([col2im(yb, shape[1:], kh, kh) for yb in blocks]))
 
     def test_batched_convolutions_match_per_sample(self):
         rng = np.random.default_rng(303)
         for _ in range(20):
-            (b, c, h, w), kh, spec = self.random_geometry(rng)
+            (b, c, h, w), kh = self.random_geometry(rng)
             k = int(rng.integers(1, 4))
             x = rng.normal(size=(b, c, h, w))
             wt = rng.normal(size=(k, c, kh, kh))
             bias = rng.normal(size=k)
-            out = conv2d(x, wt, bias, spec)
-            npt.assert_allclose(out, np.stack([conv2d(xb, wt, bias, spec) for xb in x]), rtol=1e-12, atol=1e-12)
+            out = conv2d(x, wt, bias)
+            npt.assert_allclose(out, np.stack([conv2d(xb, wt, bias) for xb in x]), rtol=1e-12, atol=1e-12)
             dout = rng.normal(size=out.shape)
-            npt.assert_allclose(conv2d_weight_grad(x, dout, kh, kh, spec),
-                                sum(conv2d_weight_grad(xb, db, kh, kh, spec) for xb, db in zip(x, dout)),
+            npt.assert_allclose(conv2d_weight_grad(x, dout, kh, kh),
+                                sum(conv2d_weight_grad(xb, db, kh, kh) for xb, db in zip(x, dout)),
                                 rtol=1e-12, atol=1e-12)
-            npt.assert_allclose(conv2d_input_grad(dout, wt, x.shape, spec),
-                                np.stack([conv2d_input_grad(db, wt, x.shape[1:], spec) for db in dout]),
+            npt.assert_allclose(conv2d_input_grad(dout, wt),
+                                np.stack([conv2d_input_grad(db, wt) for db in dout]),
                                 rtol=1e-12, atol=1e-12)
             npt.assert_allclose(conv2d_bias_grad(dout), dout.sum(axis=(0, 2, 3)), rtol=1e-12)
 
     def test_precomputed_columns_give_identical_results(self):
         rng = np.random.default_rng(304)
-        spec = ConvSpec(stride=1, pad=1)
         x = rng.normal(size=(3, 2, 5, 4))
         wt = rng.normal(size=(4, 2, 3, 3))
-        cols = im2col(x, 3, 3, spec)
-        out = conv2d(x, wt, np.zeros(4), spec)
-        npt.assert_array_equal(conv2d(x, wt, np.zeros(4), spec, cols=cols), out)
-        npt.assert_array_equal(conv2d_weight_grad(x, out, 3, 3, spec, cols=cols),
-                               conv2d_weight_grad(x, out, 3, 3, spec))
+        cols = im2col(x, 3, 3)
+        out = conv2d(x, wt, np.zeros(4))
+        npt.assert_array_equal(conv2d(x, wt, np.zeros(4), cols=cols), out)
+        npt.assert_array_equal(conv2d_weight_grad(x, out, 3, 3, cols=cols),
+                               conv2d_weight_grad(x, out, 3, 3))
 
     def test_transposed_conv_equals_tied_decoder_at_same_padding(self):
-        # conv2d(z, tied(W)) == conv2d_input_grad(z, W) at stride 1, pad (k-1)/2
+        # conv2d(z, tied(W)) == conv2d_input_grad(z, W) for the same-size convolution
         rng = np.random.default_rng(305)
         for kh in (1, 3, 5):
-            spec = ConvSpec(stride=1, pad=(kh - 1) // 2)
             wt = rng.normal(size=(4, 3, kh, kh))
             z = rng.normal(size=(2, 4, 6, 5))
-            npt.assert_allclose(conv2d_input_grad(z, wt, (2, 3, 6, 5), spec),
-                                conv2d(z, tied_decoder_weights(wt), np.zeros(3), spec),
+            npt.assert_allclose(conv2d_input_grad(z, wt),
+                                conv2d(z, tied_decoder_weights(wt), np.zeros(3)),
                                 rtol=1e-12, atol=1e-12)
 
 
@@ -335,3 +364,11 @@ class TestMaxpool2:
     def test_rejects_non_3d(self):
         with pytest.raises(ShapeError):
             maxpool2(np.zeros((4, 4)))
+
+
+def test_readme_lists_every_public_kernel():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("`zbcae.ops` exposes", 1)[1].split(". ", 1)[0]
+    public = {name for name, fn in vars(ops).items()
+              if callable(fn) and not name.startswith("_") and getattr(fn, "__module__", None) == ops.__name__}
+    assert set(re.findall(r"`(\w+)`", sentence)) == public

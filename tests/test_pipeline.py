@@ -51,7 +51,7 @@ class TestCheckpoints:
         loaded, bias_mode, loaded_meta = load_cae_checkpoint(path)
         npt.assert_array_equal(loaded.w_e, model.w_e)
         npt.assert_array_equal(loaded.b_e, model.b_e)
-        assert loaded.spec == model.spec
+        assert loaded.kernel == model.kernel
         assert loaded.decoder_relu == model.decoder_relu
         assert bias_mode == BIAS_ALWAYS_ZERO
         assert loaded_meta == meta
