@@ -6,7 +6,8 @@ problems exit 2, numerical failures exit 3.
 
 
 class ShapeError(ValueError):
-    """An operand's dimensionality or extents do not fit the operation."""
+    """An operand's dimensionality, extents or values (a label that is not a
+    class index, a non-finite feature) do not fit the operation."""
 
 
 class TensorFileError(ValueError):

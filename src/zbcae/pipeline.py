@@ -139,6 +139,8 @@ def load_features_file(path):
     features, labels = records["features"], records["labels"]
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise TensorFileError(f"{path}: features/labels shapes are inconsistent")
+    if not np.isfinite(features).all():
+        raise TensorFileError(f"{path}: record 'features' holds non-finite values")
     classes = _class_names(path, records)
     bad = ~((labels >= 0) & (labels < len(classes)) & (labels == np.floor(labels)))
     if bad.any():

@@ -9,14 +9,39 @@ with t_ic = +1 when y_i == c and -1 otherwise.  Biases are not regularized
 and the data term is not normalized by n.  The squared hinge is
 continuously differentiable, so plain gradient-based minimization applies.
 
+``train_svm`` does not run L-BFGS on (W, b) directly: on features with a
+common offset, such as rectified CAE features, that problem is so badly
+conditioned that the default 500 iterations end far from the optimum.  It
+changes variables once instead.  With mu the feature mean and
+Xc = X - 1 mu^T (never formed: its Gram matrix is X X^T minus its row and
+column means when n <= D, else X^T X - n mu mu^T), write
+Xc = U S V^T, dropping squared singular values below n * eps * max.
+Writing b = b' - W mu, the scores are Xc W^T + b', and at the optimum every
+w_c lies in the row space of Xc (the representer theorem; Chapelle,
+"Training a SVM in the primal", Neural Comp. 2007).  So the solve runs on
+
+    Z = U S (lam + S^2)^(-1/2),  regularizer weight lam / (lam + s_k^2) per
+    coordinate,  bias b' = c / sqrt(n),
+
+the same squared-hinge objective in r = rank(Xc) coordinates per class, in
+which the Hessian at the zero start is 2I: L-BFGS preconditioned by
+(lam I + Xc^T Xc)^(-1) (Nocedal & Wright, Numerical Optimization, 7.2).
+The solution u, c maps back as W = (u (lam + S^2)^(-1/2) / S) U^T X
+= (u / S^2) Z^T X (U^T 1 = 0 lets X stand in for Xc) and
+b = c / sqrt(n) - W mu.  ``grad_tol``
+bounds the infinity norm of the gradient in these whitened coordinates;
+``rel_loss_tol`` and ``max_iters`` mean what they say, as the objective
+value is the same in both coordinate systems.
+
 L-BFGS runs the two-loop recursion in Gram space: the newest m curvature
 pairs sit in one preallocated (2m, N) array beside the (2m, 2m) Gram matrix
 of its rows, and the recursion itself is scalar work on 2m + 1
 coefficients.  An iteration reads the array with three BLAS matrix-vector
 products: two against the new s and gradient when a pair is stored, one to
-form the direction.  The history holds 2·m·N floats, as m separate pairs
-would: at m = 10, 6.5 MB for 10 classes over 4096 features and 64 MB for
-2 classes over 200704.
+form the direction.  In ``train_svm`` N = C * (r + 1), so the history holds
+2m * C * (r + 1) floats: at m = 10, 1.6 MB for 10 classes over 1000
+samples and 2.6 KB for 2 classes over 8, where the same history over all
+D + 1 parameters took 6.5 MB and 64 MB.
 """
 
 from __future__ import annotations
@@ -121,7 +146,8 @@ def squared_hinge_objective(weights, biases, x, y, lam):
     Returns (value, dW, db).  Gradient of an active margin term
     (1 - t*s > 0) w.r.t. w_c is -2 * t * x * (1 - t*s); the regularizer adds
     2*lam*w_c.  Inactive terms contribute nothing, and the transition is
-    smooth because the hinge is squared.
+    smooth because the hinge is squared.  ``lam`` is a scalar or one weight
+    per feature coordinate, shared by every class.
     """
     w = np.asarray(weights, dtype=np.float64)
     b = np.asarray(biases, dtype=np.float64)
@@ -138,7 +164,7 @@ def squared_hinge_objective(weights, biases, x, y, lam):
     t[np.arange(n), y] = 1.0
     active = np.maximum(0.0, 1.0 - t * scores)  # (n, n_classes)
 
-    value = lam * float((w * w).sum()) + float((active * active).sum())
+    value = float((lam * (w * w)).sum()) + float((active * active).sum())
     coeff = t * active  # zero wherever the hinge is inactive
     dw = 2.0 * lam * w - 2.0 * (coeff.T @ x)
     db = -2.0 * coeff.sum(axis=0)
@@ -273,24 +299,64 @@ def lbfgs_minimize(objective, x0, config: LbfgsConfig | None = None, callback=No
     return LbfgsResult(x=x, value=float(f), iterations=config.max_iters, reason="max_iters")
 
 
-def train_svm(x, y, n_classes, config: SvmTrainConfig | None = None, class_names=None) -> SvmModel:
-    """Fit the one-vs-rest squared-hinge SVM from zero initialization.
-
-    The objective is convex, so the zero start makes training deterministic
-    for given inputs.  Warns when a class has no training sample, and when
-    L-BFGS stops on "max_iters" or "line_search_failed" without converging.
-    """
-    config = config or SvmTrainConfig()
+def _check_training_data(x, y, n_classes):
+    """Validate ``train_svm``'s inputs once; returns (x, y) as float64 and
+    int64.  Malformed shapes, labels that are not class indices (negative,
+    fractional, non-finite or >= ``n_classes``) and non-finite features
+    raise ShapeError."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    if not np.issubdtype(y.dtype, np.integer):
-        y = y.astype(np.int64)
     if n_classes < 2:
         raise ShapeError(f"need at least 2 classes, got {n_classes}")
     if x.ndim != 2:
         raise ShapeError(f"features must be a n x D matrix, got shape {x.shape}")
+    if x.shape[1] < 1:
+        raise ShapeError("feature dimension must be >= 1")
     if x.shape[0] < n_classes:
         raise ShapeError(f"need at least {n_classes} samples, got {x.shape[0]}")
+    if y.shape != (x.shape[0],):
+        raise ShapeError(f"labels must have shape ({x.shape[0]},), got {y.shape}")
+    bad = ~((y >= 0) & (y < n_classes) & (y == np.floor(y)))
+    if bad.any():
+        raise ShapeError(f"label {y[bad][0]} is not a class index in 0..{n_classes - 1}")
+    if not np.isfinite(x).all():
+        raise ShapeError("features contain non-finite values")
+    return x, y.astype(np.int64)
+
+
+def _principal_scores(x, mu):
+    """Squared singular values s2 and scores P = U S (n x r) of the centred
+    features Xc = X - 1 mu^T = U S V^T, from an eigendecomposition of the
+    smaller Gram matrix formed without copying X: the n x n X X^T minus its
+    column and row means when n <= D (P = U S), else the D x D
+    X^T X - n mu mu^T (P = X V - 1 mu^T V).  Squared singular values below
+    n * eps * max are dropped as rounding."""
+    n, d = x.shape
+    if n <= d:
+        gram = x @ x.T
+        gram -= gram.mean(axis=0)
+        gram -= gram.mean(axis=1)[:, None]
+    else:
+        gram = x.T @ x
+        gram -= n * np.outer(mu, mu)
+    s2, basis = np.linalg.eigh(gram)
+    keep = s2 > n * np.finfo(np.float64).eps * s2.max()
+    s2, basis = s2[keep], basis[:, keep]
+    return s2, basis * np.sqrt(s2) if n <= d else x @ basis - mu @ basis
+
+
+def train_svm(x, y, n_classes, config: SvmTrainConfig | None = None, class_names=None) -> SvmModel:
+    """Fit the one-vs-rest squared-hinge SVM from zero initialization.
+
+    L-BFGS runs in the centred, whitened row space described in the module
+    docstring and the solution is mapped back to (W, b).  The objective is
+    convex and the start is zero, so training is deterministic for given
+    inputs.  Inputs are validated before any decomposition (ShapeError).
+    Warns when a class has no training sample, and when L-BFGS stops on
+    "max_iters" or "line_search_failed" without converging.
+    """
+    config = config or SvmTrainConfig()
+    x, y = _check_training_data(x, y, n_classes)
     present = np.bincount(y, minlength=n_classes) > 0
     if not present.all():
         missing = [int(c) for c in np.flatnonzero(~present)]
@@ -298,21 +364,29 @@ def train_svm(x, y, n_classes, config: SvmTrainConfig | None = None, class_names
     if class_names is None:
         class_names = [str(c) for c in range(n_classes)]
 
-    d = x.shape[1]
+    n = x.shape[0]
+    mu = x.mean(axis=0)
+    s2, pcs = _principal_scores(x, mu)
+    scale = 1.0 / np.sqrt(config.lam + s2)
+    z = pcs * scale
+    lam = config.lam * scale * scale  # lam / (lam + s2) per coordinate
+    root_n = np.sqrt(n)
+    size = n_classes * s2.size
 
     def objective(theta):
-        w = theta[: n_classes * d].reshape(n_classes, d)
-        b = theta[n_classes * d :]
-        value, dw, db = squared_hinge_objective(w, b, x, y, config.lam)
-        return value, np.concatenate([dw.ravel(), db])
+        value, du, db = squared_hinge_objective(theta[:size].reshape(n_classes, -1), theta[size:] / root_n,
+                                                z, y, lam)
+        return value, np.concatenate([du.ravel(), db / root_n])
 
-    result = lbfgs_minimize(objective, np.zeros(n_classes * d + n_classes), config.lbfgs)
+    result = lbfgs_minimize(objective, np.zeros(size + n_classes), config.lbfgs)
     if result.reason in ("max_iters", "line_search_failed"):
         warnings.warn(f"L-BFGS stopped on {result.reason} after {result.iterations} iterations "
                       "without converging", stacklevel=2)
+    # W = (u scale / S) U^T Xc = (u / s2) Z^T X, since U^T 1 = 0
+    weights = (result.x[:size].reshape(n_classes, -1) / s2) @ z.T @ x
     return SvmModel(
-        weights=result.x[: n_classes * d].reshape(n_classes, d),
-        biases=result.x[n_classes * d :],
+        weights=weights,
+        biases=result.x[size:] / root_n - weights @ mu,
         class_names=list(class_names),
     )
 

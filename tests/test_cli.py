@@ -203,6 +203,27 @@ class TestExitCodes:
         assert "is not a class index" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train-svm", "evaluate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_features_file_is_data_error(self, tmp_path, capsys, command, value):
+        # evaluate used to score a NaN row as NaN and predict class 0 for it
+        from zbcae.pipeline import save_features_file, save_svm_checkpoint
+        from zbcae.svm import SvmModel
+
+        features, out = tmp_path / "features.zten", tmp_path / "out"
+        x = np.eye(3)
+        x[1, 2] = value
+        save_features_file(features, x, [0.0, 1.0, 1.0], ["a", "b"], {})
+        if command == "train-svm":
+            argv = ["train-svm", "--features", str(features), "--out", str(out)]
+        else:
+            model = tmp_path / "svm.zten"
+            save_svm_checkpoint(model, SvmModel(np.eye(2, 3), np.zeros(2), ["a", "b"]), 1.0, {})
+            argv = ["evaluate", "--svm", str(model), "--features", str(features), "--report", str(out)]
+        assert dispatch(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_loss_is_numerical_error(self, synth_dir, tmp_path, capsys, monkeypatch):
         # a diverging CLI run with the ReLU decoder collapses to a finite
         # dead fixed point rather than overflowing, so exercise the exit
@@ -445,3 +466,37 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["cae_weights"] < 1e-4
+
+    def test_staged_svm_reports_identical_across_thread_counts(self, tmp_path):
+        # eigh and GEMM bits may depend on the BLAS thread count, so the
+        # model may too; the report must not
+        import subprocess
+        import sys
+
+        import zbcae
+        from zbcae.pipeline import save_features_file
+
+        rng = np.random.default_rng(80)
+        classes = [f"class_{c}" for c in range(10)]
+        for split, n in (("train", 300), ("test", 100)):
+            labels = np.arange(n) % 10
+            x = rng.normal(size=(n, 1024))
+            for c in range(10):
+                x[labels == c, 102 * c:102 * (c + 1)] += 0.5
+            save_features_file(tmp_path / f"{split}.zten", np.maximum(x, 0.0), labels, classes, {})
+        src = str(Path(zbcae.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, ZBCAE_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            model, report = tmp_path / f"svm{threads}.zten", tmp_path / f"report{threads}.json"
+            for argv in (["train-svm", "--features", str(tmp_path / "train.zten"), "--out", str(model)],
+                         ["evaluate", "--svm", str(model), "--features", str(tmp_path / "test.zten"),
+                          "--report", str(report)]):
+                proc = subprocess.run([sys.executable, "-m", "zbcae.cli", *argv],
+                                      capture_output=True, text=True, env=env)
+                assert proc.returncode == 0, proc.stderr
+                assert proc.stderr == ""  # converged: no solver warning line
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["results"]["n_test"] == 100

@@ -1,9 +1,11 @@
 """Classifier tests: squared-hinge objective against hand calculations and
 finite differences, L-BFGS on problems with known minima, its Gram-space
-direction against the vector two-loop recursion, end-to-end fits on
-separable data and against scipy's optimum."""
+direction against the vector two-loop recursion, the whitened row-space
+solve against the primal objective, end-to-end fits on separable data and
+against scipy's optimum."""
 
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import numpy.testing as npt
@@ -69,6 +71,22 @@ class TestSquaredHingeObjective:
 
             assert max_rel_error(dw, central_diff_grad(f, w)) < 1e-6
             assert max_rel_error(db, central_diff_grad(f, b)) < 1e-6
+
+    def test_per_coordinate_lam_matches_finite_differences_and_the_sum(self):
+        # a lam array weights each feature coordinate's square, in every class
+        rng = np.random.default_rng(59)
+        x = rng.normal(size=(6, 4))
+        y = rng.integers(0, 3, size=6)
+        w, b, lam = rng.normal(size=(3, 4)), rng.normal(size=3), rng.uniform(0.1, 2.0, size=4)
+        value, dw, db = squared_hinge_objective(w, b, x, y, lam)
+        hinge = squared_hinge_objective(w, b, x, y, 0.0)[0]
+        assert value == pytest.approx(hinge + float((lam * w * w).sum()), rel=1e-14)
+
+        def f():
+            return squared_hinge_objective(w, b, x, y, lam)[0]
+
+        assert max_rel_error(dw, central_diff_grad(f, w)) < 1e-6
+        assert max_rel_error(db, central_diff_grad(f, b)) < 1e-6
 
     def test_midpoint_convexity(self):
         rng = np.random.default_rng(52)
@@ -374,18 +392,26 @@ class TestTrainSvm:
         npt.assert_array_equal(warned.biases, quiet.biases)
 
     def test_line_search_failure_warns(self, monkeypatch):
-        # a value that always rises along the search direction makes every
-        # trial step fail the Armijo test
+        # a value that always rises away from the start makes every trial
+        # step of the objective train_svm hands to L-BFGS fail the Armijo test
         from zbcae import svm
 
-        def uphill(weights, biases, x, y, lam):
-            value, dw, db = squared_hinge_objective(weights, biases, x, y, lam)
-            return value + 1e3 * float(np.abs(weights).sum() + np.abs(biases).sum()), dw, db
+        solve = svm.lbfgs_minimize
 
-        monkeypatch.setattr(svm, "squared_hinge_objective", uphill)
+        def uphill_solve(objective, x0, config=None, callback=None):
+            def uphill(theta):
+                value, grad = objective(theta)
+                return value + 1e3 * float(np.abs(theta).sum()), grad
+
+            return solve(uphill, x0, config, callback)
+
+        monkeypatch.setattr(svm, "lbfgs_minimize", uphill_solve)
         x = np.array([[-1.0], [1.0]])
         with pytest.warns(UserWarning, match="line_search_failed after 0 iterations"):
-            train_svm(x, np.array([0, 1]), 2)
+            model = train_svm(x, np.array([0, 1]), 2)
+        # the last accepted point is the zero start, which maps back to zero
+        npt.assert_array_equal(model.weights, np.zeros((2, 1)))
+        npt.assert_array_equal(model.biases, np.zeros(2))
 
     def test_converged_fit_does_not_warn(self):
         rng = np.random.default_rng(56)
@@ -399,18 +425,78 @@ class TestTrainSvm:
         model = train_svm(x, np.array([0, 1]), 2, class_names=["neg", "pos"])
         assert model.class_names == ["neg", "pos"]
 
+    @pytest.mark.parametrize("label", [-1, 1.7, 3, float("nan")], ids=["negative", "fractional", "too-large", "nan"])
+    def test_label_that_is_not_a_class_index_is_shape_error(self, label):
+        x = np.arange(8.0).reshape(4, 2)
+        with pytest.raises(ShapeError, match="not a class index"):
+            train_svm(x, np.array([0, 1, 2, label]), 3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_are_shape_error(self, value):
+        # a ShapeError, not numpy's LinAlgError: the features are checked
+        # before the decomposition sees them
+        x = np.arange(8.0).reshape(4, 2)
+        x[2, 1] = value
+        with pytest.raises(ShapeError, match="non-finite"):
+            train_svm(x, np.array([0, 1, 0, 1]), 2)
+
+    @pytest.mark.parametrize("value", [0.0, 3.0])
+    def test_constant_features_fit_the_biases_alone(self, value):
+        # the centred features are zero, so no coordinate is kept and only
+        # the biases are solved: 3(1 - b)^2 + 4(1 + b)^2 is least at b = -1/7
+        x = np.full((7, 5), value)
+        model = train_svm(x, np.array([0, 0, 0, 1, 1, 2, 2]), 3)
+        npt.assert_array_equal(model.weights, np.zeros((3, 5)))
+        npt.assert_allclose(model.biases, [-1 / 7, -3 / 7, -3 / 7], rtol=1e-9)
+
+
+def relu_blobs(rng, n, d, c):
+    """Nonnegative features with a positive mean, as the CAE extraction
+    makes them: class k raises its block of coordinates before rectifying."""
+    y = np.arange(n) % c
+    signal = np.zeros((n, d))
+    block = d // c
+    for k in range(c):
+        signal[y == k, k * block:(k + 1) * block] = 0.5
+    return np.maximum(0.0, rng.normal(size=(n, d)) + signal), y
+
+
+class TestWhitenedSolve:
+    """``train_svm`` minimizes the objective in whitened row-space
+    coordinates; mapped back, every point it reports must carry the same
+    primal objective value."""
+
+    @pytest.mark.parametrize("max_iters", [3, 500], ids=["stopped-early", "converged"])
+    @pytest.mark.parametrize("n, d, lam", [(40, 200, 1.0), (60, 8, 0.01), (30, 30, 1.0)],
+                             ids=["n-below-d", "n-above-d", "square"])
+    def test_solved_value_is_the_primal_objective_at_the_mapped_point(self, monkeypatch, n, d, lam, max_iters):
+        from zbcae import svm
+
+        solve, solved = svm.lbfgs_minimize, []
+
+        def spy(objective, x0, config=None, callback=None):
+            result = solve(objective, x0, config, callback)
+            solved.append(result)
+            return result
+
+        monkeypatch.setattr(svm, "lbfgs_minimize", spy)
+        x, y = relu_blobs(np.random.default_rng(73), n, d, 3)
+        stopped = pytest.warns(UserWarning, match="max_iters after 3") if max_iters == 3 else nullcontext()
+        with stopped:
+            model = train_svm(x, y, 3, SvmTrainConfig(lam=lam, lbfgs=LbfgsConfig(max_iters=max_iters)))
+        primal = squared_hinge_objective(model.weights, model.biases, x, y, lam)[0]
+        assert abs(primal - solved[0].value) <= 1e-12 * abs(primal)
+
 
 class TestScipyOptimumOracle:
     """The optimum ``train_svm`` reaches against scipy's L-BFGS-B on the same
-    convex objective (squared-hinge primal: Chapelle, Neural Comp. 2007)."""
+    convex objective in the original coordinates (squared-hinge primal:
+    Chapelle, Neural Comp. 2007)."""
 
-    @pytest.mark.parametrize("seed", [70, 71, 72])
-    def test_objective_and_predictions_match_scipy(self, seed):
+    @staticmethod
+    def check_against_scipy(x, y, c, lam, probe):
         optimize = pytest.importorskip("scipy.optimize")
-        rng = np.random.default_rng(seed)
-        n, d, c, lam = 60, 8, 3, 1.0
-        y = np.arange(n) % c
-        x = rng.normal(size=(n, d)) + 1.5 * np.eye(c, d)[y]
+        d = x.shape[1]
 
         def flat_objective(theta):
             value, dw, db = squared_hinge_objective(theta[: c * d].reshape(c, d), theta[c * d :], x, y, lam)
@@ -423,8 +509,25 @@ class TestScipyOptimumOracle:
         ours = squared_hinge_objective(model.weights, model.biases, x, y, lam)[0]
         assert abs(ours - ref.fun) <= 1e-6 * abs(ref.fun)
         ref_model = SvmModel(weights=ref.x[: c * d].reshape(c, d), biases=ref.x[c * d :], class_names=list("abc"))
-        probe = np.vstack([x, rng.normal(size=(200, d)) + 1.5 * np.eye(c, d)[np.arange(200) % c]])
         npt.assert_array_equal(predict_many(model, probe), predict_many(ref_model, probe))
+
+    @pytest.mark.parametrize("seed", [70, 71, 72])
+    def test_objective_and_predictions_match_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d, c = 60, 8, 3
+        y = np.arange(n) % c
+        x = rng.normal(size=(n, d)) + 1.5 * np.eye(c, d)[y]
+        probe = np.vstack([x, rng.normal(size=(200, d)) + 1.5 * np.eye(c, d)[np.arange(200) % c]])
+        self.check_against_scipy(x, y, c, 1.0, probe)
+
+    @pytest.mark.parametrize("seed", [70, 71, 72])
+    def test_fewer_samples_than_features_match_scipy(self, seed):
+        # n < D with nonnegative, offset features: the regime where the
+        # row-space reduction and the centring matter
+        rng = np.random.default_rng(seed)
+        x, y = relu_blobs(rng, 40, 200, 3)
+        probe = np.vstack([x, relu_blobs(rng, 200, 200, 3)[0]])
+        self.check_against_scipy(x, y, 3, 1.0, probe)
 
 
 class TestPredict:
