@@ -15,10 +15,15 @@ Layout, all integers little-endian:
 Round trips are byte-exact: load(save(T)) compares equal bitwise and
 re-saving reproduces the identical file.  Malformed files raise a distinct
 error naming the byte offset of the problem.
+
+A load reads each payload once, straight into the array it returns, after
+checking its length against the bytes left in the file, so the memory a
+load takes is bounded by the size of its records.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import Mapping
@@ -60,68 +65,88 @@ def save_tensors(path, tensors: Mapping[str, np.ndarray]) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
+    """Sequential reads from an open file of known size, each checked
+    against the bytes left before anything is read or allocated."""
+
+    def __init__(self, f, size: int, path):
+        self.f = f
+        self.size = size
         self.path = path
         self.offset = 0
 
+    def _truncated(self, n: int, what: str) -> TruncatedFileError:
+        return TruncatedFileError(
+            f"{self.path}: truncated while reading {what} at offset {self.offset}: "
+            f"need {n} bytes, {self.size - self.offset} remain"
+        )
+
     def take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.data):
-            raise TruncatedFileError(
-                f"{self.path}: truncated while reading {what} at offset {self.offset}: "
-                f"need {n} bytes, {len(self.data) - self.offset} remain"
-            )
-        out = self.data[self.offset : self.offset + n]
+        if self.offset + n > self.size:
+            raise self._truncated(n, what)
+        out = self.f.read(n)
+        if len(out) != n:
+            raise self._truncated(n, what)
         self.offset += n
         return out
 
     def unpack(self, fmt: str, what: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
+    def take_f64(self, count: int, what: str) -> np.ndarray:
+        """``count`` little-endian float64s read straight into a new array."""
+        n = 8 * count
+        if self.offset + n > self.size:
+            raise self._truncated(n, what)
+        out = np.empty(count, dtype="<f8")
+        if n and self.f.readinto(out) != n:
+            raise self._truncated(n, what)
+        self.offset += n
+        return out
+
 
 def load_tensors(path) -> dict:
     """Read every record into a dict of float64 arrays, in file order."""
-    data = Path(path).read_bytes()
-    r = _Reader(data, path)
-    magic = r.take(4, "magic")
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r} at offset 0, expected {MAGIC!r}")
-    (version,) = r.unpack("<I", "format version")
-    if version != VERSION:
-        raise VersionError(f"{path}: unsupported format version {version} at offset 4, expected {VERSION}")
-    (count,) = r.unpack("<I", "record count")
+    with open(path, "rb") as f:
+        r = _Reader(f, os.fstat(f.fileno()).st_size, path)
+        magic = r.take(4, "magic")
+        if magic != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r} at offset 0, expected {MAGIC!r}")
+        (version,) = r.unpack("<I", "format version")
+        if version != VERSION:
+            raise VersionError(f"{path}: unsupported format version {version} at offset 4, expected {VERSION}")
+        (count,) = r.unpack("<I", "record count")
 
-    out = {}
-    for _ in range(count):
-        name_offset = r.offset
-        (name_len,) = r.unpack("<H", "record name length")
-        try:
-            name = r.take(name_len, "record name").decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise TensorFileError(f"{path}: record name at offset {name_offset + 2} is not valid UTF-8: {e}") from e
-        if name in out:
-            raise DuplicateRecordError(f"{path}: duplicate record name {name!r} at offset {name_offset}")
-        dtype_offset = r.offset
-        dtype, ndim = r.unpack("<BB", "dtype and ndim")
-        if dtype != DTYPE_F64:
-            raise TensorFileError(
-                f"{path}: unknown dtype code {dtype} at offset {dtype_offset} in record {name!r}"
-            )
-        extents_offset = r.offset
-        extents = r.unpack(f"<{ndim}Q", "extents") if ndim else ()
-        n_elems = 1
-        for e in extents:
-            n_elems *= e
-        payload = r.take(8 * n_elems, f"payload of record {name!r}")
-        try:
-            out[name] = np.frombuffer(payload, dtype="<f8").reshape(extents).copy()
-        except ValueError as e:
-            raise TensorFileError(
-                f"{path}: extents {extents} at offset {extents_offset} in record {name!r} "
-                f"do not form an array: {e}"
-            ) from e
-    if r.offset != len(data):
+        out = {}
+        for _ in range(count):
+            name_offset = r.offset
+            (name_len,) = r.unpack("<H", "record name length")
+            try:
+                name = r.take(name_len, "record name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise TensorFileError(f"{path}: record name at offset {name_offset + 2} is not valid UTF-8: {e}") from e
+            if name in out:
+                raise DuplicateRecordError(f"{path}: duplicate record name {name!r} at offset {name_offset}")
+            dtype_offset = r.offset
+            dtype, ndim = r.unpack("<BB", "dtype and ndim")
+            if dtype != DTYPE_F64:
+                raise TensorFileError(
+                    f"{path}: unknown dtype code {dtype} at offset {dtype_offset} in record {name!r}"
+                )
+            extents_offset = r.offset
+            extents = r.unpack(f"<{ndim}Q", "extents") if ndim else ()
+            n_elems = 1
+            for e in extents:
+                n_elems *= e
+            payload = r.take_f64(n_elems, f"payload of record {name!r}")
+            try:
+                out[name] = payload.reshape(extents)
+            except ValueError as e:
+                raise TensorFileError(
+                    f"{path}: extents {extents} at offset {extents_offset} in record {name!r} "
+                    f"do not form an array: {e}"
+                ) from e
+    if r.offset != r.size:
         raise TensorFileError(
-            f"{path}: {len(data) - r.offset} trailing bytes after the last record at offset {r.offset}"
+            f"{path}: {r.size - r.offset} trailing bytes after the last record at offset {r.offset}"
         )
     return out

@@ -18,6 +18,7 @@ from zbcae.svm import (
     SvmModel,
     SvmTrainConfig,
     _CurvatureHistory,
+    _principal_scores,
     lbfgs_minimize,
     predict,
     predict_many,
@@ -105,6 +106,12 @@ class TestSquaredHingeObjective:
     def test_label_out_of_range(self):
         with pytest.raises(ShapeError, match="label"):
             squared_hinge_objective(np.zeros((2, 1)), np.zeros(2), np.ones((1, 1)), np.array([5]), 1.0)
+
+    @pytest.mark.parametrize("label", [1.7, -1, float("nan")], ids=["fractional", "negative", "nan"])
+    def test_label_that_is_not_a_class_index_is_shape_error(self, label):
+        # a fractional label is rejected, not truncated to a class index
+        with pytest.raises(ShapeError, match="not a class index"):
+            squared_hinge_objective(np.zeros((2, 3)), np.zeros(2), np.eye(3), [0, label, 1], 1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError, match="features"):
@@ -527,6 +534,22 @@ class TestScipyOptimumOracle:
         rng = np.random.default_rng(seed)
         x, y = relu_blobs(rng, 40, 200, 3)
         probe = np.vstack([x, relu_blobs(rng, 200, 200, 3)[0]])
+        self.check_against_scipy(x, y, 3, 1.0, probe)
+
+    @pytest.mark.parametrize("n, d", [(40, 200), (60, 8)], ids=["repeated-samples", "dependent-features"])
+    def test_rank_deficient_features_match_scipy(self, n, d):
+        # two repeated samples (n < D) or two features that are sums of
+        # others (n > D) leave at least two squared singular values at
+        # rounding level, which the whitened solve drops
+        rng = np.random.default_rng(74)
+        x, y = relu_blobs(rng, n, d, 3)
+        if n < d:
+            x[-2:], y[-2:] = x[:2], y[:2]
+        else:
+            x = np.hstack([x, x[:, :2] + x[:, 2:4]])
+        s2, _ = _principal_scores(x, x.mean(axis=0))
+        assert s2.size <= min(n, x.shape[1]) - 2
+        probe = np.vstack([x, rng.normal(size=(200, x.shape[1]))])
         self.check_against_scipy(x, y, 3, 1.0, probe)
 
 

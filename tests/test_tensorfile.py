@@ -126,3 +126,25 @@ def test_extents_beyond_numpy_limit_name_offset(tmp_path):
     path.write_bytes(MAGIC + struct.pack("<II", VERSION, 1) + record)
     with pytest.raises(TensorFileError, match=r"extents \(0, 9223372036854775808\) at offset 17"):
         load_tensors(path)
+
+
+def test_payload_longer_than_the_file_is_truncation_not_allocation(tmp_path):
+    # the extents claim 2**40 elements (8 TiB): the loader compares that
+    # with the file size before it allocates anything
+    path = tmp_path / "huge.zten"
+    record = struct.pack("<H", 1) + b"x" + struct.pack("<BB", DTYPE_F64, 2) + struct.pack("<2Q", 2**20, 2**20)
+    path.write_bytes(MAGIC + struct.pack("<II", VERSION, 1) + record + struct.pack("<d", 1.0))
+    assert path.stat().st_size < 100
+    with pytest.raises(TruncatedFileError, match="payload of record 'x' at offset 33"):
+        load_tensors(path)
+
+
+def test_loaded_arrays_are_aligned_writeable_contiguous_float64(tmp_path):
+    # the pipeline runs in-place updates and BLAS on what it loads
+    path = tmp_path / "t.zten"
+    rng = np.random.default_rng(62)
+    save_tensors(path, {"name": np.array(1.0), "a": rng.normal(size=(3, 5)), "b": rng.normal(size=(2, 1, 4)),
+                        "empty": np.zeros((0, 3))})
+    for name, arr in load_tensors(path).items():
+        assert arr.dtype == np.float64, name
+        assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable, name
