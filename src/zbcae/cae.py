@@ -2,9 +2,11 @@
 
 The model owns a single encoder filter bank; decoder filters are always
 derived from it, so no stale decoder state can exist.  Encoding is
-ReLU(conv(x, W_e) + b), decoding is act(conv(z, tied(W_e)) + b_d);
-reconstruction loss is half the summed squared error over a batch.  Every
-convolution is the same-size one of :mod:`zbcae.ops` (stride 1, pad
+ReLU(conv(x, W_e) + b), decoding is ReLU(conv(z, tied(W_e)) + b_d);
+reconstruction loss is half the summed squared error over a batch.
+Training, the loss and its gradients take their samples as one
+(B, C, H, W) array; encoding and feature extraction take a map or a batch.
+Every convolution is the same-size one of :mod:`zbcae.ops` (stride 1, pad
 (kernel - 1) / 2, odd kernel), so the reconstruction lands on the input
 grid.  One batched forward pass serves both the loss and the training
 step; it computes the tied decoder as the transposed convolution with W_e,
@@ -44,13 +46,11 @@ class CaeModel:
 
     w_e: (K, C, kh, kh) encoder filters, square kernels of odd extent only.
     b_e: (K,) encoder biases.  b_d: (C,) decoder biases.
-    decoder_relu: apply ReLU after the decoder convolution (identity when off).
     """
 
     w_e: np.ndarray
     b_e: np.ndarray
     b_d: np.ndarray
-    decoder_relu: bool = True
 
     def __post_init__(self):
         self.w_e = np.ascontiguousarray(self.w_e, dtype=np.float64)
@@ -135,13 +135,7 @@ class LossHistory:
     anneal_events: list = field(default_factory=list)
 
 
-def init_model(
-    n_filters: int,
-    n_channels: int,
-    kernel: int,
-    seed: int,
-    decoder_relu: bool = True,
-) -> CaeModel:
+def init_model(n_filters: int, n_channels: int, kernel: int, seed: int) -> CaeModel:
     """Build a fresh model with fan-balanced uniform filters and zero biases.
 
     Filters are drawn from U[-s, s] with s = sqrt(6 / (fan_in + fan_out)),
@@ -156,12 +150,7 @@ def init_model(
     s = np.sqrt(6.0 / (fan_in + fan_out))
     rng = np.random.default_rng(seed)
     w_e = rng.uniform(-s, s, size=(n_filters, n_channels, kernel, kernel))
-    return CaeModel(
-        w_e=w_e,
-        b_e=np.zeros(n_filters),
-        b_d=np.zeros(n_channels),
-        decoder_relu=decoder_relu,
-    )
+    return CaeModel(w_e=w_e, b_e=np.zeros(n_filters), b_d=np.zeros(n_channels))
 
 
 def encode(model: CaeModel, x: np.ndarray, zero_bias: bool = False) -> np.ndarray:
@@ -171,21 +160,13 @@ def encode(model: CaeModel, x: np.ndarray, zero_bias: bool = False) -> np.ndarra
 
 
 def _as_batch(model: CaeModel, batch) -> np.ndarray:
-    """Validate a batch of (C, H, W) samples, given as a sequence or as one
-    array, and return it as a single (B, C, H, W) float64 array."""
-    if len(batch) == 0:
-        raise ShapeError("batch must contain at least one sample")
-    if isinstance(batch, np.ndarray) and batch.ndim == 4:
-        x = np.ascontiguousarray(batch, dtype=np.float64)
-    else:
-        tensors = [np.asarray(t, dtype=np.float64) for t in batch]
-        shape = tensors[0].shape
-        for i, t in enumerate(tensors):
-            if t.ndim != 3:
-                raise ShapeError(f"sample {i} must be C x H x W, got shape {t.shape}")
-            if t.shape != shape:
-                raise ShapeError(f"sample {i} has shape {t.shape}, expected {shape}")
-        x = np.stack(tensors)
+    """``batch`` as a (B, C, H, W) float64 array; ShapeError unless it has
+    four axes, at least one sample and the model's channel count."""
+    x = np.asarray(batch, dtype=np.float64)
+    if x.shape[:1] == (0,):
+        raise ShapeError("a batch must contain at least one sample; this one is empty")
+    if x.ndim != 4:
+        raise ShapeError(f"a batch must be B x C x H x W, got shape {x.shape}")
     if x.shape[1] != model.n_channels:
         raise ShapeError(f"samples have {x.shape[1]} channels but the model expects {model.n_channels}")
     return x
@@ -213,9 +194,12 @@ def _chunks(model: CaeModel, x: np.ndarray):
     return (x[start : start + step] for start in range(0, len(x), step))
 
 
-def _biases(model: CaeModel, use_bias: bool):
-    """(b_e, b_d) of the forward pass: the model's, or zeros when pinned."""
-    if use_bias:
+def _biases(model: CaeModel, bias_mode: str):
+    """(b_e, b_d) of the forward pass under ``bias_mode``: the model's, or
+    zeros when always-zero pins them."""
+    if bias_mode not in BIAS_MODES:
+        raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
+    if bias_mode == BIAS_TRAIN_THEN_ZERO:
         return model.b_e, model.b_d
     return np.zeros(model.n_filters), np.zeros(model.n_channels)
 
@@ -232,7 +216,7 @@ def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray):
     cols_x = im2col(x, model.kernel, model.kernel)
     z = relu(conv2d(x, model.w_e, b_e, cols=cols_x))
     g = conv2d_input_grad(z, model.w_e) + b_d[:, None, None]
-    return cols_x, z, g, relu(g) if model.decoder_relu else g
+    return cols_x, z, g, relu(g)
 
 
 def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray):
@@ -249,7 +233,7 @@ def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d
     r = y - x
     loss = 0.5 * float((r * r).sum())
 
-    dg = r * (g > 0.0) if model.decoder_relu else r
+    dg = r * (g > 0.0)
     db_d = conv2d_bias_grad(dg)
     cols_dg = im2col(dg, kh, kw)
     dw_dec = conv2d_weight_grad(dg, z, kh, kw, cols=cols_dg)
@@ -265,28 +249,25 @@ def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d
 def _forward_backward(model: CaeModel, batch, bias_mode: str) -> tuple[float, CaeGradients]:
     """(loss, gradients) of a batch, summed over its chunks."""
     x = _as_batch(model, batch)
-    use_bias = bias_mode == BIAS_TRAIN_THEN_ZERO
-    b_e, b_d = _biases(model, use_bias)
+    b_e, b_d = _biases(model, bias_mode)
     total = None
     for chunk in _chunks(model, x):
         part = _chunk_forward_backward(model, chunk, b_e, b_d)
         total = part if total is None else tuple(a + b for a, b in zip(total, part))
     loss, dw_e, db_e, db_d = total
-    if not use_bias:
+    if bias_mode == BIAS_ALWAYS_ZERO:
         db_e = np.zeros(model.n_filters)
         db_d = np.zeros(model.n_channels)
     return loss, CaeGradients(dw_e, db_e, db_d)
 
 
-def reconstruction_loss(model: CaeModel, batch, zero_bias: bool = False) -> float:
+def reconstruction_loss(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO) -> float:
     """Half the summed squared reconstruction error over the batch, from the
-    training step's forward pass, chunk by chunk.
-
-    ``zero_bias`` evaluates the forward pass with both encoder and decoder
-    biases pinned to zero, matching gradients taken in always-zero mode.
+    training step's forward pass, chunk by chunk.  In always-zero mode both
+    biases are pinned to zero, as in the gradients of that mode.
     """
     x = _as_batch(model, batch)
-    b_e, b_d = _biases(model, not zero_bias)
+    b_e, b_d = _biases(model, bias_mode)
     total = 0.0
     for chunk in _chunks(model, x):
         r = _forward(model, chunk, b_e, b_d)[3] - chunk
@@ -302,8 +283,6 @@ def loss_gradients(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO
     exactly 0.  In always-zero mode the bias gradients are zero and the
     forward pass treats both biases as the constant 0.
     """
-    if bias_mode not in BIAS_MODES:
-        raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
     return _forward_backward(model, batch, bias_mode)[1]
 
 
@@ -320,10 +299,10 @@ def sgd_step(model: CaeModel, grads: CaeGradients, lr: float) -> CaeModel:
 def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
     """Run SGD with per-epoch shuffling and plateau-triggered annealing.
 
-    The dataset is a (N, C, H, W) array or a sequence of (C, H, W) tensors;
-    labels never enter this function.  Each epoch the data is reshuffled
-    with the seeded generator and split into batches (the trailing short
-    batch is kept).  The recorded epoch metric is the mean per-sample loss.  An epoch counts toward a
+    The dataset is a (N, C, H, W) array; labels never enter this function.
+    Each epoch the data is reshuffled with the seeded generator and split
+    into batches (the trailing short batch is kept).  The recorded epoch
+    metric is the mean per-sample loss.  An epoch counts toward a
     plateau unless it improves on the best mean loss seen so far by at
     least ``plateau_rel_tol`` (relative); after ``plateau_patience``
     consecutive plateau epochs the learning rate is multiplied by
@@ -332,13 +311,11 @@ def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
     ``progress``, if given, is called as progress(epoch, mean_loss, lr)
     after every epoch.  Returns (model, LossHistory).
     """
-    n = len(dataset)
-    if n == 0:
-        raise ShapeError("training dataset is empty")
+    data = _as_batch(model, dataset)
+    n = len(data)
     history = LossHistory()
     if config.epochs == 0:
         return model, history
-    data = _as_batch(model, dataset)
 
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate

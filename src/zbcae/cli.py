@@ -3,7 +3,10 @@
 Every successful command prints a single JSON document on stdout; training
 progress goes to stderr as one JSON line per epoch, and every warning raised
 during a command as one JSON line too.  Exit codes: 0 success, 1 usage error,
-2 data/format error, 3 numerical failure.
+2 data/format error, 3 numerical failure.  A command that names a manifest
+loads it once, with :func:`~zbcae.dataset.load_dataset` (``run-all`` and
+``sweep`` through :mod:`zbcae.pipeline`'s runners), and hands the stages
+the loaded array.
 
 ZBCAE_THREADS, when set to a positive integer, caps the BLAS thread pools
 (it must take effect before numpy loads, which is why this module is
@@ -25,7 +28,7 @@ from pathlib import Path
 
 from .cae import BIAS_MODES
 from .config import parse_synthetic_spec, resolve_config
-from .dataset import gen_synthetic, load_manifest
+from .dataset import gen_synthetic, load_dataset, load_manifest
 from .errors import ConfigError, ManifestError, NonFiniteLossError, ShapeError, TensorFileError
 from .gradcheck import gradcheck_report
 from .pipeline import (
@@ -97,11 +100,8 @@ def cmd_train_cae(args) -> int:
         "bias_mode": args.bias_mode,
         "seed": args.seed,
     })
-    manifest = load_manifest(args.train)
-    model, _, meta = train_cae_stage(
-        manifest, config.cae, config.filters,
-        kernel=config.kernel, progress=_progress,
-    )
+    tensors, _ = load_dataset(load_manifest(args.train))
+    model, meta = train_cae_stage(tensors, config.cae, config.filters, kernel=config.kernel, progress=_progress)
     save_cae_checkpoint(args.out, model, config.cae.bias_mode, meta)
     _emit({"model": str(args.out), "filters": config.filters, **meta["cae_summary"]})
     return 0
@@ -110,9 +110,10 @@ def cmd_train_cae(args) -> int:
 def cmd_encode(args) -> int:
     model, _, meta = load_cae_checkpoint(args.model)
     manifest = load_manifest(args.manifest)
-    features, labels, classes = extract_stage(model, manifest, args.l2_normalize)
+    tensors, labels = load_dataset(manifest)
+    features = extract_stage(model, tensors, args.l2_normalize)
     meta = {**meta, "l2_normalize": bool(args.l2_normalize)}
-    save_features_file(args.out, features, labels, classes, meta)
+    save_features_file(args.out, features, labels, manifest.classes, meta)
     _emit({
         "features": str(args.out),
         "n_samples": int(features.shape[0]),

@@ -5,7 +5,9 @@ defaults are derived from the component configs: every
 :class:`~zbcae.cae.CaeTrainConfig` field under its own name,
 :class:`~zbcae.svm.SvmTrainConfig`'s ``lam`` as ``lambda``, every
 :class:`~zbcae.svm.LbfgsConfig` field with an ``lbfgs_`` prefix, and
-:class:`CliConfig`'s own geometry and ``l2_normalize`` fields.
+:class:`CliConfig`'s own geometry and ``l2_normalize`` fields.  A
+synthetic-spec file's keys and types are likewise the fields of
+:class:`~zbcae.dataset.SyntheticSpec`.
 """
 
 from __future__ import annotations
@@ -89,10 +91,13 @@ _KEYS = {
 }
 
 
-def _coerce(key: str, value):
+def _coerce(f, key: str, value):
+    """``value`` as the type of dataclass field ``f``, read from its
+    annotation string ("int", "int | None", ...); ConfigError naming
+    ``key`` when it does not parse."""
     if not isinstance(value, str):
         return value  # flag values arrive already typed
-    kind = _KEYS[key][1].type.split(" |")[0]  # the annotation as a string: "int", "int | None", ...
+    kind = f.type.split(" |")[0]
     try:
         if kind == "int":
             return int(value)
@@ -119,13 +124,13 @@ def resolve_config(config_path=None, overrides: dict | None = None) -> CliConfig
         for key, raw in parse_config_file(config_path).items():
             if key not in _KEYS:
                 raise ConfigError(f"{config_path}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw)
+            values[key] = _coerce(_KEYS[key][1], key, raw)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, value)
+        values[key] = _coerce(_KEYS[key][1], key, value)
     parts = {owner: {} for owner, _ in _KEYS.values()}
     for key, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
@@ -141,26 +146,13 @@ def resolve_config(config_path=None, overrides: dict | None = None) -> CliConfig
         raise ConfigError(str(e)) from e
 
 
-_SYNTH_KEYS = {
-    "n_classes": int,
-    "samples_per_class": int,
-    "channels": int,
-    "height": int,
-    "width": int,
-    "mu": float,
-    "sigma": float,
-    "seed": int,
-}
-
-
 def parse_synthetic_spec(path) -> SyntheticSpec:
-    """Read a SyntheticSpec from a key=value file."""
+    """Read a SyntheticSpec from a key=value file whose keys and types are
+    the spec's fields."""
+    spec_fields = {f.name: f for f in fields(SyntheticSpec)}
     values = {}
     for key, raw in parse_config_file(path).items():
-        if key not in _SYNTH_KEYS:
+        if key not in spec_fields:
             raise ConfigError(f"{path}: unknown synthetic spec key {key!r}")
-        try:
-            values[key] = _SYNTH_KEYS[key](raw)
-        except ValueError as e:
-            raise ConfigError(f"{path}: key {key!r} expects {_SYNTH_KEYS[key].__name__}, got {raw!r}") from e
+        values[key] = _coerce(spec_fields[key], key, raw)
     return SyntheticSpec(**values)

@@ -2,15 +2,18 @@
 
 A manifest is a JSON document listing (tensor file, record name, label)
 triples plus the ordered class-name table; tensor paths are relative to the
-manifest's directory.  The synthetic generator is the desk-scale stand-in
-for imported CNN feature maps: class identity is a mean shift on a block of
-channels under Gaussian noise, rectified so inputs are non-negative like
-real post-ReLU maps.
+manifest's directory.  :func:`load_dataset` is the one place a manifest
+becomes samples: a single (N, C, H, W) array that every stage takes.
+
+The synthetic generator is the desk-scale stand-in for imported CNN feature
+maps: class identity is a mean shift on a block of channels under Gaussian
+noise, rectified so inputs are non-negative like real post-ReLU maps.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,25 +49,33 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def load_manifest(path) -> DatasetManifest:
+    """Read and validate a manifest.  Anything but an object whose
+    ``classes`` is a list of strings and whose ``items`` is a list of
+    objects with a string ``path`` and ``record`` and an integer class index
+    ``label`` (not a float, bool or string) raises ManifestError naming the
+    file and, for an item, its index."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ManifestError(f"{path}: not valid JSON: {e}") from e
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ManifestError(f"{path}: not valid UTF-8 JSON: {e}") from e
     if not isinstance(doc, dict) or "classes" not in doc or "items" not in doc:
         raise ManifestError(f"{path}: manifest must be an object with 'classes' and 'items'")
     classes = doc["classes"]
     if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
         raise ManifestError(f"{path}: 'classes' must be a list of strings")
+    if not isinstance(doc["items"], list):
+        raise ManifestError(f"{path}: 'items' must be a list of objects")
     items = []
     for i, raw in enumerate(doc["items"]):
-        try:
-            item = ManifestItem(path=raw["path"], record=raw["record"], label=int(raw["label"]))
-        except (TypeError, KeyError) as e:
-            raise ManifestError(f"{path}: item {i} is missing field {e}") from e
-        if not 0 <= item.label < len(classes):
-            raise ManifestError(f"{path}: item {i} label {item.label} outside [0, {len(classes)})")
-        items.append(item)
+        if not isinstance(raw, dict) or not {"path", "record", "label"} <= raw.keys():
+            raise ManifestError(f"{path}: item {i} must be an object with 'path', 'record' and 'label'")
+        if not (isinstance(raw["path"], str) and isinstance(raw["record"], str)):
+            raise ManifestError(f"{path}: item {i} 'path' and 'record' must be strings")
+        label = raw["label"]
+        if type(label) is not int or not 0 <= label < len(classes):
+            raise ManifestError(f"{path}: item {i} label {label!r} is not a class index in [0, {len(classes)})")
+        items.append(ManifestItem(path=raw["path"], record=raw["record"], label=label))
     return DatasetManifest(classes=classes, items=items, base_dir=path.parent)
 
 
@@ -119,10 +130,12 @@ class SyntheticSpec:
                 f"n_classes ({self.n_classes}) exceeds channels ({self.channels}): "
                 f"no channel block is available per class"
             )
-        if self.mu < 0:
-            raise ManifestError(f"mu must be >= 0, got {self.mu}")
-        if self.sigma <= 0:
-            raise ManifestError(f"sigma must be > 0, got {self.sigma}")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ManifestError(f"mu must be finite and >= 0, got {self.mu}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ManifestError(f"sigma must be finite and > 0, got {self.sigma}")
+        if self.seed < 0:
+            raise ManifestError(f"seed must be >= 0, got {self.seed}")
 
 
 RECORD_NAME = "feature_map"

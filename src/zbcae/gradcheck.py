@@ -50,11 +50,11 @@ def gradcheck_report(seed: int = 0) -> dict:
     model = init_model(CAE_FILTERS, CAE_CHANNELS, 3, seed=seed)
     model.b_e = rng.normal(0.0, 0.3, size=CAE_FILTERS)
     model.b_d = rng.normal(0.0, 0.3, size=CAE_CHANNELS)
-    batch = [rng.normal(size=(CAE_CHANNELS, CAE_EXTENT, CAE_EXTENT)) for _ in range(CAE_BATCH)]
+    batch = np.stack([rng.normal(size=(CAE_CHANNELS, CAE_EXTENT, CAE_EXTENT)) for _ in range(CAE_BATCH)])
     grads = loss_gradients(model, batch, BIAS_TRAIN_THEN_ZERO)
 
     def cae_loss():
-        return reconstruction_loss(model, batch, zero_bias=False)
+        return reconstruction_loss(model, batch, BIAS_TRAIN_THEN_ZERO)
 
     cae_weights = _max_rel(grads.dw_e, _central_diff(cae_loss, model.w_e))
     cae_biases = max(

@@ -1,6 +1,10 @@
 """End-to-end experiment plumbing: model/feature checkpoints, the
 train -> extract -> classify -> evaluate runner, and the filter-size sweep.
 
+The stages take a manifest's samples as the one (N, C, H, W) array
+:func:`~zbcae.dataset.load_dataset` returns; the runners and the commands
+load each manifest once, and the runners load both before any training.
+
 Checkpoints reuse the ZTEN container.  A ``meta_json`` record (UTF-8 JSON
 bytes stored as float64 values) carries the configuration echo and training
 summary forward through every stage, so a report assembled from staged
@@ -97,7 +101,7 @@ def save_cae_checkpoint(path, model: CaeModel, bias_mode: str, meta: dict) -> No
         "conv_stride": np.array([1.0]),
         "conv_pad": np.array([float((model.kernel - 1) // 2)]),
         "bias_mode": np.array([_BIAS_CODES[bias_mode]]),
-        "decoder_relu": np.array([1.0 if model.decoder_relu else 0.0]),
+        "decoder_relu": np.array([1.0]),
         "meta_json": _json_record(meta),
     })
 
@@ -114,9 +118,9 @@ def load_cae_checkpoint(path):
         w_e=records["encoder_weights"],
         b_e=records["encoder_bias"],
         b_d=records["decoder_bias"],
-        decoder_relu=bool(_scalar_record(path, records, "decoder_relu", (0.0, 1.0))),
     )
-    # the only geometry the model runs: stride 1, pad (kernel - 1) / 2
+    # the only model there is: stride 1, pad (kernel - 1) / 2, a ReLU decoder
+    _scalar_record(path, records, "decoder_relu", (1.0,))
     _scalar_record(path, records, "conv_stride", (1.0,))
     _scalar_record(path, records, "conv_pad", (float((model.kernel - 1) // 2),))
     return model, _BIAS_NAMES[code], _record_json(path, records, "meta_json")
@@ -177,13 +181,10 @@ def load_svm_checkpoint(path):
 # ---------------------------------------------------------------------------
 # stages
 
-def train_cae_stage(train_manifest: DatasetManifest, cae_config: CaeTrainConfig, n_filters: int,
-                    kernel: int = 3, progress=None, data=None):
-    """Train the auto-encoder on a manifest's tensors (labels are ignored;
-    learning is unsupervised).  ``data`` is the manifest's
-    :func:`load_dataset` result when the caller has already loaded it.
-    Returns (model, history, meta)."""
-    tensors, _ = load_dataset(train_manifest) if data is None else data
+def train_cae_stage(tensors: np.ndarray, cae_config: CaeTrainConfig, n_filters: int,
+                    kernel: int = 3, progress=None):
+    """Train the auto-encoder on an (N, C, H, W) array of samples (learning
+    is unsupervised).  Returns (model, meta)."""
     model = cae_mod.init_model(n_filters, tensors.shape[1], kernel, seed=cae_config.seed)
     model, history = cae_mod.train(model, tensors, cae_config, progress=progress)
     meta = {
@@ -195,7 +196,7 @@ def train_cae_stage(train_manifest: DatasetManifest, cae_config: CaeTrainConfig,
         "cae_config": cae_config_echo(cae_config),
         "cae_summary": loss_summary(history),
     }
-    return model, history, meta
+    return model, meta
 
 
 def l2_normalize_rows(features: np.ndarray) -> np.ndarray:
@@ -209,18 +210,13 @@ def l2_normalize_rows(features: np.ndarray) -> np.ndarray:
 EXTRACT_CHUNK_BYTES = 2**18
 
 
-def extract_stage(model: CaeModel, manifest: DatasetManifest, l2_normalize: bool = False, data=None):
-    """Zero-bias features for every manifest item, in manifest order, encoded
-    in batched chunks.  ``data`` is the manifest's :func:`load_dataset`
-    result when the caller has already loaded it.
-    Returns (n x D matrix, labels, class names)."""
-    tensors, labels = load_dataset(manifest) if data is None else data
+def extract_stage(model: CaeModel, tensors: np.ndarray, l2_normalize: bool = False) -> np.ndarray:
+    """Zero-bias features of an (N, C, H, W) array of samples, one row per
+    sample in order, encoded in batched chunks: an N x D matrix."""
     step = cae_mod.chunk_size(model, tensors.shape[1:], EXTRACT_CHUNK_BYTES)
     features = np.concatenate([cae_mod.extract_features(model, tensors[i : i + step])
                                for i in range(0, len(tensors), step)])
-    if l2_normalize:
-        features = l2_normalize_rows(features)
-    return features, labels, list(manifest.classes)
+    return l2_normalize_rows(features) if l2_normalize else features
 
 
 # ---------------------------------------------------------------------------
@@ -300,32 +296,10 @@ def run_pipeline(train_manifest: DatasetManifest, test_manifest: DatasetManifest
                  l2_normalize: bool = False, kernel: int = 3, progress=None) -> EvalReport:
     """Unsupervised feature learning end to end: train the auto-encoder on
     the train split, extract zero-bias features for both splits, fit the
-    SVM on train features, and score the test split."""
-    return _run_stages(train_manifest, test_manifest, load_dataset(train_manifest), None, cae_config,
-                       svm_config, n_filters, l2_normalize, kernel, progress)
-
-
-def _run_stages(train_manifest, test_manifest, train_data, test_data, cae_config, svm_config,
-                n_filters, l2_normalize, kernel, progress) -> EvalReport:
-    """:func:`run_pipeline` on already loaded data; a ``test_data`` of None
-    is loaded only once the features are extracted."""
-    if list(train_manifest.classes) != list(test_manifest.classes):
-        raise ShapeError("train and test manifests declare different class tables")
-    model, _, meta = train_cae_stage(train_manifest, cae_config, n_filters, kernel=kernel,
-                                     progress=progress, data=train_data)
-    train_x, train_y, classes = extract_stage(model, train_manifest, l2_normalize, data=train_data)
-    test_x, test_y, _ = extract_stage(model, test_manifest, l2_normalize, data=test_data)
-    if train_x.shape[1] != test_x.shape[1]:
-        raise ShapeError(
-            f"train and test manifests produce different feature dimensions "
-            f"({train_x.shape[1]} vs {test_x.shape[1]}); tensor shapes must match"
-        )
-    svm_model = train_svm(train_x, train_y, len(classes), svm_config, class_names=classes)
-    return evaluate_features(
-        svm_model, test_x, test_y, classes,
-        cae_summary=meta["cae_summary"],
-        config_echo=assemble_config_echo(meta, svm_config_echo(svm_config), l2_normalize),
-    )
+    SVM on train features, and score the test split (the one-row
+    :func:`filter_size_sweep`)."""
+    return filter_size_sweep(train_manifest, test_manifest, cae_config, svm_config, [n_filters],
+                             l2_normalize, kernel, progress)[0].report
 
 
 @dataclass
@@ -338,14 +312,28 @@ class SweepRow:
 def filter_size_sweep(train_manifest: DatasetManifest, test_manifest: DatasetManifest,
                       cae_config: CaeTrainConfig, svm_config: SvmTrainConfig, k_values,
                       l2_normalize: bool = False, kernel: int = 3, progress=None) -> list:
-    """Re-run the full pipeline for each filter count, sharing every seed and
-    loading each manifest once, and tabulate (filters, top-1)."""
+    """Re-run the full pipeline for each filter count, sharing every seed,
+    and tabulate (filters, top-1).  Each manifest is loaded once, and the
+    class tables and sample shapes of both are checked before any training."""
     if not k_values:
         raise ValueError("k_values must be non-empty")
-    train_data, test_data = load_dataset(train_manifest), load_dataset(test_manifest)
+    classes = list(train_manifest.classes)
+    if classes != list(test_manifest.classes):
+        raise ShapeError("train and test manifests declare different class tables")
+    (train_t, train_y), (test_t, test_y) = load_dataset(train_manifest), load_dataset(test_manifest)
+    if train_t.shape[1:] != test_t.shape[1:]:
+        raise ShapeError(f"train samples have shape {train_t.shape[1:]} but test samples have "
+                         f"{test_t.shape[1:]}; both splits need one sample shape")
     rows = []
     for k in k_values:
-        report = _run_stages(train_manifest, test_manifest, train_data, test_data, cae_config,
-                             svm_config, int(k), l2_normalize, kernel, progress)
+        model, meta = train_cae_stage(train_t, cae_config, int(k), kernel, progress)
+        train_x = extract_stage(model, train_t, l2_normalize)
+        test_x = extract_stage(model, test_t, l2_normalize)
+        svm_model = train_svm(train_x, train_y, len(classes), svm_config, class_names=classes)
+        report = evaluate_features(
+            svm_model, test_x, test_y, classes,
+            cae_summary=meta["cae_summary"],
+            config_echo=assemble_config_echo(meta, svm_config_echo(svm_config), l2_normalize),
+        )
         rows.append(SweepRow(filters=int(k), top1=report.top1, report=report))
     return rows

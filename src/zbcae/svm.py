@@ -398,29 +398,17 @@ def train_svm(x, y, n_classes, config: SvmTrainConfig | None = None, class_names
 
 
 def decision_scores(model: SvmModel, x) -> np.ndarray:
-    """Per-class scores w_c . x + b_c for a (n, D) batch or a single vector."""
+    """Per-class scores x W^T + b of an (n, D) feature matrix."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != model.weights.shape[1]:
-        raise ShapeError(f"feature dimension {x.shape[1]} != model dimension {model.weights.shape[1]}")
-    scores = x @ model.weights.T + model.biases
-    return scores[0] if single else scores
-
-
-def predict(model: SvmModel, x) -> int:
-    """Class index with the highest score; ties go to the lowest index."""
-    scores = decision_scores(model, x)
-    if scores.ndim != 1:
-        raise ShapeError("predict takes a single feature vector; use predict_many for batches")
-    return int(np.argmax(scores))
+    if x.ndim != 2 or x.shape[1] != model.weights.shape[1]:
+        raise ShapeError(f"features of shape {x.shape} do not match the model dimension {model.weights.shape[1]}")
+    return x @ model.weights.T + model.biases
 
 
 def predict_many(model: SvmModel, x) -> np.ndarray:
-    """Row-wise argmax predictions for a (n, D) feature matrix."""
-    scores = decision_scores(model, np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    return np.argmax(scores, axis=1)
+    """Row-wise argmax predictions for an (n, D) feature matrix; ties go to
+    the lowest class index."""
+    return np.argmax(decision_scores(model, x), axis=1)
 
 
 def top1_accuracy(predictions, labels) -> float:

@@ -35,31 +35,34 @@ from zbcae.ops import (
 )
 
 
-def identity_center_model(bias=0.0, decoder_relu=True):
+def identity_center_model(bias=0.0):
     """K=C=1 model whose 3x3 kernel is 1 at the center: encode is
     relu(x + b)."""
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0
-    return CaeModel(
-        w_e=w,
-        b_e=np.array([bias]),
-        b_d=np.zeros(1),
-        decoder_relu=decoder_relu,
-    )
+    return CaeModel(w_e=w, b_e=np.array([bias]), b_d=np.zeros(1))
+
+
+def bias_mode_of(zero_bias):
+    return BIAS_ALWAYS_ZERO if zero_bias else BIAS_TRAIN_THEN_ZERO
 
 
 def decode(model, z, zero_bias=False):
-    """Per-sample reference decoder: act(conv2d(z, tied(W_e)) + b_d) through
+    """Per-sample reference decoder: relu(conv2d(z, tied(W_e)) + b_d) through
     the explicit tied bank."""
     b = np.zeros(model.n_channels) if zero_bias else model.b_d
-    g = conv2d(z, tied_decoder_weights(model.w_e), b)
-    return relu(g) if model.decoder_relu else g
+    return relu(conv2d(z, tied_decoder_weights(model.w_e), b))
 
 
 def forward(model, x, zero_bias=False):
     """The reconstruction of a (B, C, H, W) batch by the batched forward pass."""
-    b_e, b_d = cae._biases(model, not zero_bias)
+    b_e, b_d = cae._biases(model, bias_mode_of(zero_bias))
     return cae._forward(model, x, b_e, b_d)[3]
+
+
+def one_sample_chunks(monkeypatch):
+    """Make every training chunk a single sample."""
+    monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 1)
 
 
 def random_model(rng, k=3, c=2, kernel=3, bias_scale=0.1):
@@ -190,19 +193,30 @@ class TestReconstructionLoss:
             reconstruction_loss(model, [])
 
     @pytest.mark.parametrize("zero_bias", [False, True])
-    @pytest.mark.parametrize("decoder_relu", [True, False])
+    @pytest.mark.parametrize("chunked", [True, False])
     @pytest.mark.parametrize("kernel", [1, 3, 5])
-    def test_matches_per_sample_tied_decoder_reference(self, monkeypatch, zero_bias, decoder_relu, kernel):
+    def test_matches_per_sample_tied_decoder_reference(self, monkeypatch, zero_bias, chunked, kernel):
         rng = np.random.default_rng(130 + kernel)
         model = random_model(rng, k=4, c=3, kernel=kernel, bias_scale=0.5)
-        model.decoder_relu = decoder_relu
         batch = rng.normal(size=(5, 3, 6, 5))
-        # two samples per chunk, so the batch spans three chunks
-        monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 2 * 8 * 6 * 5 * max(4, 3 * kernel * kernel))
-        assert cae.chunk_size(model, batch.shape[1:], cae.TRAIN_CHUNK_BYTES) == 2
+        if chunked:  # two samples per chunk, so the batch spans three chunks
+            monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 2 * 8 * 6 * 5 * max(4, 3 * kernel * kernel))
+        step = cae.chunk_size(model, batch.shape[1:], cae.TRAIN_CHUNK_BYTES)
+        assert step == 2 if chunked else step >= len(batch)
         expected = sum(0.5 * float(((decode(model, encode(model, x, zero_bias), zero_bias) - x) ** 2).sum())
                        for x in batch)
-        assert_rel_close(reconstruction_loss(model, batch, zero_bias=zero_bias), expected)
+        assert_rel_close(reconstruction_loss(model, batch, bias_mode_of(zero_bias)), expected)
+
+    @pytest.mark.parametrize("batch, message", [
+        (np.zeros((2, 4, 4)), "B x C x H x W"),
+        (np.zeros((1, 1, 2, 4, 4)), "B x C x H x W"),
+        (np.zeros((2, 3, 4, 4)), "channels"),
+        (np.zeros((0, 2, 4, 4)), "at least one"),
+    ], ids=["rank-3", "rank-5", "channels", "empty"])
+    def test_malformed_batch_is_shape_error(self, batch, message):
+        model = random_model(np.random.default_rng(131))
+        with pytest.raises(ShapeError, match=message):
+            reconstruction_loss(model, batch)
 
 
 class TestLossGradients:
@@ -214,16 +228,17 @@ class TestLossGradients:
         npt.assert_allclose(grads.db_e, 0.0, atol=1e-15)
         npt.assert_allclose(grads.db_d, 0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("decoder_relu", [True, False])
-    def test_matches_finite_differences(self, decoder_relu):
+    @pytest.mark.parametrize("chunked", [True, False])
+    def test_matches_finite_differences(self, monkeypatch, chunked):
         rng = np.random.default_rng(1601)
         model = random_model(rng, k=3, c=2)
-        model.decoder_relu = decoder_relu
-        batch = [rng.normal(size=(2, 5, 5)) for _ in range(2)]
+        batch = rng.normal(size=(2, 2, 5, 5))
+        if chunked:
+            one_sample_chunks(monkeypatch)
         grads = loss_gradients(model, batch, BIAS_TRAIN_THEN_ZERO)
 
         def loss():
-            return reconstruction_loss(model, batch, zero_bias=False)
+            return reconstruction_loss(model, batch, BIAS_TRAIN_THEN_ZERO)
 
         for analytic, arr in ((grads.dw_e, model.w_e), (grads.db_e, model.b_e), (grads.db_d, model.b_d)):
             numeric = central_diff_grad(loss, arr, eps=1e-6)
@@ -238,7 +253,7 @@ class TestLossGradients:
         npt.assert_array_equal(grads.db_d, np.zeros(2))
 
         def loss():
-            return reconstruction_loss(model, batch, zero_bias=True)
+            return reconstruction_loss(model, batch, BIAS_ALWAYS_ZERO)
 
         numeric = central_diff_grad(loss, model.w_e, eps=1e-6)
         assert max_rel_error(grads.dw_e, numeric) < 1e-4
@@ -290,10 +305,9 @@ def per_sample_reference_step(model, batch, bias_mode):
         a = conv2d(x, model.w_e, b_e)
         z = relu(a)
         g = conv2d(z, w_d, b_d)
-        y = relu(g) if model.decoder_relu else g
-        r = y - x
+        r = relu(g) - x
         loss += 0.5 * float((r * r).sum())
-        dg = r * (g > 0.0) if model.decoder_relu else r
+        dg = r * (g > 0.0)
         db_d += conv2d_bias_grad(dg)
         dw_dec += tied_decoder_weights(conv2d_weight_grad(z, dg, kh, kh))
         da = conv2d_input_grad(dg, w_d) * (a > 0.0)
@@ -321,13 +335,14 @@ class TestBatchedStep:
     per-sample reference built from conv2d and tied_decoder_weights."""
 
     @pytest.mark.parametrize("bias_mode", [BIAS_TRAIN_THEN_ZERO, BIAS_ALWAYS_ZERO])
-    @pytest.mark.parametrize("decoder_relu", [True, False])
+    @pytest.mark.parametrize("chunked", [True, False])
     @pytest.mark.parametrize("kernel", [1, 3, 5])
-    def test_matches_per_sample_reference(self, bias_mode, decoder_relu, kernel):
+    def test_matches_per_sample_reference(self, monkeypatch, bias_mode, chunked, kernel):
         rng = np.random.default_rng(100 + kernel)
         model = random_model(rng, k=5, c=3, kernel=kernel)
-        model.decoder_relu = decoder_relu
-        batch = [rng.normal(size=(3, 6, 5)) for _ in range(4)]
+        batch = rng.normal(size=(4, 3, 6, 5))
+        if chunked:
+            one_sample_chunks(monkeypatch)
         got = batched_step(model, batch, bias_mode)
         loss, dw_enc, dw_dec, db_e, db_d = per_sample_reference_step(model, batch, bias_mode)
         for g, w in zip(got, (loss, dw_enc + dw_dec, db_e, db_d)):
@@ -338,7 +353,7 @@ class TestBatchedStep:
         model = random_model(rng, k=4, c=2)
         batch = np.stack([rng.normal(size=(2, 5, 5)) for _ in range(5)])
         whole = batched_step(model, batch, BIAS_TRAIN_THEN_ZERO)
-        monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 1)  # one sample per chunk
+        one_sample_chunks(monkeypatch)
         assert cae.chunk_size(model, batch.shape[1:], cae.TRAIN_CHUNK_BYTES) == 1
         chunked = batched_step(model, batch, BIAS_TRAIN_THEN_ZERO)
         for g, w in zip(chunked, whole):
@@ -473,12 +488,10 @@ class TestTrain:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_loss_names_epoch_and_batch(self):
-        # the ReLU decoder saturates to a finite dead plateau at huge rates,
-        # so overflow is driven through the identity decoder
-        rng = np.random.default_rng(26)
-        dataset = tiny_dataset(rng, n=8)
-        model = init_model(3, 2, 3, seed=6, decoder_relu=False)
-        config = CaeTrainConfig(epochs=50, batch_size=8, learning_rate=1e6, seed=1)
+        # the squared error of 1e200 inputs overflows float64 in the first batch
+        dataset = np.full((8, 2, 4, 4), 1e200)
+        model = init_model(3, 2, 3, seed=6)
+        config = CaeTrainConfig(epochs=2, batch_size=4, learning_rate=1e-4, seed=1)
         with pytest.raises(NonFiniteLossError, match=r"epoch \d+, batch \d+"):
             train(model, dataset, config)
 

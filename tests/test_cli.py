@@ -11,6 +11,7 @@ import pytest
 from zbcae.cli import dispatch
 from zbcae.config import CliConfig, parse_config_file, resolve_config
 from zbcae.errors import ConfigError
+from test_dataset import MALFORMED_MANIFESTS, write_manifest
 
 SYNTH_SPEC = """\
 # desk-scale dataset
@@ -176,6 +177,26 @@ class TestExitCodes:
         assert code == 2
         assert "nope.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS) + ["non-utf8"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys, case):
+        manifest, out = tmp_path / "bad.json", tmp_path / "m.zten"
+        if case == "non-utf8":
+            manifest.write_bytes(b'{"classes": ["\xff"], "items": []}')
+        else:
+            write_manifest(manifest, case)
+        assert dispatch(["train-cae", "--train", str(manifest), "--out", str(out), "--epochs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {manifest}: ") and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("line", ["mu = nan", "mu = inf", "sigma = nan", "sigma = -inf"])
+    def test_non_finite_synthetic_spec_is_data_error(self, tmp_path, capsys, line):
+        spec, out = tmp_path / "spec.cfg", tmp_path / "data"
+        spec.write_text(SYNTH_SPEC + line + "\n")
+        assert dispatch(["gen-synthetic", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_tensor_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.zten"
         bad.write_bytes(b"XXXXgarbage")
@@ -291,8 +312,9 @@ class TestExitCodes:
         ("conv_stride", [2.0]),
         ("conv_pad", [0.0]),
         ("decoder_relu", [0.5]),
+        ("decoder_relu", [0.0]),
     ], ids=["bias_mode-empty", "conv_pad-empty", "lambda-empty", "lambda-negative", "conv_stride-nan",
-            "conv_stride-2.7", "conv_stride-2", "conv_pad-0", "decoder_relu-0.5"])
+            "conv_stride-2.7", "conv_stride-2", "conv_pad-0", "decoder_relu-0.5", "decoder_relu-0"])
     def test_bad_scalar_checkpoint_record_is_data_error(self, synth_dir, tmp_path, capsys, record, value):
         from zbcae.cae import BIAS_TRAIN_THEN_ZERO, init_model
         from zbcae.pipeline import save_cae_checkpoint, save_features_file, save_svm_checkpoint

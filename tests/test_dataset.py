@@ -15,8 +15,29 @@ from zbcae.dataset import (
     load_manifest,
     save_manifest,
 )
-from zbcae.errors import ManifestError
+from zbcae.config import parse_synthetic_spec
+from zbcae.errors import ConfigError, ManifestError
 from zbcae.tensorfile import save_tensors
+
+ITEM = '{"path": "a.zten", "record": "r", "label": 1}'
+
+# (manifest text, what the error must say); each was once accepted as
+# class 1 or escaped as a non-package exception
+MALFORMED_MANIFESTS = {
+    "label-float": (ITEM.replace('"label": 1', '"label": 1.5'), "item 0 label 1.5"),
+    "label-true": (ITEM.replace('"label": 1', '"label": true'), "item 0 label True"),
+    "label-string": (ITEM.replace('"label": 1', '"label": "1"'), "item 0 label '1'"),
+    "label-nan": (ITEM.replace('"label": 1', '"label": NaN'), "item 0 label nan"),
+    "items-number": (None, "'items' must be a list"),
+    "path-number": (ITEM.replace('"a.zten"', "5"), "item 0 'path' and 'record' must be strings"),
+}
+
+
+def write_manifest(path, case):
+    item, _ = MALFORMED_MANIFESTS[case]
+    items = "5" if item is None else f"[{item}]"
+    path.write_text(f'{{"classes": ["a", "b"], "items": {items}}}', encoding="utf-8")
+    return path
 
 
 class TestManifest:
@@ -42,6 +63,20 @@ class TestManifest:
         (tmp_path / "m.json").write_text("{nope")
         with pytest.raises(ManifestError, match="JSON"):
             load_manifest(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_malformed_manifest_names_file_and_item(self, tmp_path, case):
+        path = write_manifest(tmp_path / "bad.json", case)
+        with pytest.raises(ManifestError) as info:
+            load_manifest(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert MALFORMED_MANIFESTS[case][1] in str(info.value)
+
+    def test_non_utf8_manifest_names_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"classes": ["\xff"], "items": []}')
+        with pytest.raises(ManifestError, match=r"bad\.json: not valid UTF-8 JSON"):
+            load_manifest(path)
 
     def test_missing_item_field(self, tmp_path):
         doc = {"classes": ["a"], "items": [{"path": "a.zten", "label": 0}]}
@@ -92,6 +127,37 @@ class TestSyntheticSpec:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ManifestError, match="sigma"):
             SyntheticSpec(sigma=0.0)
+
+    @pytest.mark.parametrize("field", ["mu", "sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ManifestError, match=f"{field} must be finite"):
+            SyntheticSpec(**{field: value})
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ManifestError, match="seed"):
+            SyntheticSpec(seed=-1)
+
+
+class TestParseSyntheticSpec:
+    def test_every_field_is_a_key_of_its_type(self, tmp_path):
+        path = tmp_path / "spec.cfg"
+        path.write_text("n_classes = 2\nsamples_per_class = 3\nchannels = 4\nheight = 5\nwidth = 6\n"
+                        "mu = 0.5\nsigma = 1.5\nseed = 9\n")
+        assert parse_synthetic_spec(path) == SyntheticSpec(2, 3, 4, 5, 6, 0.5, 1.5, 9)
+
+    @pytest.mark.parametrize("line, error, message", [
+        ("colour = 3", ConfigError, "unknown synthetic spec key 'colour'"),
+        ("channels = 4.5", ConfigError, "'channels' expects int"),
+        ("mu = two", ConfigError, "'mu' expects float"),
+        ("mu = nan", ManifestError, "mu must be finite"),
+        ("sigma = inf", ManifestError, "sigma must be finite"),
+    ])
+    def test_bad_line_is_typed_error(self, tmp_path, line, error, message):
+        path = tmp_path / "spec.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(error, match=message):
+            parse_synthetic_spec(path)
 
 
 class TestGenSynthetic:

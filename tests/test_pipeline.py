@@ -5,13 +5,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from zbcae.cae import BIAS_ALWAYS_ZERO, CaeTrainConfig, init_model
-from zbcae.dataset import SyntheticSpec, gen_synthetic
+from zbcae import cae
+from zbcae.cae import BIAS_ALWAYS_ZERO, CaeTrainConfig, extract_features, init_model
+from zbcae.dataset import SyntheticSpec, gen_synthetic, load_dataset
 from zbcae.errors import ShapeError, TensorFileError
 from zbcae.gradcheck import _max_rel, gradcheck_report
 from zbcae.pipeline import (
     _json_record,
     evaluate_features,
+    extract_stage,
     filter_size_sweep,
     l2_normalize_rows,
     load_cae_checkpoint,
@@ -21,6 +23,7 @@ from zbcae.pipeline import (
     save_cae_checkpoint,
     save_features_file,
     save_svm_checkpoint,
+    train_cae_stage,
 )
 from zbcae.svm import SvmModel, SvmTrainConfig
 from zbcae.tensorfile import load_tensors, save_tensors
@@ -52,9 +55,17 @@ class TestCheckpoints:
         npt.assert_array_equal(loaded.w_e, model.w_e)
         npt.assert_array_equal(loaded.b_e, model.b_e)
         assert loaded.kernel == model.kernel
-        assert loaded.decoder_relu == model.decoder_relu
         assert bias_mode == BIAS_ALWAYS_ZERO
         assert loaded_meta == meta
+
+    def test_cae_checkpoint_decoder_is_always_relu(self, tmp_path):
+        path = tmp_path / "model.zten"
+        save_cae_checkpoint(path, init_model(2, 3, 3, seed=0), BIAS_ALWAYS_ZERO, {})
+        records = load_tensors(path)
+        npt.assert_array_equal(records["decoder_relu"], [1.0])
+        save_tensors(path, {**records, "decoder_relu": np.array([0.0])})
+        with pytest.raises(TensorFileError, match="'decoder_relu' must hold one value in \\[1.0\\]"):
+            load_cae_checkpoint(path)
 
     def test_cae_checkpoint_missing_record(self, tmp_path):
         from zbcae.tensorfile import save_tensors
@@ -183,6 +194,19 @@ class TestEvaluateFeatures:
         npt.assert_array_equal(np.array(report.confusion), np.diag([2, 2, 1]))
 
 
+class TestStages:
+    def test_stages_take_the_loaded_array(self, small_synthetic):
+        train_m, test_m = small_synthetic
+        tensors, _ = load_dataset(train_m)
+        model, meta = train_cae_stage(tensors, small_cae_config(epochs=2), 4)
+        assert model.w_e.shape == (4, 4, 3, 3)
+        assert meta["cae_summary"]["epochs_run"] == 2
+        test_tensors, _ = load_dataset(test_m)
+        features = extract_stage(model, test_tensors, l2_normalize=True)
+        expected = l2_normalize_rows(np.stack([extract_features(model, t) for t in test_tensors]))
+        npt.assert_allclose(features, expected, rtol=1e-12)
+
+
 class TestRunPipeline:
     def test_learns_synthetic_signal(self, small_synthetic):
         train_m, test_m = small_synthetic
@@ -233,6 +257,22 @@ class TestRunPipeline:
         other_train, _ = gen_synthetic(other_spec, tmp_path)
         with pytest.raises(ShapeError, match="class tables"):
             run_pipeline(train_m, other_train, small_cae_config(epochs=1), SvmTrainConfig(), 4)
+
+    @pytest.mark.parametrize("field", ["channels", "height"])
+    def test_mismatched_sample_shapes_rejected_before_training(self, small_synthetic, tmp_path, monkeypatch,
+                                                                field):
+        train_m, _ = small_synthetic
+        spec = SyntheticSpec(n_classes=2, samples_per_class=5, channels=4, height=4, width=4, seed=1)
+        _, other_test = gen_synthetic(SyntheticSpec(**{**spec.__dict__, field: 6}), tmp_path)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("cae.train ran before the sample shapes were checked")
+
+        monkeypatch.setattr(cae, "train", no_training)
+        with pytest.raises(ShapeError, match="one sample shape"):
+            run_pipeline(train_m, other_test, small_cae_config(epochs=1), SvmTrainConfig(), 4)
+        with pytest.raises(ShapeError, match="one sample shape"):
+            filter_size_sweep(train_m, other_test, small_cae_config(epochs=1), SvmTrainConfig(), [2, 4])
 
 
 class TestFilterSizeSweep:

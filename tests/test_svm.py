@@ -20,7 +20,6 @@ from zbcae.svm import (
     _CurvatureHistory,
     _principal_scores,
     lbfgs_minimize,
-    predict,
     predict_many,
     squared_hinge_objective,
     top1_accuracy,
@@ -362,8 +361,7 @@ class TestTrainSvm:
         x = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
         model = train_svm(x, y, n_classes=2)
-        assert predict(model, np.array([-1.0])) == 0
-        assert predict(model, np.array([1.0])) == 1
+        npt.assert_array_equal(predict_many(model, x), [0, 1])
         # the class-1 score must change sign between the two points
         s_neg = model.weights[1] @ x[0] + model.biases[1]
         s_pos = model.weights[1] @ x[1] + model.biases[1]
@@ -556,14 +554,12 @@ class TestScipyOptimumOracle:
 class TestPredict:
     def test_identity_weights_pick_larger_coordinate(self):
         model = SvmModel(weights=np.eye(2), biases=np.zeros(2), class_names=["a", "b"])
-        assert predict(model, np.array([5.0, 1.0])) == 0
-        assert predict(model, np.array([1.0, 5.0])) == 1
+        npt.assert_array_equal(predict_many(model, np.array([[5.0, 1.0], [1.0, 5.0]])), [0, 1])
 
     def test_all_zero_model_ties_to_class_zero(self):
         model = SvmModel(weights=np.zeros((3, 2)), biases=np.zeros(3), class_names=list("abc"))
         rng = np.random.default_rng(57)
-        for _ in range(5):
-            assert predict(model, rng.normal(size=2)) == 0
+        npt.assert_array_equal(predict_many(model, rng.normal(size=(5, 2))), np.zeros(5))
 
     def test_positive_scaling_preserves_predictions(self):
         rng = np.random.default_rng(58)
@@ -575,15 +571,16 @@ class TestPredict:
 
     def test_per_class_offsets_change_predictions(self):
         model = SvmModel(weights=np.eye(2), biases=np.zeros(2), class_names=["a", "b"])
-        x = np.array([5.0, 1.0])
-        assert predict(model, x) == 0
+        x = np.array([[5.0, 1.0]])
+        npt.assert_array_equal(predict_many(model, x), [0])
         shifted = SvmModel(weights=np.eye(2), biases=np.array([0.0, 10.0]), class_names=["a", "b"])
-        assert predict(shifted, x) == 1
+        npt.assert_array_equal(predict_many(shifted, x), [1])
 
     def test_dimension_mismatch(self):
         model = SvmModel(weights=np.eye(2), biases=np.zeros(2), class_names=["a", "b"])
-        with pytest.raises(ShapeError, match="dimension"):
-            predict(model, np.zeros(5))
+        for x in (np.zeros((1, 5)), np.zeros(2)):  # the wrong width; a vector instead of a matrix
+            with pytest.raises(ShapeError, match="dimension"):
+                predict_many(model, x)
 
 
 class TestTop1Accuracy:
