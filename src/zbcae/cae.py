@@ -160,9 +160,13 @@ def encode(model: CaeModel, x: np.ndarray, zero_bias: bool = False) -> np.ndarra
 
 
 def _as_batch(model: CaeModel, batch) -> np.ndarray:
-    """``batch`` as a (B, C, H, W) float64 array; ShapeError unless it has
-    four axes, at least one sample and the model's channel count."""
-    x = np.asarray(batch, dtype=np.float64)
+    """``batch`` as a (B, C, H, W) float64 array; ShapeError unless it
+    stacks into one array with four axes, at least one sample and the
+    model's channel count."""
+    try:
+        x = np.asarray(batch, dtype=np.float64)
+    except ValueError as e:  # a ragged list of maps
+        raise ShapeError(f"a batch must be B x C x H x W, but its maps do not stack into one array: {e}") from e
     if x.shape[:1] == (0,):
         raise ShapeError("a batch must contain at least one sample; this one is empty")
     if x.ndim != 4:

@@ -51,9 +51,10 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 def load_manifest(path) -> DatasetManifest:
     """Read and validate a manifest.  Anything but an object whose
     ``classes`` is a list of strings and whose ``items`` is a list of
-    objects with a string ``path`` and ``record`` and an integer class index
-    ``label`` (not a float, bool or string) raises ManifestError naming the
-    file and, for an item, its index."""
+    objects with a string ``path`` (free of NUL characters, which no file
+    name holds) and ``record`` and an integer class index ``label`` (not a
+    float, bool or string) raises ManifestError naming the file and, for an
+    item, its index."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -72,6 +73,8 @@ def load_manifest(path) -> DatasetManifest:
             raise ManifestError(f"{path}: item {i} must be an object with 'path', 'record' and 'label'")
         if not (isinstance(raw["path"], str) and isinstance(raw["record"], str)):
             raise ManifestError(f"{path}: item {i} 'path' and 'record' must be strings")
+        if "\0" in raw["path"]:
+            raise ManifestError(f"{path}: item {i} 'path' {raw['path']!r} contains a NUL character")
         label = raw["label"]
         if type(label) is not int or not 0 <= label < len(classes):
             raise ManifestError(f"{path}: item {i} label {label!r} is not a class index in [0, {len(classes)})")

@@ -6,6 +6,9 @@ max-pooling.  Tensors are plain ``numpy`` arrays of ``float64``; a feature
 map is ``(C, H, W)``, a batch of maps is ``(B, C, H, W)`` and a filter bank
 is ``(K, C, kh, kw)``.  ``im2col``/``col2im`` and the convolutions accept
 either a single map or a batch; a batch runs as one GEMM per call.
+``im2col`` copies its patch matrix out of a strided view of the padded
+batch; ``col2im`` is a bincount scatter-add over the same positions
+``im2col`` reads, one sample at a time.
 
 The convolution has one geometry, the same-size one: stride 1 and zero
 padding (k - 1) / 2 around an odd kernel extent k.  There the transposed
@@ -16,8 +19,9 @@ kernel flip happens inside it; the decoder's 180-degree flip is explicit.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -41,31 +45,51 @@ def im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     Rows run over (c, u, v) in row-major order, so a filter bank reshaped to
     (K, C*kh*kw) multiplies the matrix directly; columns run over
     (b, i, j), the output positions of every sample in turn.  The whole
-    batch is padded once into one zero-filled buffer and read through a
-    window view.
+    batch is padded once into one zero-filled buffer, and the matrix is
+    copied out of a (C, kh, kw, B, H, W) view built from that buffer's
+    strides: entry (c, u, v, b, i, j) reads xpad[b, c, i + u, j + v].
     """
     ph, pw = _half_pad(kh, kw)
     xb = x if x.ndim == 4 else x[None]
     b, c, h, w = xb.shape
     xp = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
     xp[:, :, ph : ph + h, pw : pw + w] = xb
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * h * w)
+    sb, sc, sh, sw = xp.strides
+    patches = np.ndarray((c, kh, kw, b, h, w), dtype=xp.dtype, buffer=xp, strides=(sc, sh, sw, sb, sh, sw))
+    return patches.reshape(c * kh * kw, b * h * w)
+
+
+@lru_cache(maxsize=16)
+def _col2im_index(c: int, h: int, w: int, kh: int, kw: int) -> np.ndarray:
+    """Read-only flat index of each (c, u, v, i, j) entry of a one-sample
+    patch matrix into a (C*H*W + 1) sample: the position (c, i + u - ph,
+    j + v - pw) that :func:`im2col` read it from, or the last slot, C*H*W,
+    for an entry read from the zero padding."""
+    ph, pw = _half_pad(kh, kw)
+    rows = np.arange(kh)[:, None, None, None] + np.arange(h)[:, None] - ph  # (kh, 1, h, 1)
+    cols = np.arange(kw)[:, None, None] + np.arange(w) - pw  # (kw, 1, w)
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    flat = np.arange(c)[:, None, None, None, None] * (h * w) + rows * w + cols
+    index = np.where(inside, flat, c * h * w).astype(np.intp).ravel()
+    index.flags.writeable = False
+    return index
 
 
 def col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add patch columns back to a map of
-    ``shape``, either (C, H, W) or (B, C, H, W), as kh*kw shifted slice adds
-    into a padded buffer."""
-    ph, pw = _half_pad(kh, kw)
+    ``shape``, either (C, H, W) or (B, C, H, W).
+
+    Each sample is one ``np.bincount`` over :func:`_col2im_index`, whose
+    last slot collects (and drops) the entries that fell in the padding.
+    Every output entry sums its terms in (u, v) order starting from 0.0.
+    """
     b, c, h, w = shape if len(shape) == 4 else (1, *shape)
-    patches = cols.reshape(c, kh, kw, b, h, w)
-    xp = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
-    for u in range(kh):
-        for v in range(kw):
-            xp[:, :, u : u + h, v : v + w] += patches[:, u, v].swapaxes(0, 1)
-    out = xp[:, :, ph : ph + h, pw : pw + w]
-    return out if len(shape) == 4 else out[0]
+    index = _col2im_index(c, h, w, kh, kw)
+    per_sample = cols.reshape(c * kh * kw, b, h * w)
+    out = np.empty((b, c * h * w))
+    for s in range(b):
+        out[s] = np.bincount(index, weights=per_sample[:, s].ravel(), minlength=c * h * w + 1)[:-1]
+    return out.reshape(shape)
 
 
 def _by_channel(maps: np.ndarray) -> np.ndarray:

@@ -212,7 +212,9 @@ class TestReconstructionLoss:
         (np.zeros((1, 1, 2, 4, 4)), "B x C x H x W"),
         (np.zeros((2, 3, 4, 4)), "channels"),
         (np.zeros((0, 2, 4, 4)), "at least one"),
-    ], ids=["rank-3", "rank-5", "channels", "empty"])
+        ([np.zeros((2, 4, 4)), np.zeros((2, 4, 5))], "do not stack"),
+        ([np.zeros((2, 4, 4)), np.zeros((3, 4, 4))], "do not stack"),
+    ], ids=["rank-3", "rank-5", "channels", "empty", "ragged-width", "ragged-channels"])
     def test_malformed_batch_is_shape_error(self, batch, message):
         model = random_model(np.random.default_rng(131))
         with pytest.raises(ShapeError, match=message):

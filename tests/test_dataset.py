@@ -30,6 +30,7 @@ MALFORMED_MANIFESTS = {
     "label-nan": (ITEM.replace('"label": 1', '"label": NaN'), "item 0 label nan"),
     "items-number": (None, "'items' must be a list"),
     "path-number": (ITEM.replace('"a.zten"', "5"), "item 0 'path' and 'record' must be strings"),
+    "path-nul": (ITEM.replace('"a.zten"', '"x\\u0000y.zten"'), "item 0 'path' 'x\\x00y.zten' contains a NUL"),
 }
 
 

@@ -1,23 +1,27 @@
-"""Property-based fuzzing of the text inputs: a manifest read from arbitrary
-JSON (or arbitrary bytes) and a synthetic spec read from arbitrary
-``key = value`` lines either parse or raise the package's own error type.
+"""Property-based fuzzing of the inputs read from files: a manifest read
+from arbitrary JSON (or arbitrary bytes), a synthetic spec and a run config
+read from arbitrary ``key = value`` lines, and a ZTEN container read from
+arbitrary bytes either parse or raise the package's own error type.
 
 Examples are derandomized and kept few, so the suite stays fast and every
 run tries the same inputs."""
 
 import json
 import math
+import struct
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from zbcae.config import parse_synthetic_spec  # noqa: E402
+from zbcae.config import CliConfig, parse_synthetic_spec, resolve_config  # noqa: E402
 from zbcae.dataset import DatasetManifest, SyntheticSpec, load_manifest  # noqa: E402
-from zbcae.errors import ConfigError, ManifestError  # noqa: E402
+from zbcae.errors import ConfigError, ManifestError, TensorFileError  # noqa: E402
+from zbcae.tensorfile import DTYPE_F64, MAGIC, VERSION, load_tensors  # noqa: E402
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -89,3 +93,66 @@ def test_synthetic_spec_from_any_text_parses_or_is_typed_error(scratch, lines):
     except (ConfigError, ManifestError):
         return
     assert isinstance(spec, SyntheticSpec) and math.isfinite(spec.mu) and math.isfinite(spec.sigma)
+
+
+CONFIG_KEYS = sorted(CliConfig().echo())
+DEFAULTS = {key: str(value) for key, value in CliConfig().echo().items() if value is not None}
+OTHER_VALUES = SPEC_VALUES | st.sampled_from(["true", "off", "always-zero", "None", ""])
+# a known key with its default value (most lines), a known key with any
+# value, or any text as the key
+CONFIG_LINE = st.sampled_from(sorted(DEFAULTS)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from([" = ", "="]), st.just(DEFAULTS[key]))
+) | st.tuples(st.sampled_from(CONFIG_KEYS) | TEXT, st.sampled_from([" = ", "=", " "]), OTHER_VALUES)
+CONFIG_LINES = st.lists(CONFIG_LINE, max_size=6)
+
+
+@FUZZ
+@given(lines=CONFIG_LINES)
+def test_run_config_from_any_text_resolves_or_is_config_error(scratch, lines):
+    path = scratch / "run.cfg"
+    path.write_text("".join(f"{k}{sep}{v}\n" for k, sep, v in lines), encoding="utf-8")
+    try:
+        config = resolve_config(path)
+    except ConfigError:
+        return
+    assert isinstance(config, CliConfig)
+    assert all(math.isfinite(v) for v in config.echo().values() if isinstance(v, float))
+
+
+@st.composite
+def zten_records(draw):
+    """One record: a name, a dtype code (mostly float64), extents and a
+    payload that fits them exactly or is arbitrary."""
+    name = draw(st.binary(max_size=6))
+    dims = draw(st.lists(st.integers(0, 3) | st.integers(0, 2**64 - 1), max_size=3))
+    n = math.prod(dims)
+    exact = n <= 16 and draw(st.booleans())
+    payload = draw(st.binary(min_size=8 * n, max_size=8 * n) if exact else st.binary(max_size=40))
+    head = struct.pack("<H", len(name)) + name
+    return head + struct.pack(f"<BB{len(dims)}Q", draw(st.sampled_from([DTYPE_F64] * 3 + [0, 3])),
+                              len(dims), *dims) + payload
+
+
+@st.composite
+def zten_files(draw):
+    """A ZTEN header over drawn records, with a record count off by at most
+    one and a few trailing bytes now and then."""
+    records = draw(st.lists(zten_records(), max_size=3))
+    count = max(0, len(records) + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    version = draw(st.sampled_from([VERSION] * 3 + [0, 2]))
+    tail = draw(st.sampled_from([b""] * 3) | st.binary(max_size=4))
+    return MAGIC + struct.pack("<II", version, count) + b"".join(records) + tail
+
+
+@FUZZ
+@given(raw=st.binary(max_size=64) | zten_files())
+def test_tensor_file_from_any_bytes_loads_or_is_tensor_file_error(scratch, raw):
+    path = scratch / "t.zten"
+    path.write_bytes(raw)
+    try:
+        records = load_tensors(path)
+    except TensorFileError as e:
+        assert str(e).startswith(f"{path}: ")
+        return
+    assert isinstance(records, dict)
+    assert all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in records.values())

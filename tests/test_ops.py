@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from zbcae import ops
 from zbcae.errors import ShapeError
@@ -42,6 +43,32 @@ def conv2d_loops(x, w, b):
                             acc += xp[cc, i + u, j + v] * w[kk, cc, u, v]
                 out[kk, i, j] = acc
     return out
+
+
+def im2col_reference(x, kh, kw):
+    """The patch matrix through numpy's window view: the (B, C, H, W) batch
+    (or a (C, H, W) map) zero-padded once, windows transposed to
+    (C, kh, kw, B, H, W) and flattened."""
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    xb = x if x.ndim == 4 else x[None]
+    b, c, h, w = xb.shape
+    xp = np.pad(xb, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * h * w)
+
+
+def col2im_reference(cols, shape, kh, kw):
+    """The adjoint of the patch matrix as kh*kw shifted slice adds into a
+    zero-padded buffer, in (u, v) order, with the padding cropped off."""
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    b, c, h, w = shape if len(shape) == 4 else (1, *shape)
+    patches = cols.reshape(c, kh, kw, b, h, w)
+    xp = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
+    for u in range(kh):
+        for v in range(kw):
+            xp[:, :, u : u + h, v : v + w] += patches[:, u, v].swapaxes(0, 1)
+    out = xp[:, :, ph : ph + h, pw : pw + w]
+    return out if len(shape) == 4 else out[0]
 
 
 def inner(a, b):
@@ -266,6 +293,60 @@ class TestBatchedKernels:
             npt.assert_allclose(conv2d_input_grad(z, wt),
                                 conv2d(z, tied_decoder_weights(wt), np.zeros(3)),
                                 rtol=1e-12, atol=1e-12)
+
+
+class TestKernelsMatchReference:
+    """The strided-view im2col and the bincount col2im give the bits of the
+    window-view and slice-add references: the same copies, and every output
+    entry summed in the same (u, v) order from 0.0."""
+
+    @staticmethod
+    def random_case(rng, b, kh):
+        c = int(rng.integers(1, 4))
+        h, w = (int(v) for v in rng.integers(1, 8, size=2))
+        while h == w:
+            w = int(rng.integers(1, 8))
+        x = rng.normal(size=(b, c, h, w))
+        # entries spread over ten decades, so a changed summation order shows
+        # in the low bits; every entry is nonzero, those read from padding too
+        cols = rng.normal(size=(c * kh * kh, b * h * w)) * 10.0 ** rng.integers(-5, 5, size=(c * kh * kh, b * h * w))
+        return x, cols
+
+    @pytest.mark.parametrize("kh", [1, 3, 5])
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 5])
+    def test_batches_are_bit_identical(self, b, kh):
+        rng = np.random.default_rng(400 + 10 * b + kh)
+        for _ in range(8):
+            x, cols = self.random_case(rng, b, kh)
+            assert np.array_equal(im2col(x, kh, kh), im2col_reference(x, kh, kh))
+            assert np.array_equal(col2im(cols, x.shape, kh, kh), col2im_reference(cols, x.shape, kh, kh))
+
+    @pytest.mark.parametrize("kh", [1, 3, 5])
+    def test_single_maps_are_bit_identical(self, kh):
+        rng = np.random.default_rng(420 + kh)
+        for _ in range(8):
+            x, cols = self.random_case(rng, 1, kh)
+            m = x[0]
+            got = im2col(m, kh, kh)
+            assert got.shape == (m.shape[0] * kh * kh, m.shape[1] * m.shape[2])
+            assert np.array_equal(got, im2col_reference(m, kh, kh))
+            back = col2im(cols, m.shape, kh, kh)
+            assert back.shape == m.shape
+            assert np.array_equal(back, col2im_reference(cols, m.shape, kh, kh))
+
+    def test_entries_read_from_padding_are_dropped(self):
+        # ones wherever im2col reads the zero padding, zeros elsewhere
+        x = np.ones((2, 3, 4, 5))
+        cols = 1.0 - im2col(x, 3, 3)
+        assert cols.any()
+        npt.assert_array_equal(col2im(cols, x.shape, 3, 3), np.zeros(x.shape))
+
+    def test_cached_index_is_read_only(self):
+        index = ops._col2im_index(2, 4, 5, 3, 3)
+        assert index is ops._col2im_index(2, 4, 5, 3, 3)
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 0
 
 
 class TestFlip180:
