@@ -10,14 +10,16 @@ the loaded array.
 
 ZBCAE_THREADS, when set to a positive integer, caps the BLAS thread pools
 (it must take effect before numpy loads, which is why this module is
-imported before any numeric submodule in the console-script entry path).
+imported before any numeric submodule in the console-script entry path);
+a value that is not a non-negative integer fails every command (exit 2).
 """
 
 import os
 import sys
 
 _threads = os.environ.get("ZBCAE_THREADS", "").strip()
-if _threads and _threads != "0":
+_threads_ok = not _threads or (_threads.isascii() and _threads.isdigit())
+if _threads_ok and int(_threads or 0) > 0:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(_var, _threads)
 
@@ -32,7 +34,6 @@ from .dataset import gen_synthetic, load_dataset, load_manifest
 from .errors import ConfigError, ManifestError, NonFiniteLossError, ShapeError, TensorFileError
 from .gradcheck import gradcheck_report
 from .pipeline import (
-    assemble_config_echo,
     evaluate_features,
     extract_stage,
     filter_size_sweep,
@@ -142,13 +143,10 @@ def cmd_train_svm(args) -> int:
 def cmd_evaluate(args) -> int:
     svm_model, lam, meta = load_svm_checkpoint(args.svm)
     features, labels, classes, _ = load_features_file(args.features)
-    report = evaluate_features(
-        svm_model, features, labels, classes,
-        cae_summary=meta.get("cae_summary"),
-        config_echo=assemble_config_echo(
-            meta, meta.get("svm_config_echo", {"lambda": lam}), meta.get("l2_normalize", False)
-        ),
-    )
+    if svm_model.class_names != classes:
+        raise ShapeError(f"classifier {args.svm} has class table {svm_model.class_names} but features file "
+                         f"{args.features} has {classes}; both need one table")
+    report = evaluate_features(svm_model, features, labels, {"svm_config_echo": {"lambda": lam}, **meta})
     _write_report(report.to_json(), args.report)
     return 0
 
@@ -172,16 +170,18 @@ def cmd_sweep(args) -> int:
         raise _UsageError(f"--filters expects a comma-separated integer list, got {args.filters!r}")
     if not k_values:
         raise _UsageError("--filters list is empty")
+    if min(k_values) < 1:
+        raise _UsageError(f"--filters counts must be >= 1, got {args.filters!r}")
     config = resolve_config(args.config, {})
     train_m = load_manifest(args.train)
     test_m = load_manifest(args.test)
-    rows = filter_size_sweep(
+    reports = filter_size_sweep(
         train_m, test_m, config.cae, config.svm, k_values,
         l2_normalize=config.l2_normalize, kernel=config.kernel, progress=_progress,
     )
     doc = {"rows": [
-        {"filters": r.filters, "top1_accuracy": r.top1, "feature_dim": r.report.feature_dim}
-        for r in rows
+        {"filters": r.config_echo["filters"], "top1_accuracy": r.top1, "feature_dim": r.feature_dim}
+        for r in reports
     ]}
     _write_report(json.dumps(doc, indent=2) + "\n", args.report)
     return 0
@@ -271,6 +271,8 @@ def dispatch(argv) -> int:
         print("error: a command is required", file=sys.stderr)
         return 1
     try:
+        if not _threads_ok:
+            raise ConfigError(f"ZBCAE_THREADS must be unset or a non-negative integer, got {_threads!r}")
         with warnings.catch_warnings():
             warnings.simplefilter("always")
             warnings.showwarning = _warning_line

@@ -7,15 +7,15 @@ load each manifest once, and the runners load both before any training.
 
 Checkpoints reuse the ZTEN container.  A ``meta_json`` record (UTF-8 JSON
 bytes stored as float64 values) carries the configuration echo and training
-summary forward through every stage, so a report assembled from staged
-files is identical to one produced by :func:`run_pipeline` in a single
-process.
+summary forward through every stage; :func:`evaluate_features` builds every
+report from it, so a report assembled from staged files is identical to one
+produced by :func:`run_pipeline` in a single process.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -82,16 +82,22 @@ def loss_summary(history: LossHistory) -> dict:
     }
 
 
-def cae_config_echo(config: CaeTrainConfig) -> dict:
-    return asdict(config)
-
-
 def svm_config_echo(config: SvmTrainConfig) -> dict:
     return {"lambda": config.lam, "lbfgs": asdict(config.lbfgs)}
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
+
+def _load_records(path, kind: str, names) -> dict:
+    """The records of ZTEN file ``path``; TensorFileError naming the first
+    of ``names`` it lacks."""
+    records = load_tensors(path)
+    for name in names:
+        if name not in records:
+            raise TensorFileError(f"{path}: {kind} is missing record {name!r}")
+    return records
+
 
 def save_cae_checkpoint(path, model: CaeModel, bias_mode: str, meta: dict) -> None:
     save_tensors(path, {
@@ -107,12 +113,9 @@ def save_cae_checkpoint(path, model: CaeModel, bias_mode: str, meta: dict) -> No
 
 
 def load_cae_checkpoint(path):
-    records = load_tensors(path)
-    required = ("encoder_weights", "encoder_bias", "decoder_bias",
-                "conv_stride", "conv_pad", "bias_mode", "decoder_relu", "meta_json")
-    for name in required:
-        if name not in records:
-            raise TensorFileError(f"{path}: model checkpoint is missing record {name!r}")
+    records = _load_records(path, "model checkpoint", (
+        "encoder_weights", "encoder_bias", "decoder_bias",
+        "conv_stride", "conv_pad", "bias_mode", "decoder_relu", "meta_json"))
     code = _scalar_record(path, records, "bias_mode", _BIAS_NAMES)
     model = CaeModel(
         w_e=records["encoder_weights"],
@@ -136,10 +139,7 @@ def save_features_file(path, features, labels, classes, meta: dict) -> None:
 
 
 def load_features_file(path):
-    records = load_tensors(path)
-    for name in ("features", "labels", "class_names_json", "meta_json"):
-        if name not in records:
-            raise TensorFileError(f"{path}: features file is missing record {name!r}")
+    records = _load_records(path, "features file", ("features", "labels", "class_names_json", "meta_json"))
     features, labels = records["features"], records["labels"]
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise TensorFileError(f"{path}: features/labels shapes are inconsistent")
@@ -163,10 +163,8 @@ def save_svm_checkpoint(path, model: SvmModel, lam: float, meta: dict) -> None:
 
 
 def load_svm_checkpoint(path):
-    records = load_tensors(path)
-    for name in ("weights", "biases", "lambda", "class_names_json", "meta_json"):
-        if name not in records:
-            raise TensorFileError(f"{path}: classifier checkpoint is missing record {name!r}")
+    records = _load_records(path, "classifier checkpoint",
+                            ("weights", "biases", "lambda", "class_names_json", "meta_json"))
     model = SvmModel(
         weights=records["weights"],
         biases=records["biases"],
@@ -193,7 +191,7 @@ def train_cae_stage(tensors: np.ndarray, cae_config: CaeTrainConfig, n_filters: 
         "stride": 1,
         "pad": (kernel - 1) // 2,
         "pool": POOL,
-        "cae_config": cae_config_echo(cae_config),
+        "cae_config": asdict(cae_config),
         "cae_summary": loss_summary(history),
     }
     return model, meta
@@ -204,18 +202,10 @@ def l2_normalize_rows(features: np.ndarray) -> np.ndarray:
     return features / np.where(norms > 0.0, norms, 1.0)
 
 
-# Working-set budget of one extraction chunk.  Kept small: on desk-scale
-# inputs (12x6x6, K=16) larger chunks raise the run's peak RSS for no
-# measurable speed, and at K=4096 over 14x14 maps a chunk is one sample.
-EXTRACT_CHUNK_BYTES = 2**18
-
-
 def extract_stage(model: CaeModel, tensors: np.ndarray, l2_normalize: bool = False) -> np.ndarray:
     """Zero-bias features of an (N, C, H, W) array of samples, one row per
-    sample in order, encoded in batched chunks: an N x D matrix."""
-    step = cae_mod.chunk_size(model, tensors.shape[1:], EXTRACT_CHUNK_BYTES)
-    features = np.concatenate([cae_mod.extract_features(model, tensors[i : i + step])
-                               for i in range(0, len(tensors), step)])
+    sample in order: an N x D matrix."""
+    features = cae_mod.extract_features(model, tensors)
     return l2_normalize_rows(features) if l2_normalize else features
 
 
@@ -230,8 +220,8 @@ class EvalReport:
     n_test: int
     feature_dim: int
     classes: list
-    cae_summary: dict | None = None
-    config_echo: dict = field(default_factory=dict)
+    cae_summary: dict | None
+    config_echo: dict
 
     def to_dict(self) -> dict:
         return {
@@ -251,9 +241,11 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def evaluate_features(svm_model: SvmModel, features, labels, classes, cae_summary=None,
-                      config_echo=None) -> EvalReport:
-    """Score a feature matrix and assemble the report."""
+def evaluate_features(svm_model: SvmModel, features, labels, meta: dict) -> EvalReport:
+    """Score a feature matrix and assemble the report: the classifier's class
+    table, and the ``cae`` and ``config`` sections from the run's ``meta``
+    record (a missing key reads null, a missing ``l2_normalize`` False)."""
+    classes = svm_model.class_names
     predictions = predict_many(svm_model, features)
     labels = np.asarray(labels, dtype=np.int64)
     n_classes = len(classes)
@@ -271,24 +263,14 @@ def evaluate_features(svm_model: SvmModel, features, labels, classes, cae_summar
         n_test=int(labels.size),
         feature_dim=int(np.asarray(features).shape[1]),
         classes=list(classes),
-        cae_summary=cae_summary,
-        config_echo=dict(config_echo or {}),
+        cae_summary=meta.get("cae_summary"),
+        config_echo={
+            **{key: meta.get(key) for key in ("filters", "kernel", "stride", "pad", "pool")},
+            "l2_normalize": meta.get("l2_normalize", False),
+            "cae": meta.get("cae_config"),
+            "svm": meta.get("svm_config_echo"),
+        },
     )
-
-
-def assemble_config_echo(meta: dict, svm_echo: dict, l2_normalize: bool) -> dict:
-    """The report's configuration section, built identically whether the
-    pipeline ran in one process or was chained through checkpoints."""
-    return {
-        "filters": meta.get("filters"),
-        "kernel": meta.get("kernel"),
-        "stride": meta.get("stride"),
-        "pad": meta.get("pad"),
-        "pool": meta.get("pool"),
-        "l2_normalize": l2_normalize,
-        "cae": meta.get("cae_config"),
-        "svm": svm_echo,
-    }
 
 
 def run_pipeline(train_manifest: DatasetManifest, test_manifest: DatasetManifest,
@@ -299,22 +281,17 @@ def run_pipeline(train_manifest: DatasetManifest, test_manifest: DatasetManifest
     SVM on train features, and score the test split (the one-row
     :func:`filter_size_sweep`)."""
     return filter_size_sweep(train_manifest, test_manifest, cae_config, svm_config, [n_filters],
-                             l2_normalize, kernel, progress)[0].report
-
-
-@dataclass
-class SweepRow:
-    filters: int
-    top1: float
-    report: EvalReport
+                             l2_normalize, kernel, progress)[0]
 
 
 def filter_size_sweep(train_manifest: DatasetManifest, test_manifest: DatasetManifest,
                       cae_config: CaeTrainConfig, svm_config: SvmTrainConfig, k_values,
                       l2_normalize: bool = False, kernel: int = 3, progress=None) -> list:
     """Re-run the full pipeline for each filter count, sharing every seed,
-    and tabulate (filters, top-1).  Each manifest is loaded once, and the
-    class tables and sample shapes of both are checked before any training."""
+    and return one report per count.  Each manifest is loaded once, and the
+    class tables and sample shapes of both are checked before any training.
+    Each report reads the CAE stage's meta plus what ``encode`` and
+    ``train-svm`` add to it."""
     if not k_values:
         raise ValueError("k_values must be non-empty")
     classes = list(train_manifest.classes)
@@ -324,16 +301,12 @@ def filter_size_sweep(train_manifest: DatasetManifest, test_manifest: DatasetMan
     if train_t.shape[1:] != test_t.shape[1:]:
         raise ShapeError(f"train samples have shape {train_t.shape[1:]} but test samples have "
                          f"{test_t.shape[1:]}; both splits need one sample shape")
-    rows = []
+    reports = []
     for k in k_values:
         model, meta = train_cae_stage(train_t, cae_config, int(k), kernel, progress)
         train_x = extract_stage(model, train_t, l2_normalize)
         test_x = extract_stage(model, test_t, l2_normalize)
         svm_model = train_svm(train_x, train_y, len(classes), svm_config, class_names=classes)
-        report = evaluate_features(
-            svm_model, test_x, test_y, classes,
-            cae_summary=meta["cae_summary"],
-            config_echo=assemble_config_echo(meta, svm_config_echo(svm_config), l2_normalize),
-        )
-        rows.append(SweepRow(filters=int(k), top1=report.top1, report=report))
-    return rows
+        meta = {**meta, "l2_normalize": bool(l2_normalize), "svm_config_echo": svm_config_echo(svm_config)}
+        reports.append(evaluate_features(svm_model, test_x, test_y, meta))
+    return reports

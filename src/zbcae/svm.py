@@ -130,6 +130,8 @@ class LbfgsResult:
 def _check_data(weights, biases, x, y):
     """Check the objective's shapes and labels; returns y as int64."""
     n_classes, d = weights.shape
+    if biases.shape != (n_classes,):
+        raise ShapeError(f"biases must have shape ({n_classes},), got {biases.shape}")
     if x.ndim != 2 or x.shape[1] != d:
         raise ShapeError(f"features must be n x {d}, got shape {x.shape}")
     if y.shape != (x.shape[0],):

@@ -224,6 +224,41 @@ class TestExitCodes:
         assert "is not a class index" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("svm_classes", [list("abcd"), list("cba")], ids=["more-classes", "reordered"])
+    def test_classifier_class_table_must_match_features_file(self, tmp_path, capsys, svm_classes):
+        # a 4-class classifier on a 3-class file used to die with an IndexError
+        # traceback, and a reordered table to report under the wrong names
+        from zbcae.pipeline import save_features_file, save_svm_checkpoint
+        from zbcae.svm import SvmModel
+
+        features, model, out = tmp_path / "features.zten", tmp_path / "svm.zten", tmp_path / "out"
+        save_features_file(features, np.eye(3), [0.0, 1.0, 2.0], list("abc"), {})
+        n = len(svm_classes)
+        save_svm_checkpoint(model, SvmModel(np.eye(n, 3), np.arange(n, dtype=float), svm_classes), 1.0, {})
+        assert dispatch(["evaluate", "--svm", str(model), "--features", str(features), "--report", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        for part in (str(model), str(features), str(svm_classes), str(list("abc"))):
+            assert part in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_evaluate_without_meta_echoes_lambda_alone(self, tmp_path, capsys):
+        # the svm benchmark's shape: features file and classifier both carry meta_json {}
+        from zbcae.pipeline import save_features_file, save_svm_checkpoint
+        from zbcae.svm import SvmModel
+
+        features, model = tmp_path / "features.zten", tmp_path / "svm.zten"
+        save_features_file(features, np.eye(3), [0.0, 1.0, 2.0], list("abc"), {})
+        save_svm_checkpoint(model, SvmModel(np.eye(3), np.zeros(3), list("abc")), 0.25, {})
+        assert dispatch(["evaluate", "--svm", str(model), "--features", str(features)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["cae"] is None
+        assert report["config"] == {"filters": None, "kernel": None, "stride": None, "pad": None, "pool": None,
+                                    "l2_normalize": False, "cae": None, "svm": {"lambda": 0.25}}
+        assert list(report["config"]) == ["filters", "kernel", "stride", "pad", "pool", "l2_normalize", "cae",
+                                          "svm"]
+        assert report["results"]["top1_accuracy"] == 1.0
+
     @pytest.mark.parametrize("command", ["train-svm", "evaluate"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_features_file_is_data_error(self, tmp_path, capsys, command, value):
@@ -466,6 +501,15 @@ class TestCommands:
                          "--test", str(synth_dir / "test.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("filters", ["4,0", "-2", "4,-1,8"])
+    def test_sweep_rejects_non_positive_filter_count(self, tmp_path, capsys, filters):
+        # rejected as usage before the (missing) manifests are read and K=4 trains
+        missing = str(tmp_path / "missing.json")
+        assert dispatch(["sweep", "--filters", filters, "--train", missing, "--test", missing]) == 1
+        captured = capsys.readouterr()
+        assert "--filters" in captured.err and "missing.json" not in captured.err
+        assert '"epoch"' not in captured.err and captured.out == ""
+
     def test_sweep_accepts_reference_filter_list(self, tmp_path, capsys):
         # 512,1024,2048,4096 parses as a K list; the missing manifest then
         # fails as a data error (2), past the usage stage (1)
@@ -488,6 +532,24 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["cae_weights"] < 1e-4
+
+    @pytest.mark.parametrize("threads", ["abc", "-1", "2.5"])
+    def test_malformed_thread_cap_is_config_error(self, threads):
+        # such values used to be copied into the BLAS variables, and the command ran
+        import subprocess
+        import sys
+
+        blas_vars = ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"]
+        env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+        env["ZBCAE_THREADS"] = threads
+        script = ("import json, os, sys\n"
+                  "from zbcae.cli import dispatch\n"
+                  f"print(json.dumps([os.environ.get(v) for v in {blas_vars!r}]))\n"
+                  "sys.exit(dispatch(['gradcheck', '--seed', '0']))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout) == [None] * 4
+        assert proc.stderr == f"error: ZBCAE_THREADS must be unset or a non-negative integer, got {threads!r}\n"
 
     def test_staged_svm_reports_identical_across_thread_counts(self, tmp_path):
         # eigh and GEMM bits may depend on the BLAS thread count, so the

@@ -178,7 +178,7 @@ class TestEvaluateFeatures:
         model = SvmModel(weights=rng.normal(size=(3, 4)), biases=rng.normal(size=3), class_names=list("abc"))
         feats = rng.normal(size=(30, 4))
         labels = rng.integers(0, 3, size=30)
-        report = evaluate_features(model, feats, labels, list("abc"))
+        report = evaluate_features(model, feats, labels, {})
         confusion = np.array(report.confusion)
         npt.assert_array_equal(confusion.sum(axis=1), np.bincount(labels, minlength=3))
         assert confusion.sum() == report.n_test == 30
@@ -188,7 +188,7 @@ class TestEvaluateFeatures:
         labels = np.array([0, 1, 2, 1, 0])
         feats = np.eye(3)[labels]
         model = SvmModel(weights=np.eye(3), biases=np.zeros(3), class_names=list("abc"))
-        report = evaluate_features(model, feats, labels, list("abc"))
+        report = evaluate_features(model, feats, labels, {})
         assert report.top1 == 1.0
         assert report.per_class_accuracy == [1.0, 1.0, 1.0]
         npt.assert_array_equal(np.array(report.confusion), np.diag([2, 2, 1]))
@@ -278,17 +278,17 @@ class TestRunPipeline:
 class TestFilterSizeSweep:
     def test_three_row_table(self, small_synthetic):
         train_m, test_m = small_synthetic
-        rows = filter_size_sweep(train_m, test_m, small_cae_config(epochs=10), SvmTrainConfig(), [2, 4, 8])
-        assert [r.filters for r in rows] == [2, 4, 8]
-        assert all(0.0 <= r.top1 <= 1.0 for r in rows)
-        assert [r.report.feature_dim for r in rows] == [8, 16, 32]
+        reports = filter_size_sweep(train_m, test_m, small_cae_config(epochs=10), SvmTrainConfig(), [2, 4, 8])
+        assert [r.config_echo["filters"] for r in reports] == [2, 4, 8]
+        assert all(0.0 <= r.top1 <= 1.0 for r in reports)
+        assert [r.feature_dim for r in reports] == [8, 16, 32]
 
     def test_singleton_sweep_matches_single_run(self, small_synthetic):
         train_m, test_m = small_synthetic
-        rows = filter_size_sweep(train_m, test_m, small_cae_config(), SvmTrainConfig(), [4])
+        reports = filter_size_sweep(train_m, test_m, small_cae_config(), SvmTrainConfig(), [4])
         single = run_pipeline(train_m, test_m, small_cae_config(), SvmTrainConfig(), 4)
-        assert len(rows) == 1
-        assert rows[0].report.to_json() == single.to_json()
+        assert len(reports) == 1
+        assert reports[0].to_json() == single.to_json()
 
     def test_empty_k_list_rejected(self, small_synthetic):
         train_m, test_m = small_synthetic

@@ -116,6 +116,12 @@ class TestSquaredHingeObjective:
         with pytest.raises(ShapeError, match="features"):
             squared_hinge_objective(np.zeros((2, 3)), np.zeros(2), np.ones((4, 2)), np.zeros(4, dtype=int), 1.0)
 
+    @pytest.mark.parametrize("n_biases", [1, 2, 4])
+    def test_bias_count_must_match_classes(self, n_biases):
+        # a length-1 vector used to broadcast silently, a length-2 one to fail in numpy
+        with pytest.raises(ShapeError, match=r"biases must have shape \(3,\)"):
+            squared_hinge_objective(np.zeros((3, 4)), np.zeros(n_biases), np.ones((5, 4)), np.arange(5) % 3, 1.0)
+
 
 def two_loop_direction(g, pairs):
     """-H.g via the vector two-loop recursion over stored (s, y, rho) pairs,
