@@ -12,6 +12,11 @@ grid.  One batched forward pass serves both the loss and the training
 step; it computes the tied decoder as the transposed convolution with W_e,
 which equals conv(z, tied(W_e)) at that geometry.
 
+A training step holds one weight-gradient buffer and one chunk's matrices,
+whatever the batch size.  Each chunk adds its decoder-side and encoder-side
+weight terms into the buffer a block of filter rows at a time, and releases
+its code map before the decoder's input gradient takes its place.
+
 Two bias regimes are supported.  ``train-then-zero`` (default) lets the
 biases learn during reconstruction training and pins them to zero only for
 feature extraction; ``always-zero`` treats them as the constant zero in
@@ -186,9 +191,16 @@ def chunk_size(model: CaeModel, sample_shape: tuple, budget_bytes: int) -> int:
 
 
 # Working-set budget of one training chunk.  At the paper geometry (K=4096,
-# 14x14 maps) a chunk is ten samples: a batch of 8 runs as one GEMM per layer,
-# and batch 512 stays in bounded memory.
+# 14x14 maps) a chunk is ten samples: a batch of 8 runs as one GEMM per layer.
+# A step holds one chunk's matrices plus the bank and one gradient buffer, so
+# batch 512 needs no more memory than batch 10.
 TRAIN_CHUNK_BYTES = 64 * 2**20
+
+
+# Budget of one block of filter rows in the weight-gradient products and the
+# SGD update, which never form a bank-sized temporary.  At the paper geometry
+# a block is 904 of the 4096 filters (16 MB of a 75.5 MB bank).
+_FILTER_BLOCK_BYTES = 16 * 2**20
 
 
 # Working-set budget of one extraction chunk.  Kept small: on desk-scale
@@ -197,11 +209,34 @@ TRAIN_CHUNK_BYTES = 64 * 2**20
 EXTRACT_CHUNK_BYTES = 2**18
 
 
-def _chunks(model: CaeModel, x: np.ndarray, budget_bytes: int = TRAIN_CHUNK_BYTES):
+def _chunks(model: CaeModel, x: np.ndarray, budget_bytes: int):
     """Consecutive slices of a (B, C, H, W) batch, each within
     ``budget_bytes`` of working set."""
     step = chunk_size(model, x.shape[1:], budget_bytes)
     return (x[start : start + step] for start in range(0, len(x), step))
+
+
+def _filter_blocks(bank: np.ndarray):
+    """Consecutive slices of the filter rows of a (K, ...) array, each
+    within :data:`_FILTER_BLOCK_BYTES` (at least 8 rows).  Block lengths are
+    multiples of 8, so a bank of a multiple of 8 filters never ends in a
+    one-row block, which numpy would run as a GEMV instead of a GEMM."""
+    rows = max(8, _FILTER_BLOCK_BYTES // (bank.nbytes // len(bank)) // 8 * 8)
+    return (slice(start, start + rows) for start in range(0, len(bank), rows))
+
+
+def _add_weight_grad(dw: np.ndarray, first: bool, x: np.ndarray, dout: np.ndarray, cols: np.ndarray):
+    """Add conv2d_weight_grad(x, dout) into the (K, C, kh, kw) buffer
+    ``dw``, or write it there when ``first``, one block of filter rows at a
+    time.  ``dout`` is (B, K, H, W) and ``cols`` is im2col(x).  Each block is
+    its rows of the whole-bank product."""
+    _, _, kh, kw = dw.shape
+    for rows in _filter_blocks(dw):
+        part = conv2d_weight_grad(x, dout[:, rows], kh, kw, cols=cols)
+        if first:
+            dw[rows] = part
+        else:
+            dw[rows] += part
 
 
 def _biases(model: CaeModel, bias_mode: str):
@@ -229,42 +264,47 @@ def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray):
     return cols_x, z, g, relu(g)
 
 
-def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray):
+def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray,
+                            dw: np.ndarray, first: bool):
     """One forward (:func:`_forward`) and backward pass over a chunk.
 
-    The decoder's input gradient conv2d(dG, W) and weight gradient
-    conv2d_weight_grad(dG, z) use W itself and the column matrix cols(dG);
-    the encoder's weight gradient reuses the forward pass's cols(x).  Both
-    weight terms reach W_e through the tie, so one summed gradient is
-    returned: (loss, dw_e, db_e, db_d).
+    Both weight terms reach W_e through the tie, so both go into the one
+    buffer ``dw`` (written when ``first``, added to otherwise).  The
+    decoder's weight term conv2d_weight_grad(dG, z) comes first, from the
+    column matrix cols(dG); the code map is then released, and the decoder's
+    input gradient conv2d(dG, W) takes its place.  The encoder's weight term
+    reuses the forward pass's cols(x).  Returns (loss, db_e, db_d).
     """
-    k, _, kh, kw = model.w_e.shape
     cols_x, z, g, y = _forward(model, x, b_e, b_d)
     r = y - x
     loss = 0.5 * float((r * r).sum())
 
     dg = r * (g > 0.0)
+    del g, y, r
     db_d = conv2d_bias_grad(dg)
-    cols_dg = im2col(dg, kh, kw)
-    dw_dec = conv2d_weight_grad(dg, z, kh, kw, cols=cols_dg)
-    da = conv2d(dg, model.w_e, np.zeros(k), cols=cols_dg)
-    da *= z > 0.0  # z > 0 exactly where the pre-activation is
-    del z, cols_dg  # free before the last GEMM: tens of MB each at K=4096
+    cols_dg = im2col(dg, model.kernel, model.kernel)
+    active = z > 0.0  # exactly where the pre-activation is
+    _add_weight_grad(dw, first, dg, z, cols_dg)
+    del z  # code-map-sized, like da: 51 MB at the paper geometry
+    da = conv2d(dg, model.w_e, np.zeros(model.n_filters), cols=cols_dg)
+    del cols_dg
+    da *= active
     db_e = conv2d_bias_grad(da)
-    dw = conv2d_weight_grad(x, da, kh, kw, cols=cols_x)
-    dw += dw_dec  # in place: one bank-sized array fewer at K=4096
-    return loss, dw, db_e, db_d
+    _add_weight_grad(dw, False, x, da, cols_x)
+    return loss, db_e, db_d
 
 
 def _forward_backward(model: CaeModel, batch, bias_mode: str) -> tuple[float, CaeGradients]:
-    """(loss, gradients) of a batch, summed over its chunks."""
+    """(loss, gradients) of a batch, summed over its chunks into one
+    weight-gradient buffer."""
     x = _as_batch(model, batch)
     b_e, b_d = _biases(model, bias_mode)
+    dw_e = np.empty_like(model.w_e)
     total = None
-    for chunk in _chunks(model, x):
-        part = _chunk_forward_backward(model, chunk, b_e, b_d)
+    for chunk in _chunks(model, x, TRAIN_CHUNK_BYTES):
+        part = _chunk_forward_backward(model, chunk, b_e, b_d, dw_e, first=total is None)
         total = part if total is None else tuple(a + b for a, b in zip(total, part))
-    loss, dw_e, db_e, db_d = total
+    loss, db_e, db_d = total
     if bias_mode == BIAS_ALWAYS_ZERO:
         db_e = np.zeros(model.n_filters)
         db_d = np.zeros(model.n_channels)
@@ -279,7 +319,7 @@ def reconstruction_loss(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN
     x = _as_batch(model, batch)
     b_e, b_d = _biases(model, bias_mode)
     total = 0.0
-    for chunk in _chunks(model, x):
+    for chunk in _chunks(model, x, TRAIN_CHUNK_BYTES):
         r = _forward(model, chunk, b_e, b_d)[3] - chunk
         total += 0.5 * float((r * r).sum())
     return total
@@ -297,10 +337,16 @@ def loss_gradients(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO
 
 
 def sgd_step(model: CaeModel, grads: CaeGradients, lr: float) -> CaeModel:
-    """Plain in-place stochastic gradient step, no momentum or decay."""
+    """Plain in-place stochastic gradient step, no momentum or decay.
+
+    The bank moves one block of filter rows at a time: the same bits as
+    ``w_e -= lr * dw_e`` without a bank-sized ``lr * dw_e``.  ``grads`` is
+    left as it was.
+    """
     if grads.dw_e.shape != model.w_e.shape:
         raise ShapeError(f"weight gradient shape {grads.dw_e.shape} != {model.w_e.shape}")
-    model.w_e -= lr * grads.dw_e
+    for rows in _filter_blocks(model.w_e):
+        model.w_e[rows] -= lr * grads.dw_e[rows]
     model.b_e -= lr * grads.db_e
     model.b_d -= lr * grads.db_d
     return model

@@ -69,6 +69,13 @@ def _class_names(path, records) -> list:
     return names
 
 
+def _meta(path, records) -> dict:
+    meta = _record_json(path, records, "meta_json")
+    if not isinstance(meta, dict):
+        raise TensorFileError(f"{path}: record 'meta_json' is not a JSON object")
+    return meta
+
+
 def loss_summary(history: LossHistory) -> dict:
     if not history.mean_loss:
         return {"epochs_run": 0, "initial_mean_loss": None, "final_mean_loss": None,
@@ -126,7 +133,7 @@ def load_cae_checkpoint(path):
     _scalar_record(path, records, "decoder_relu", (1.0,))
     _scalar_record(path, records, "conv_stride", (1.0,))
     _scalar_record(path, records, "conv_pad", (float((model.kernel - 1) // 2),))
-    return model, _BIAS_NAMES[code], _record_json(path, records, "meta_json")
+    return model, _BIAS_NAMES[code], _meta(path, records)
 
 
 def save_features_file(path, features, labels, classes, meta: dict) -> None:
@@ -149,7 +156,7 @@ def load_features_file(path):
     bad = ~((labels >= 0) & (labels < len(classes)) & (labels == np.floor(labels)))
     if bad.any():
         raise TensorFileError(f"{path}: label {float(labels[bad][0])} is not a class index in 0..{len(classes) - 1}")
-    return features, labels.astype(np.int64), classes, _record_json(path, records, "meta_json")
+    return features, labels.astype(np.int64), classes, _meta(path, records)
 
 
 def save_svm_checkpoint(path, model: SvmModel, lam: float, meta: dict) -> None:
@@ -173,7 +180,7 @@ def load_svm_checkpoint(path):
     lam = _scalar_record(path, records, "lambda")
     if lam < 0:
         raise TensorFileError(f"{path}: record 'lambda' must be >= 0, got {lam}")
-    return model, lam, _record_json(path, records, "meta_json")
+    return model, lam, _meta(path, records)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ gradients against central finite differences, trainer behavior."""
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -30,6 +31,7 @@ from zbcae.ops import (
     conv2d_bias_grad,
     conv2d_input_grad,
     conv2d_weight_grad,
+    im2col,
     relu,
     tied_decoder_weights,
 )
@@ -378,6 +380,116 @@ class TestBatchedStep:
         assert 8 * n * 14 * 14 * 4096 <= cae.TRAIN_CHUNK_BYTES
 
 
+def chunk_forward_backward_reference(model, x, b_e, b_d):
+    """The chunk step that one weight-gradient buffer per batch replaced: the
+    decoder's and the encoder's weight terms formed as whole banks, summed
+    as enc + dec.  Returns (loss, dw_e, db_e, db_d)."""
+    k, _, kh, kw = model.w_e.shape
+    cols_x, z, g, y = cae._forward(model, x, b_e, b_d)
+    r = y - x
+    loss = 0.5 * float((r * r).sum())
+    dg = r * (g > 0.0)
+    db_d = conv2d_bias_grad(dg)
+    cols_dg = im2col(dg, kh, kw)
+    dw_dec = conv2d_weight_grad(dg, z, kh, kw, cols=cols_dg)
+    da = conv2d(dg, model.w_e, np.zeros(k), cols=cols_dg)
+    da *= z > 0.0
+    db_e = conv2d_bias_grad(da)
+    dw = conv2d_weight_grad(x, da, kh, kw, cols=cols_x)
+    dw += dw_dec
+    return loss, dw, db_e, db_d
+
+
+def forward_backward_reference(model, batch, bias_mode):
+    """The replaced batch step: chunk results summed as total + part."""
+    x = np.asarray(batch, dtype=np.float64)
+    b_e, b_d = cae._biases(model, bias_mode)
+    total = None
+    for chunk in cae._chunks(model, x, cae.TRAIN_CHUNK_BYTES):
+        part = chunk_forward_backward_reference(model, chunk, b_e, b_d)
+        total = part if total is None else tuple(a + b for a, b in zip(total, part))
+    loss, dw_e, db_e, db_d = total
+    if bias_mode == BIAS_ALWAYS_ZERO:
+        db_e, db_d = np.zeros(model.n_filters), np.zeros(model.n_channels)
+    return loss, dw_e, db_e, db_d
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.tobytes() == expected.tobytes()
+
+
+class TestStepMatchesReference:
+    """The step with one weight-gradient buffer, filled a block of filter
+    rows at a time, against the whole-bank step it replaced."""
+
+    @pytest.mark.parametrize("bias_mode", [BIAS_TRAIN_THEN_ZERO, BIAS_ALWAYS_ZERO])
+    @pytest.mark.parametrize("shape", [(4, 6, 6), (1, 14, 14)], ids=["BHW-0-mod-8", "BHW-4-mod-8"])
+    def test_one_chunk_is_bit_identical(self, monkeypatch, bias_mode, shape):
+        rng = np.random.default_rng(140)
+        model = random_model(rng, k=64, c=32)
+        b, h, w = shape
+        batch = rng.normal(0.2, 1.0, size=(b, 32, h, w))
+        # 24 filter rows per block: blocks of 24, 24 and a trailing 16
+        monkeypatch.setattr(cae, "_FILTER_BLOCK_BYTES", 24 * model.w_e[0].nbytes)
+        assert [len(model.w_e[rows]) for rows in cae._filter_blocks(model.w_e)] == [24, 24, 16]
+        assert cae.chunk_size(model, batch.shape[1:], cae.TRAIN_CHUNK_BYTES) >= b
+        for got, want in zip(batched_step(model, batch, bias_mode),
+                             forward_backward_reference(model, batch, bias_mode)):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("bias_mode", [BIAS_TRAIN_THEN_ZERO, BIAS_ALWAYS_ZERO])
+    def test_several_chunks_differ_only_in_association(self, monkeypatch, bias_mode):
+        # after the first chunk the weight terms add as (total + dec) + enc
+        # instead of total + (enc + dec): the last bits of dW may move
+        rng = np.random.default_rng(141)
+        model = random_model(rng, k=64, c=32)
+        batch = rng.normal(0.2, 1.0, size=(5, 32, 6, 6))
+        monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 2 * 8 * 6 * 6 * 32 * 9)
+        monkeypatch.setattr(cae, "_FILTER_BLOCK_BYTES", 24 * model.w_e[0].nbytes)
+        assert len(list(cae._chunks(model, batch, cae.TRAIN_CHUNK_BYTES))) == 3
+        loss, dw_e, db_e, db_d = batched_step(model, batch, bias_mode)
+        ref_loss, ref_dw_e, ref_db_e, ref_db_d = forward_backward_reference(model, batch, bias_mode)
+        assert loss == ref_loss
+        assert_same_bits(db_e, ref_db_e)
+        assert_same_bits(db_d, ref_db_d)
+        assert_rel_close(dw_e, ref_dw_e, tol=1e-14)
+
+    @pytest.mark.parametrize("chunked", [True, False])
+    def test_reconstruction_loss_unchanged(self, monkeypatch, chunked):
+        rng = np.random.default_rng(142)
+        model = random_model(rng, k=64, c=32)
+        batch = rng.normal(0.2, 1.0, size=(5, 32, 6, 6))
+        if chunked:
+            monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 2 * 8 * 6 * 6 * 32 * 9)
+        for bias_mode in (BIAS_TRAIN_THEN_ZERO, BIAS_ALWAYS_ZERO):
+            loss = reconstruction_loss(model, batch, bias_mode)
+            assert loss == forward_backward_reference(model, batch, bias_mode)[0]
+            assert loss == batched_step(model, batch, bias_mode)[0]
+
+    def test_several_chunks_hold_one_chunk_and_one_buffer(self, monkeypatch):
+        # numpy reports its buffers to tracemalloc.  The bank and the batch
+        # exist before tracing starts, so the traced peak is the step's own:
+        # one gradient buffer and one chunk's cols(x), cols(dG) and code map,
+        # plus slack for the decoder-sized maps and col2im's per-sample
+        # copies.  The whole-bank step held two more banks and a second
+        # code map on top of that.
+        k, c, hw, per_chunk = 256, 32, 14, 4
+        model = init_model(k, c, 3, seed=143)
+        batch = relu(np.random.default_rng(143).normal(0.3, 1.0, size=(3 * per_chunk, c, hw, hw)))
+        monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", per_chunk * 8 * hw * hw * max(k, c * 9))
+        assert [len(chunk) for chunk in cae._chunks(model, batch, cae.TRAIN_CHUNK_BYTES)] == [per_chunk] * 3
+        n = per_chunk * hw * hw
+        bound = model.w_e.nbytes + 2 * (8 * c * 9 * n) + 8 * k * n + 2 * 2**20
+        tracemalloc.start()
+        try:
+            cae._forward_backward(model, batch, BIAS_TRAIN_THEN_ZERO)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
 class TestSgdStep:
     def test_zero_lr_leaves_model_unchanged(self):
         rng = np.random.default_rng(19)
@@ -405,6 +517,23 @@ class TestSgdStep:
         grads = CaeGradients(np.full((1, 1, 1, 1), -3.0), np.zeros(1), np.zeros(1))
         sgd_step(model, grads, lr=0.1)
         npt.assert_allclose(model.w_e, np.full((1, 1, 1, 1), 0.3))
+
+
+    def test_blocked_update_matches_whole_bank_bits(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        model = random_model(rng, k=20, c=3)
+        grads = CaeGradients(rng.normal(size=model.w_e.shape), rng.normal(size=20), rng.normal(size=3))
+        kept = copy.deepcopy(grads)
+        lr = 0.37
+        expected = model.w_e.copy()
+        expected -= lr * grads.dw_e
+        # 8 filter rows per block: blocks of 8, 8 and a trailing 4
+        monkeypatch.setattr(cae, "_FILTER_BLOCK_BYTES", 8 * model.w_e[0].nbytes)
+        assert len(list(cae._filter_blocks(model.w_e))) == 3
+        sgd_step(model, grads, lr)
+        assert_same_bits(model.w_e, expected)
+        for name in ("dw_e", "db_e", "db_d"):
+            assert_same_bits(getattr(grads, name), getattr(kept, name))
 
 
 def tiny_dataset(rng, n=16, c=2, hw=4):

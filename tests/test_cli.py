@@ -373,6 +373,32 @@ class TestExitCodes:
         assert f"record {record!r}" in captured.err and "model.zten" in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("kind", ["model", "features", "classifier"])
+    def test_meta_record_that_is_not_an_object_is_data_error(self, synth_dir, tmp_path, capsys, kind):
+        # valid JSON that is not an object used to reach {**meta, ...} as a
+        # TypeError traceback (exit 1)
+        from zbcae.cae import BIAS_TRAIN_THEN_ZERO, init_model
+        from zbcae.pipeline import save_cae_checkpoint, save_features_file, save_svm_checkpoint
+        from zbcae.svm import SvmModel
+
+        bad, out = tmp_path / f"{kind}.zten", tmp_path / "out"
+        if kind == "model":
+            save_cae_checkpoint(bad, init_model(2, 4, 3, seed=0), BIAS_TRAIN_THEN_ZERO, [1, 2])
+            argv = ["encode", "--model", str(bad), "--manifest", str(synth_dir / "test.json"), "--out", str(out)]
+        elif kind == "features":
+            save_features_file(bad, np.eye(2, 3), [0.0, 1.0], ["a", "b"], [1, 2])
+            argv = ["train-svm", "--features", str(bad), "--out", str(out)]
+        else:
+            features = tmp_path / "features.zten"
+            save_features_file(features, np.eye(2, 3), [0.0, 1.0], ["a", "b"], {})
+            save_svm_checkpoint(bad, SvmModel(np.eye(2, 3), np.zeros(2), ["a", "b"]), 1.0, [1, 2])
+            argv = ["evaluate", "--svm", str(bad), "--features", str(features), "--report", str(out)]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert str(bad) in captured.err and "record 'meta_json' is not a JSON object" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_unset_pad_follows_kernel(self, synth_dir, tmp_path, capsys):
         config = tmp_path / "kernel.cfg"
         config.write_text(PIPE_CONFIG.replace("epochs = 30", "epochs = 2") + "kernel = 5\n")
