@@ -12,10 +12,14 @@ grid.  One batched forward pass serves both the loss and the training
 step; it computes the tied decoder as the transposed convolution with W_e,
 which equals conv(z, tied(W_e)) at that geometry.
 
-A training step holds one weight-gradient buffer and one chunk's matrices,
-whatever the batch size.  Each chunk adds its decoder-side and encoder-side
-weight terms into the buffer a block of filter rows at a time, and releases
-its code map before the decoder's input gradient takes its place.
+A training step holds one weight-gradient buffer, whatever the batch size,
+and runs in one step workspace that :func:`train` makes once and reuses for
+every step: one code buffer, one column buffer and one filter-block buffer,
+each viewed at the current chunk's shape.  The column buffer takes cols(x),
+the decoder's column matrix, cols(dG) and cols(x) again in turn; the
+decoder's input gradient overwrites the code once its ReLU mask is taken.
+Each chunk adds its decoder-side and encoder-side weight terms into the
+gradient buffer a block of filter rows at a time.
 
 Two bias regimes are supported.  ``train-then-zero`` (default) lets the
 biases learn during reconstruction training and pins them to zero only for
@@ -25,6 +29,7 @@ every forward pass and returns zero bias gradients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +166,8 @@ def init_model(n_filters: int, n_channels: int, kernel: int, seed: int) -> CaeMo
 def encode(model: CaeModel, x: np.ndarray, zero_bias: bool = False) -> np.ndarray:
     """ReLU(conv(x, W_e) + b_e), or with b_e pinned to zero when zero_bias."""
     b = np.zeros(model.n_filters) if zero_bias else model.b_e
-    return relu(conv2d(x, model.w_e, b))
+    z = conv2d(x, model.w_e, b)
+    return np.maximum(z, 0.0, out=z)
 
 
 def _as_batch(model: CaeModel, batch) -> np.ndarray:
@@ -192,15 +198,22 @@ def chunk_size(model: CaeModel, sample_shape: tuple, budget_bytes: int) -> int:
 
 # Working-set budget of one training chunk.  At the paper geometry (K=4096,
 # 14x14 maps) a chunk is ten samples: a batch of 8 runs as one GEMM per layer.
-# A step holds one chunk's matrices plus the bank and one gradient buffer, so
-# batch 512 needs no more memory than batch 10.
+# A step holds one chunk's workspace plus the bank and one gradient buffer,
+# so batch 512 needs no more memory than batch 10.
 TRAIN_CHUNK_BYTES = 64 * 2**20
 
 
-# Budget of one block of filter rows in the weight-gradient products and the
-# SGD update, which never form a bank-sized temporary.  At the paper geometry
-# a block is 904 of the 4096 filters (16 MB of a 75.5 MB bank).
+# Budget of one block of filter rows in the weight-gradient products, which
+# never form a bank-sized temporary.  At the paper geometry a block is 904 of
+# the 4096 filters (16 MB of a 75.5 MB bank).
 _FILTER_BLOCK_BYTES = 16 * 2**20
+
+
+# Budget of one block of filter rows in the SGD update.  Its ``lr * dW``
+# block is the update's only temporary, and it forms while the training
+# workspace is held, so it is kept small; an elementwise update has the
+# same bits at any block size.
+_UPDATE_BLOCK_BYTES = 2**20
 
 
 # Working-set budget of one extraction chunk.  Kept small: on desk-scale
@@ -216,27 +229,67 @@ def _chunks(model: CaeModel, x: np.ndarray, budget_bytes: int):
     return (x[start : start + step] for start in range(0, len(x), step))
 
 
-def _filter_blocks(bank: np.ndarray):
+def _block_rows(bank: np.ndarray, budget_bytes: int) -> int:
+    """Filter rows per block of a (K, ...) array: as many as fit
+    ``budget_bytes``, rounded down to a multiple of 8 (at least 8), so a
+    bank of a multiple of 8 filters never ends in a one-row block, which
+    numpy would run as a GEMV instead of a GEMM."""
+    return max(8, budget_bytes // (bank.nbytes // len(bank)) // 8 * 8)
+
+
+def _filter_blocks(bank: np.ndarray, budget_bytes: int):
     """Consecutive slices of the filter rows of a (K, ...) array, each
-    within :data:`_FILTER_BLOCK_BYTES` (at least 8 rows).  Block lengths are
-    multiples of 8, so a bank of a multiple of 8 filters never ends in a
-    one-row block, which numpy would run as a GEMV instead of a GEMM."""
-    rows = max(8, _FILTER_BLOCK_BYTES // (bank.nbytes // len(bank)) // 8 * 8)
+    :func:`_block_rows` long except perhaps the last."""
+    rows = _block_rows(bank, budget_bytes)
     return (slice(start, start + rows) for start in range(0, len(bank), rows))
 
 
-def _add_weight_grad(dw: np.ndarray, first: bool, x: np.ndarray, dout: np.ndarray, cols: np.ndarray):
+class _Workspace:
+    """Scratch memory of the training step and the loss, made once per
+    :func:`train`, :func:`loss_gradients` or :func:`reconstruction_loss`
+    call: one code buffer (K x N), one column buffer (C*kh*kw x N) and one
+    filter-block buffer (:data:`_FILTER_BLOCK_BYTES` of filter rows), flat
+    and sized for the largest chunk of a batch of ``samples`` maps of
+    ``sample_shape``, N = chunk * H * W.  Each chunk views them at its own
+    shape, so their pages are touched on the first step and reused by every
+    later one.
+    """
+
+    def __init__(self, model: CaeModel, sample_shape: tuple, samples: int):
+        k, c, kh, kw = model.w_e.shape
+        _, h, w = sample_shape
+        n = min(samples, chunk_size(model, sample_shape, TRAIN_CHUNK_BYTES)) * h * w
+        self._k, self._rows = k, c * kh * kw
+        self._code = np.empty(k * n)
+        self._cols = np.empty(c * kh * kw * n)
+        self._block = np.empty(min(k, _block_rows(model.w_e, _FILTER_BLOCK_BYTES)) * c * kh * kw)
+
+    def code(self, n: int) -> np.ndarray:
+        """The code buffer as a (K, n) matrix."""
+        return self._code[: self._k * n].reshape(self._k, n)
+
+    def cols(self, n: int) -> np.ndarray:
+        """The column buffer as a (C*kh*kw, n) matrix."""
+        return self._cols[: self._rows * n].reshape(self._rows, n)
+
+    def block(self, shape: tuple) -> np.ndarray:
+        """The filter-block buffer viewed at ``shape``."""
+        return self._block[: math.prod(shape)].reshape(shape)
+
+
+def _add_weight_grad(dw: np.ndarray, first: bool, x: np.ndarray, dout: np.ndarray, cols: np.ndarray,
+                     ws: _Workspace):
     """Add conv2d_weight_grad(x, dout) into the (K, C, kh, kw) buffer
     ``dw``, or write it there when ``first``, one block of filter rows at a
-    time.  ``dout`` is (B, K, H, W) and ``cols`` is im2col(x).  Each block is
-    its rows of the whole-bank product."""
+    time.  ``dout`` is (B, K, H, W) and ``cols`` is im2col(x); each block's
+    product is added from the workspace's filter-block buffer.  Each block
+    is its rows of the whole-bank product."""
     _, _, kh, kw = dw.shape
-    for rows in _filter_blocks(dw):
-        part = conv2d_weight_grad(x, dout[:, rows], kh, kw, cols=cols)
+    for rows in _filter_blocks(dw, _FILTER_BLOCK_BYTES):
         if first:
-            dw[rows] = part
+            conv2d_weight_grad(x, dout[:, rows], kh, kw, cols=cols, out=dw[rows])
         else:
-            dw[rows] += part
+            dw[rows] += conv2d_weight_grad(x, dout[:, rows], kh, kw, cols=cols, out=ws.block(dw[rows].shape))
 
 
 def _biases(model: CaeModel, bias_mode: str):
@@ -249,60 +302,69 @@ def _biases(model: CaeModel, bias_mode: str):
     return np.zeros(model.n_filters), np.zeros(model.n_channels)
 
 
-def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray):
-    """The batched forward pass over a (B, C, H, W) chunk: (cols_x, z, g, y)
-    with cols_x = im2col(x), the code z, the decoder pre-activation g and
-    the reconstruction y.
+def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray, ws: _Workspace):
+    """The batched forward pass over a (B, C, H, W) chunk in ``ws``: (z, g),
+    the code z as a (B, K, H, W) view of the code buffer and the decoder
+    pre-activation g.
 
-    The decoder conv(z, tied(W)) is computed as the transposed convolution
+    The column buffer holds im2col(x) for the encoder GEMM, then the
+    decoder's column matrix W^T z, which col2im folds into g.  The decoder
+    conv(z, tied(W)) is computed as that transposed convolution
     conv2d_input_grad(z, W), which it equals for the same-size convolution,
     so no tied copy of the bank is formed.
     """
-    cols_x = im2col(x, model.kernel, model.kernel)
-    z = relu(conv2d(x, model.w_e, b_e, cols=cols_x))
-    g = conv2d_input_grad(z, model.w_e) + b_d[:, None, None]
-    return cols_x, z, g, relu(g)
+    kh = kw = model.kernel
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+    cols = im2col(x, kh, kw, out=ws.cols(n))
+    z = conv2d(x, model.w_e, b_e, cols=cols, out=ws.code(n))
+    np.maximum(z, 0.0, out=z)
+    g = conv2d_input_grad(z, model.w_e, out=cols)
+    g += b_d[:, None, None]
+    return z, g
 
 
 def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray,
-                            dw: np.ndarray, first: bool):
-    """One forward (:func:`_forward`) and backward pass over a chunk.
+                            dw: np.ndarray, first: bool, ws: _Workspace):
+    """One forward (:func:`_forward`) and backward pass over a chunk, in the
+    workspace's one code buffer and one column buffer.
 
     Both weight terms reach W_e through the tie, so both go into the one
-    buffer ``dw`` (written when ``first``, added to otherwise).  The
-    decoder's weight term conv2d_weight_grad(dG, z) comes first, from the
-    column matrix cols(dG); the code map is then released, and the decoder's
-    input gradient conv2d(dG, W) takes its place.  The encoder's weight term
-    reuses the forward pass's cols(x).  Returns (loss, db_e, db_d).
+    buffer ``dw`` (written when ``first``, added to otherwise).  The column
+    buffer takes cols(dG) for the decoder's weight term
+    conv2d_weight_grad(dG, z) and its input gradient conv2d(dG, W); that
+    whole-bank GEMM overwrites z in the code buffer once z's ReLU mask is
+    taken, and becomes da.  The column buffer then takes cols(x) again for
+    the encoder's weight term.  Returns (loss, db_e, db_d).
     """
-    cols_x, z, g, y = _forward(model, x, b_e, b_d)
-    r = y - x
+    kh = kw = model.kernel
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+    z, g = _forward(model, x, b_e, b_d, ws)
+    r = relu(g) - x
     loss = 0.5 * float((r * r).sum())
 
     dg = r * (g > 0.0)
-    del g, y, r
+    del g, r
     db_d = conv2d_bias_grad(dg)
-    cols_dg = im2col(dg, model.kernel, model.kernel)
+    cols = im2col(dg, kh, kw, out=ws.cols(n))
+    _add_weight_grad(dw, first, dg, z, cols, ws)
     active = z > 0.0  # exactly where the pre-activation is
-    _add_weight_grad(dw, first, dg, z, cols_dg)
-    del z  # code-map-sized, like da: 51 MB at the paper geometry
-    da = conv2d(dg, model.w_e, np.zeros(model.n_filters), cols=cols_dg)
-    del cols_dg
+    # One whole-bank GEMM: blocks of W's rows change its bits at N = 4 (mod 8).
+    da = conv2d(dg, model.w_e, np.zeros(model.n_filters), cols=cols, out=ws.code(n))
     da *= active
     db_e = conv2d_bias_grad(da)
-    _add_weight_grad(dw, False, x, da, cols_x)
+    _add_weight_grad(dw, False, x, da, im2col(x, kh, kw, out=cols), ws)
     return loss, db_e, db_d
 
 
-def _forward_backward(model: CaeModel, batch, bias_mode: str) -> tuple[float, CaeGradients]:
-    """(loss, gradients) of a batch, summed over its chunks into one
-    weight-gradient buffer."""
-    x = _as_batch(model, batch)
+def _forward_backward(model: CaeModel, x: np.ndarray, bias_mode: str,
+                      ws: _Workspace) -> tuple[float, CaeGradients]:
+    """(loss, gradients) of a (B, C, H, W) batch, in workspace ``ws``,
+    summed over its chunks into one weight-gradient buffer."""
     b_e, b_d = _biases(model, bias_mode)
     dw_e = np.empty_like(model.w_e)
     total = None
     for chunk in _chunks(model, x, TRAIN_CHUNK_BYTES):
-        part = _chunk_forward_backward(model, chunk, b_e, b_d, dw_e, first=total is None)
+        part = _chunk_forward_backward(model, chunk, b_e, b_d, dw_e, total is None, ws)
         total = part if total is None else tuple(a + b for a, b in zip(total, part))
     loss, db_e, db_d = total
     if bias_mode == BIAS_ALWAYS_ZERO:
@@ -318,9 +380,10 @@ def reconstruction_loss(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN
     """
     x = _as_batch(model, batch)
     b_e, b_d = _biases(model, bias_mode)
+    ws = _Workspace(model, x.shape[1:], len(x))
     total = 0.0
     for chunk in _chunks(model, x, TRAIN_CHUNK_BYTES):
-        r = _forward(model, chunk, b_e, b_d)[3] - chunk
+        r = relu(_forward(model, chunk, b_e, b_d, ws)[1]) - chunk
         total += 0.5 * float((r * r).sum())
     return total
 
@@ -333,19 +396,20 @@ def loss_gradients(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO
     exactly 0.  In always-zero mode the bias gradients are zero and the
     forward pass treats both biases as the constant 0.
     """
-    return _forward_backward(model, batch, bias_mode)[1]
+    x = _as_batch(model, batch)
+    return _forward_backward(model, x, bias_mode, _Workspace(model, x.shape[1:], len(x)))[1]
 
 
 def sgd_step(model: CaeModel, grads: CaeGradients, lr: float) -> CaeModel:
     """Plain in-place stochastic gradient step, no momentum or decay.
 
-    The bank moves one block of filter rows at a time: the same bits as
-    ``w_e -= lr * dw_e`` without a bank-sized ``lr * dw_e``.  ``grads`` is
-    left as it was.
+    The bank moves one block of filter rows (:data:`_UPDATE_BLOCK_BYTES`)
+    at a time: the same bits as ``w_e -= lr * dw_e`` without a bank-sized
+    ``lr * dw_e``.  ``grads`` is left as it was.
     """
     if grads.dw_e.shape != model.w_e.shape:
         raise ShapeError(f"weight gradient shape {grads.dw_e.shape} != {model.w_e.shape}")
-    for rows in _filter_blocks(model.w_e):
+    for rows in _filter_blocks(model.w_e, _UPDATE_BLOCK_BYTES):
         model.w_e[rows] -= lr * grads.dw_e[rows]
     model.b_e -= lr * grads.db_e
     model.b_d -= lr * grads.db_d
@@ -373,6 +437,7 @@ def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
     if config.epochs == 0:
         return model, history
 
+    ws = _Workspace(model, data.shape[1:], min(config.batch_size, n))
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
     plateau_run = 0
@@ -383,7 +448,7 @@ def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
         total = 0.0
         for b, start in enumerate(range(0, n, config.batch_size)):
             batch = data[order[start : start + config.batch_size]]
-            loss, grads = _forward_backward(model, batch, config.bias_mode)
+            loss, grads = _forward_backward(model, batch, config.bias_mode, ws)
             if not np.isfinite(loss):
                 raise NonFiniteLossError(
                     f"non-finite reconstruction loss at epoch {epoch}, batch {b}; "

@@ -8,7 +8,10 @@ is ``(K, C, kh, kw)``.  ``im2col``/``col2im`` and the convolutions accept
 either a single map or a batch; a batch runs as one GEMM per call.
 ``im2col`` copies its patch matrix out of a strided view of the padded
 batch; ``col2im`` is a bincount scatter-add over the same positions
-``im2col`` reads, one sample at a time.
+``im2col`` reads, one sample at a time.  ``im2col`` and the convolutions
+also take an optional ``out``, a caller-owned C-contiguous float64 buffer
+that the patch matrix or the GEMM's product is written to, with the bits
+of the freshly allocated result; writing it is their only side effect.
 
 The convolution has one geometry, the same-size one: stride 1 and zero
 padding (k - 1) / 2 around an odd kernel extent k.  There the transposed
@@ -30,6 +33,19 @@ def _as_f64(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float64)
 
 
+def _check_out(out: np.ndarray, shape: tuple, opname: str) -> np.ndarray:
+    """``out`` itself when it is a writeable, C-contiguous float64 array of
+    ``shape``; ShapeError otherwise."""
+    if not isinstance(out, np.ndarray):
+        raise ShapeError(f"{opname} out must be a numpy array, got {type(out).__name__}")
+    if (out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous
+            or not out.flags.writeable):
+        raise ShapeError(f"{opname} out must be a writeable C-contiguous float64 array of shape {shape}, "
+                         f"got {out.dtype} {out.shape} (C-contiguous: {out.flags.c_contiguous}, "
+                         f"writeable: {out.flags.writeable})")
+    return out
+
+
 def _half_pad(kh: int, kw: int) -> tuple:
     """Zero padding (k - 1) / 2 of each odd kernel extent; ShapeError for an
     even one, which has no same-size padding."""
@@ -38,7 +54,7 @@ def _half_pad(kh: int, kw: int) -> tuple:
     return (kh - 1) // 2, (kw - 1) // 2
 
 
-def im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+def im2col(x: np.ndarray, kh: int, kw: int, out: np.ndarray | None = None) -> np.ndarray:
     """Unfold a (C, H, W) map, or a (B, C, H, W) batch of them, into a
     (C*kh*kw, B*H*W) patch matrix (B = 1 for a single map).
 
@@ -48,6 +64,8 @@ def im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     batch is padded once into one zero-filled buffer, and the matrix is
     copied out of a (C, kh, kw, B, H, W) view built from that buffer's
     strides: entry (c, u, v, b, i, j) reads xpad[b, c, i + u, j + v].
+    ``out``, when given, is the (C*kh*kw, B*H*W) buffer the matrix is
+    copied into and returned in.
     """
     ph, pw = _half_pad(kh, kw)
     xb = x if x.ndim == 4 else x[None]
@@ -56,7 +74,10 @@ def im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     xp[:, :, ph : ph + h, pw : pw + w] = xb
     sb, sc, sh, sw = xp.strides
     patches = np.ndarray((c, kh, kw, b, h, w), dtype=xp.dtype, buffer=xp, strides=(sc, sh, sw, sb, sh, sw))
-    return patches.reshape(c * kh * kw, b * h * w)
+    if out is None:
+        return patches.reshape(c * kh * kw, b * h * w)
+    np.copyto(_check_out(out, (c * kh * kw, b * h * w), "im2col").reshape(patches.shape), patches)
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -100,7 +121,7 @@ def _by_channel(maps: np.ndarray) -> np.ndarray:
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-           cols: np.ndarray | None = None) -> np.ndarray:
+           cols: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Same-size cross-correlation of a (C, H, W) map, or a (B, C, H, W)
     batch, with a (K, C, kh, kw) bank of odd kernel extents.
 
@@ -111,7 +132,9 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     columns on each side, so the output keeps the input's extent.  Bias is
     one scalar per output map.  A batch is one GEMM; its (B, K, H, W) result
     is a view of (K, B, H, W) memory.  ``cols``, when given, is
-    ``im2col(x, kh, kw)`` already computed by the caller.
+    ``im2col(x, kh, kw)`` already computed by the caller.  ``out``, when
+    given, is the (K, B*H*W) buffer the GEMM writes; the result is a view
+    of it.
     """
     x = np.asarray(x, dtype=np.float64)
     w = _as_f64(weights)
@@ -127,7 +150,9 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         raise ShapeError(f"bias has length {b.size} but there are {k} filters")
     if cols is None:
         cols = im2col(x, kh, kw)
-    out = w.reshape(k, c * kh * kw) @ cols
+    if out is not None:
+        _check_out(out, (k, cols.shape[1]), "conv2d")
+    out = np.matmul(w.reshape(k, c * kh * kw), cols, out=out)
     out += b[:, None]
     if x.ndim == 3:
         return out.reshape(k, *x.shape[1:])
@@ -135,22 +160,32 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
 
 
 def conv2d_weight_grad(x: np.ndarray, dout: np.ndarray, kh: int, kw: int,
-                       cols: np.ndarray | None = None) -> np.ndarray:
+                       cols: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of conv2d w.r.t. its weights, given dL/dout of shape
     (K, H, W), or (B, K, H, W) summed over the batch.  ``cols``, when
-    given, is ``im2col(x, kh, kw)``."""
+    given, is ``im2col(x, kh, kw)``; ``out``, when given, is the
+    (K, C, kh, kw) buffer the gradient is written to and returned in."""
     if cols is None:
         cols = im2col(np.asarray(x, dtype=np.float64), kh, kw)
     d = _by_channel(dout)
-    return (d @ cols.T).reshape(d.shape[0], x.shape[-3], kh, kw)
+    shape = (d.shape[0], x.shape[-3], kh, kw)
+    if out is None:
+        return (d @ cols.T).reshape(shape)
+    np.matmul(d, cols.T, out=_check_out(out, shape, "conv2d_weight_grad").reshape(d.shape[0], -1))
+    return out
 
 
-def conv2d_input_grad(dout: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def conv2d_input_grad(dout: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of conv2d w.r.t. its input, given dL/dout of shape (K, H, W)
     or (B, K, H, W): the transposed convolution of ``dout``, a (C, H, W) or
-    (B, C, H, W) map."""
+    (B, C, H, W) map, folded by :func:`col2im` from the column matrix
+    W^T dout.  ``out``, when given, is the (C*kh*kw, B*H*W) buffer that
+    column matrix is written to; the returned map is always fresh."""
     k, c, kh, kw = weights.shape
-    dcols = weights.reshape(k, c * kh * kw).T @ _by_channel(dout)
+    d = _by_channel(dout)
+    if out is not None:
+        _check_out(out, (c * kh * kw, d.shape[1]), "conv2d_input_grad")
+    dcols = np.matmul(weights.reshape(k, c * kh * kw).T, d, out=out)
     return col2im(dcols, (*dout.shape[:-3], c, *dout.shape[-2:]), kh, kw)
 
 

@@ -56,10 +56,15 @@ def decode(model, z, zero_bias=False):
     return relu(conv2d(z, tied_decoder_weights(model.w_e), b))
 
 
+def workspace(model, x):
+    """A step workspace for the (B, C, H, W) batch x."""
+    return cae._Workspace(model, x.shape[1:], len(x))
+
+
 def forward(model, x, zero_bias=False):
     """The reconstruction of a (B, C, H, W) batch by the batched forward pass."""
     b_e, b_d = cae._biases(model, bias_mode_of(zero_bias))
-    return cae._forward(model, x, b_e, b_d)[3]
+    return relu(cae._forward(model, x, b_e, b_d, workspace(model, x))[1])
 
 
 def one_sample_chunks(monkeypatch):
@@ -330,7 +335,8 @@ def assert_rel_close(actual, expected, tol=1e-12):
 
 def batched_step(model, batch, bias_mode):
     """(loss, dw_e, db_e, db_d) of the batched step, for elementwise comparison."""
-    loss, grads = cae._forward_backward(model, batch, bias_mode)
+    x = cae._as_batch(model, batch)
+    loss, grads = cae._forward_backward(model, x, bias_mode, workspace(model, x))
     return loss, grads.dw_e, grads.db_e, grads.db_d
 
 
@@ -381,12 +387,15 @@ class TestBatchedStep:
 
 
 def chunk_forward_backward_reference(model, x, b_e, b_d):
-    """The chunk step that one weight-gradient buffer per batch replaced: the
-    decoder's and the encoder's weight terms formed as whole banks, summed
-    as enc + dec.  Returns (loss, dw_e, db_e, db_d)."""
+    """The chunk step from ops calls alone, with fresh arrays throughout:
+    the decoder as the transposed convolution, the decoder's and the
+    encoder's weight terms formed as whole banks and summed as enc + dec.
+    Returns (loss, dw_e, db_e, db_d)."""
     k, _, kh, kw = model.w_e.shape
-    cols_x, z, g, y = cae._forward(model, x, b_e, b_d)
-    r = y - x
+    cols_x = im2col(x, kh, kw)
+    z = relu(conv2d(x, model.w_e, b_e, cols=cols_x))
+    g = conv2d_input_grad(z, model.w_e) + b_d[:, None, None]
+    r = relu(g) - x
     loss = 0.5 * float((r * r).sum())
     dg = r * (g > 0.0)
     db_d = conv2d_bias_grad(dg)
@@ -432,7 +441,7 @@ class TestStepMatchesReference:
         batch = rng.normal(0.2, 1.0, size=(b, 32, h, w))
         # 24 filter rows per block: blocks of 24, 24 and a trailing 16
         monkeypatch.setattr(cae, "_FILTER_BLOCK_BYTES", 24 * model.w_e[0].nbytes)
-        assert [len(model.w_e[rows]) for rows in cae._filter_blocks(model.w_e)] == [24, 24, 16]
+        assert [len(model.w_e[rows]) for rows in cae._filter_blocks(model.w_e, cae._FILTER_BLOCK_BYTES)] == [24, 24, 16]
         assert cae.chunk_size(model, batch.shape[1:], cae.TRAIN_CHUNK_BYTES) >= b
         for got, want in zip(batched_step(model, batch, bias_mode),
                              forward_backward_reference(model, batch, bias_mode)):
@@ -470,20 +479,22 @@ class TestStepMatchesReference:
     def test_several_chunks_hold_one_chunk_and_one_buffer(self, monkeypatch):
         # numpy reports its buffers to tracemalloc.  The bank and the batch
         # exist before tracing starts, so the traced peak is the step's own:
-        # one gradient buffer and one chunk's cols(x), cols(dG) and code map,
-        # plus slack for the decoder-sized maps and col2im's per-sample
-        # copies.  The whole-bank step held two more banks and a second
-        # code map on top of that.
+        # one gradient buffer and the workspace's code map, column matrix and
+        # filter block, plus 2 MiB of slack for col2im's cached index and
+        # per-sample copy (450 KB each here) and the input-sized maps.  A
+        # second column matrix (1.8 MB) and a bank-sized block do not fit in
+        # that slack.
         k, c, hw, per_chunk = 256, 32, 14, 4
         model = init_model(k, c, 3, seed=143)
         batch = relu(np.random.default_rng(143).normal(0.3, 1.0, size=(3 * per_chunk, c, hw, hw)))
         monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", per_chunk * 8 * hw * hw * max(k, c * 9))
+        monkeypatch.setattr(cae, "_FILTER_BLOCK_BYTES", 64 * model.w_e[0].nbytes)
         assert [len(chunk) for chunk in cae._chunks(model, batch, cae.TRAIN_CHUNK_BYTES)] == [per_chunk] * 3
         n = per_chunk * hw * hw
-        bound = model.w_e.nbytes + 2 * (8 * c * 9 * n) + 8 * k * n + 2 * 2**20
+        bound = model.w_e.nbytes + 8 * c * 9 * n + 8 * k * n + 64 * model.w_e[0].nbytes + 2 * 2**20
         tracemalloc.start()
         try:
-            cae._forward_backward(model, batch, BIAS_TRAIN_THEN_ZERO)
+            loss_gradients(model, batch, BIAS_TRAIN_THEN_ZERO)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -528,8 +539,8 @@ class TestSgdStep:
         expected = model.w_e.copy()
         expected -= lr * grads.dw_e
         # 8 filter rows per block: blocks of 8, 8 and a trailing 4
-        monkeypatch.setattr(cae, "_FILTER_BLOCK_BYTES", 8 * model.w_e[0].nbytes)
-        assert len(list(cae._filter_blocks(model.w_e))) == 3
+        monkeypatch.setattr(cae, "_UPDATE_BLOCK_BYTES", 8 * model.w_e[0].nbytes)
+        assert len(list(cae._filter_blocks(model.w_e, cae._UPDATE_BLOCK_BYTES))) == 3
         sgd_step(model, grads, lr)
         assert_same_bits(model.w_e, expected)
         for name in ("dw_e", "db_e", "db_d"):
@@ -585,6 +596,44 @@ class TestTrain:
         config = CaeTrainConfig(epochs=3, batch_size=batch_size, learning_rate=1e-4, seed=0)
         train(init_model(2, 2, 3, seed=2), tiny_dataset(rng, n=n), config)
         assert len(calls) == config.epochs * math.ceil(n / batch_size)
+
+    def test_one_workspace_per_train_call(self, monkeypatch):
+        built = []
+
+        class Spy(cae._Workspace):
+            def __init__(self, model, sample_shape, samples):
+                built.append((sample_shape, samples))
+                super().__init__(model, sample_shape, samples)
+
+        monkeypatch.setattr(cae, "_Workspace", Spy)
+        rng = np.random.default_rng(29)
+        config = CaeTrainConfig(epochs=2, batch_size=3, learning_rate=1e-4, seed=0)
+        train(init_model(2, 2, 3, seed=2), tiny_dataset(rng, n=7), config)
+        assert built == [((2, 4, 4), 3)]  # six steps, one workspace
+
+    def test_reused_workspace_matches_fresh_steps(self, monkeypatch):
+        # batches of 3, 3 and 1 run as chunks of 2, 1, 2, 1 and 1 samples in
+        # one workspace; each view is written before it is read, so the run
+        # has the bits of steps that each build a fresh workspace
+        monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 2 * 8 * 4 * 4 * 2 * 9)
+        rng = np.random.default_rng(30)
+        data = np.stack(tiny_dataset(rng, n=7))
+        model = random_model(rng, k=4, c=2)
+        config = CaeTrainConfig(epochs=2, batch_size=3, learning_rate=1e-3, seed=4)
+        trained, history = train(copy.deepcopy(model), data, config)
+
+        order_rng, means = np.random.default_rng(config.seed), []
+        for _ in range(config.epochs):
+            order = order_rng.permutation(len(data))
+            total = 0.0
+            for start in range(0, len(data), config.batch_size):
+                batch = data[order[start : start + config.batch_size]]
+                total += reconstruction_loss(model, batch)
+                sgd_step(model, loss_gradients(model, batch), config.learning_rate)
+            means.append(total / len(data))
+        assert history.mean_loss == means
+        for name in ("w_e", "b_e", "b_d"):
+            assert_same_bits(getattr(trained, name), getattr(model, name))
 
     def test_short_final_batch_is_used(self):
         rng = np.random.default_rng(24)
