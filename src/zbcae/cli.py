@@ -103,15 +103,18 @@ def cmd_train_cae(args) -> int:
     })
     tensors, _ = load_dataset(load_manifest(args.train))
     model, meta = train_cae_stage(tensors, config.cae, config.filters, kernel=config.kernel, progress=_progress)
-    save_cae_checkpoint(args.out, model, config.cae.bias_mode, meta)
+    save_cae_checkpoint(args.out, model, meta)
     _emit({"model": str(args.out), "filters": config.filters, **meta["cae_summary"]})
     return 0
 
 
 def cmd_encode(args) -> int:
-    model, _, meta = load_cae_checkpoint(args.model)
+    model, meta = load_cae_checkpoint(args.model)
     manifest = load_manifest(args.manifest)
     tensors, labels = load_dataset(manifest)
+    if tensors.shape[1] != model.n_channels:
+        raise ShapeError(f"model {args.model} takes {model.n_channels}-channel maps but manifest {args.manifest} "
+                         f"has {tensors.shape[1]}-channel samples; both need one channel count")
     features = extract_stage(model, tensors, args.l2_normalize)
     meta = {**meta, "l2_normalize": bool(args.l2_normalize)}
     save_features_file(args.out, features, labels, manifest.classes, meta)
@@ -129,7 +132,7 @@ def cmd_train_svm(args) -> int:
     features, labels, classes, meta = load_features_file(args.features)
     model = train_svm(features, labels, len(classes), config.svm, class_names=classes)
     meta = {**meta, "svm_config_echo": svm_config_echo(config.svm)}
-    save_svm_checkpoint(args.out, model, config.svm.lam, meta)
+    save_svm_checkpoint(args.out, model, meta)
     _emit({
         "model": str(args.out),
         "n_train": int(features.shape[0]),
@@ -141,12 +144,15 @@ def cmd_train_svm(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    svm_model, lam, meta = load_svm_checkpoint(args.svm)
+    svm_model, meta = load_svm_checkpoint(args.svm)
     features, labels, classes, _ = load_features_file(args.features)
     if svm_model.class_names != classes:
         raise ShapeError(f"classifier {args.svm} has class table {svm_model.class_names} but features file "
                          f"{args.features} has {classes}; both need one table")
-    report = evaluate_features(svm_model, features, labels, {"svm_config_echo": {"lambda": lam}, **meta})
+    if features.shape[1] != svm_model.weights.shape[1]:
+        raise ShapeError(f"classifier {args.svm} takes {svm_model.weights.shape[1]} features per sample but "
+                         f"features file {args.features} has {features.shape[1]}; both need one dimension")
+    report = evaluate_features(svm_model, features, labels, meta)
     _write_report(report.to_json(), args.report)
     return 0
 

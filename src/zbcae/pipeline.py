@@ -5,11 +5,14 @@ The stages take a manifest's samples as the one (N, C, H, W) array
 :func:`~zbcae.dataset.load_dataset` returns; the runners and the commands
 load each manifest once, and the runners load both before any training.
 
-Checkpoints reuse the ZTEN container.  A ``meta_json`` record (UTF-8 JSON
-bytes stored as float64 values) carries the configuration echo and training
-summary forward through every stage; :func:`evaluate_features` builds every
-report from it, so a report assembled from staged files is identical to one
-produced by :func:`run_pipeline` in a single process.
+Checkpoints reuse the ZTEN container: each holds its arrays, a class table
+where it has one, and a ``meta_json`` record (UTF-8 JSON bytes stored as
+float64 values).  ``meta_json`` is the only record of a run's settings: it
+carries the configuration echo and training summary forward through every
+stage, and :func:`evaluate_features` builds every report from it, so a report
+assembled from staged files is identical to one produced by
+:func:`run_pipeline` in a single process.  The loaders ignore records they
+do not read, so files that still carry older records load unchanged.
 """
 
 from __future__ import annotations
@@ -20,16 +23,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import cae as cae_mod
-from .cae import BIAS_ALWAYS_ZERO, BIAS_TRAIN_THEN_ZERO, CaeModel, CaeTrainConfig, LossHistory
+from .cae import CaeModel, CaeTrainConfig, LossHistory
 from .dataset import DatasetManifest, load_dataset
 from .errors import ShapeError, TensorFileError
 from .svm import SvmModel, SvmTrainConfig, predict_many, top1_accuracy, train_svm
 from .tensorfile import load_tensors, save_tensors
 
 POOL = 2  # fixed 2x2 pooling window of the extraction path
-
-_BIAS_CODES = {BIAS_TRAIN_THEN_ZERO: 0.0, BIAS_ALWAYS_ZERO: 1.0}
-_BIAS_NAMES = {v: k for k, v in _BIAS_CODES.items()}
 
 
 def _json_record(obj) -> np.ndarray:
@@ -40,26 +40,16 @@ def _json_record(obj) -> np.ndarray:
 
 def _record_json(path, records, name: str):
     """Decode record ``name`` written by :func:`_json_record`.  A value that
-    is not an integer in 0..255, or bytes that are not UTF-8 JSON, raise
-    TensorFileError naming the record."""
+    is not an integer in 0..255, or bytes the JSON parser refuses (not UTF-8
+    JSON, an over-long integer, over-deep nesting), raise TensorFileError
+    naming the record."""
     arr = records[name]
     if not ((arr >= 0) & (arr <= 255) & (arr == np.floor(arr))).all():
         raise TensorFileError(f"{path}: record {name!r} holds a value that is not a byte (an integer in 0..255)")
     try:
         return json.loads(arr.astype(np.uint8).tobytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise TensorFileError(f"{path}: record {name!r} is not UTF-8 JSON: {e}") from None
-
-
-def _scalar_record(path, records, name: str, allowed=None) -> float:
-    """The value of record ``name``, which must hold exactly one finite
-    element, one of ``allowed`` when given; TensorFileError naming the
-    record otherwise."""
-    arr = records[name]
-    if arr.size != 1 or not np.isfinite(arr).all() or (allowed is not None and arr.item() not in allowed):
-        expected = "one finite value" if allowed is None else f"one value in {sorted(allowed)}"
-        raise TensorFileError(f"{path}: record {name!r} must hold {expected}, got {arr.ravel().tolist()}")
-    return arr.item()
 
 
 def _class_names(path, records) -> list:
@@ -106,34 +96,30 @@ def _load_records(path, kind: str, names) -> dict:
     return records
 
 
-def save_cae_checkpoint(path, model: CaeModel, bias_mode: str, meta: dict) -> None:
+def _model(path, cls, **arrays):
+    """``cls(**arrays)``; the ShapeError or ValueError it raises for arrays
+    that do not make a model becomes a TensorFileError naming ``path``."""
+    try:
+        return cls(**arrays)
+    except ValueError as e:
+        raise TensorFileError(f"{path}: {e}") from None
+
+
+def save_cae_checkpoint(path, model: CaeModel, meta: dict) -> None:
     save_tensors(path, {
         "encoder_weights": model.w_e,
         "encoder_bias": model.b_e,
         "decoder_bias": model.b_d,
-        "conv_stride": np.array([1.0]),
-        "conv_pad": np.array([float((model.kernel - 1) // 2)]),
-        "bias_mode": np.array([_BIAS_CODES[bias_mode]]),
-        "decoder_relu": np.array([1.0]),
         "meta_json": _json_record(meta),
     })
 
 
 def load_cae_checkpoint(path):
-    records = _load_records(path, "model checkpoint", (
-        "encoder_weights", "encoder_bias", "decoder_bias",
-        "conv_stride", "conv_pad", "bias_mode", "decoder_relu", "meta_json"))
-    code = _scalar_record(path, records, "bias_mode", _BIAS_NAMES)
-    model = CaeModel(
-        w_e=records["encoder_weights"],
-        b_e=records["encoder_bias"],
-        b_d=records["decoder_bias"],
-    )
-    # the only model there is: stride 1, pad (kernel - 1) / 2, a ReLU decoder
-    _scalar_record(path, records, "decoder_relu", (1.0,))
-    _scalar_record(path, records, "conv_stride", (1.0,))
-    _scalar_record(path, records, "conv_pad", (float((model.kernel - 1) // 2),))
-    return model, _BIAS_NAMES[code], _meta(path, records)
+    records = _load_records(path, "model checkpoint",
+                            ("encoder_weights", "encoder_bias", "decoder_bias", "meta_json"))
+    model = _model(path, CaeModel, w_e=records["encoder_weights"], b_e=records["encoder_bias"],
+                   b_d=records["decoder_bias"])
+    return model, _meta(path, records)
 
 
 def save_features_file(path, features, labels, classes, meta: dict) -> None:
@@ -159,28 +145,20 @@ def load_features_file(path):
     return features, labels.astype(np.int64), classes, _meta(path, records)
 
 
-def save_svm_checkpoint(path, model: SvmModel, lam: float, meta: dict) -> None:
+def save_svm_checkpoint(path, model: SvmModel, meta: dict) -> None:
     save_tensors(path, {
         "weights": model.weights,
         "biases": model.biases,
-        "lambda": np.array([float(lam)]),
         "class_names_json": _json_record(list(model.class_names)),
         "meta_json": _json_record(meta),
     })
 
 
 def load_svm_checkpoint(path):
-    records = _load_records(path, "classifier checkpoint",
-                            ("weights", "biases", "lambda", "class_names_json", "meta_json"))
-    model = SvmModel(
-        weights=records["weights"],
-        biases=records["biases"],
-        class_names=_class_names(path, records),
-    )
-    lam = _scalar_record(path, records, "lambda")
-    if lam < 0:
-        raise TensorFileError(f"{path}: record 'lambda' must be >= 0, got {lam}")
-    return model, lam, _meta(path, records)
+    records = _load_records(path, "classifier checkpoint", ("weights", "biases", "class_names_json", "meta_json"))
+    model = _model(path, SvmModel, weights=records["weights"], biases=records["biases"],
+                   class_names=_class_names(path, records))
+    return model, _meta(path, records)
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,7 @@ class TestExitCodes:
             argv = ["train-svm", "--features", str(features), "--out", str(out)]
         else:
             model = tmp_path / "svm.zten"
-            save_svm_checkpoint(model, SvmModel(np.eye(2, 3), np.zeros(2), ["a", "b"]), 1.0, {})
+            save_svm_checkpoint(model, SvmModel(np.eye(2, 3), np.zeros(2), ["a", "b"]), {})
             argv = ["evaluate", "--svm", str(model), "--features", str(features), "--report", str(out)]
         assert dispatch(argv) == 2
         assert "is not a class index" in capsys.readouterr().err
@@ -234,7 +234,7 @@ class TestExitCodes:
         features, model, out = tmp_path / "features.zten", tmp_path / "svm.zten", tmp_path / "out"
         save_features_file(features, np.eye(3), [0.0, 1.0, 2.0], list("abc"), {})
         n = len(svm_classes)
-        save_svm_checkpoint(model, SvmModel(np.eye(n, 3), np.arange(n, dtype=float), svm_classes), 1.0, {})
+        save_svm_checkpoint(model, SvmModel(np.eye(n, 3), np.arange(n, dtype=float), svm_classes), {})
         assert dispatch(["evaluate", "--svm", str(model), "--features", str(features), "--report", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
@@ -242,19 +242,20 @@ class TestExitCodes:
             assert part in captured.err
         assert captured.out == "" and not out.exists()
 
-    def test_evaluate_without_meta_echoes_lambda_alone(self, tmp_path, capsys):
-        # the svm benchmark's shape: features file and classifier both carry meta_json {}
+    def test_evaluate_without_meta_reads_null_config(self, tmp_path, capsys):
+        # the classifier's meta_json is the only record of its settings: with
+        # no svm_config_echo in it, config.svm reads null like every other key
         from zbcae.pipeline import save_features_file, save_svm_checkpoint
         from zbcae.svm import SvmModel
 
         features, model = tmp_path / "features.zten", tmp_path / "svm.zten"
         save_features_file(features, np.eye(3), [0.0, 1.0, 2.0], list("abc"), {})
-        save_svm_checkpoint(model, SvmModel(np.eye(3), np.zeros(3), list("abc")), 0.25, {})
+        save_svm_checkpoint(model, SvmModel(np.eye(3), np.zeros(3), list("abc")), {})
         assert dispatch(["evaluate", "--svm", str(model), "--features", str(features)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["cae"] is None
         assert report["config"] == {"filters": None, "kernel": None, "stride": None, "pad": None, "pool": None,
-                                    "l2_normalize": False, "cae": None, "svm": {"lambda": 0.25}}
+                                    "l2_normalize": False, "cae": None, "svm": None}
         assert list(report["config"]) == ["filters", "kernel", "stride", "pad", "pool", "l2_normalize", "cae",
                                           "svm"]
         assert report["results"]["top1_accuracy"] == 1.0
@@ -274,7 +275,7 @@ class TestExitCodes:
             argv = ["train-svm", "--features", str(features), "--out", str(out)]
         else:
             model = tmp_path / "svm.zten"
-            save_svm_checkpoint(model, SvmModel(np.eye(2, 3), np.zeros(2), ["a", "b"]), 1.0, {})
+            save_svm_checkpoint(model, SvmModel(np.eye(2, 3), np.zeros(2), ["a", "b"]), {})
             argv = ["evaluate", "--svm", str(model), "--features", str(features), "--report", str(out)]
         assert dispatch(argv) == 2
         assert "non-finite" in capsys.readouterr().err
@@ -338,52 +339,87 @@ class TestExitCodes:
         assert ("learning_rate" if argv[0] == "--lr" else "seed") in err and "missing.json" not in err
 
     @pytest.mark.parametrize("record, value", [
-        ("bias_mode", []),
-        ("conv_pad", []),
-        ("lambda", []),
-        ("lambda", [-1.0]),
-        ("conv_stride", [float("nan")]),
-        ("conv_stride", [2.7]),
-        ("conv_stride", [2.0]),
-        ("conv_pad", [0.0]),
-        ("decoder_relu", [0.5]),
-        ("decoder_relu", [0.0]),
-    ], ids=["bias_mode-empty", "conv_pad-empty", "lambda-empty", "lambda-negative", "conv_stride-nan",
-            "conv_stride-2.7", "conv_stride-2", "conv_pad-0", "decoder_relu-0.5", "decoder_relu-0"])
-    def test_bad_scalar_checkpoint_record_is_data_error(self, synth_dir, tmp_path, capsys, record, value):
-        from zbcae.cae import BIAS_TRAIN_THEN_ZERO, init_model
-        from zbcae.pipeline import save_cae_checkpoint, save_features_file, save_svm_checkpoint
+        ("encoder_weights", "nan"),
+        ("encoder_weights", "3-d"),
+        ("encoder_bias", "short"),
+        ("weights", "inf"),
+        ("biases", "short"),
+        ("class_names_json", "short"),
+    ], ids=["encoder_weights-nan", "encoder_weights-3d", "encoder_bias-short", "weights-inf", "biases-short",
+            "class_names_json-short"])
+    def test_bad_model_array_in_checkpoint_is_data_error(self, synth_dir, tmp_path, capsys, record, value):
+        # arrays that make no model used to fail in the model's constructor,
+        # with a message that did not name the file
+        from zbcae.cae import init_model
+        from zbcae.pipeline import _json_record, save_cae_checkpoint, save_features_file, save_svm_checkpoint
         from zbcae.svm import SvmModel
         from zbcae.tensorfile import load_tensors, save_tensors
 
         model, out = tmp_path / "model.zten", tmp_path / "out"
-        if record == "lambda":
+        if record in ("encoder_weights", "encoder_bias"):
+            save_cae_checkpoint(model, init_model(2, 4, 3, seed=0), {})
+            argv = ["encode", "--model", str(model), "--manifest", str(synth_dir / "test.json"), "--out", str(out)]
+        else:
             features = tmp_path / "features.zten"
             save_features_file(features, np.eye(2, 3), [0.0, 1.0], ["a", "b"], {})
-            save_svm_checkpoint(model, SvmModel(np.eye(2, 3), np.zeros(2), ["a", "b"]), 1.0, {})
+            save_svm_checkpoint(model, SvmModel(np.eye(2, 3), np.zeros(2), ["a", "b"]), {})
             argv = ["evaluate", "--svm", str(model), "--features", str(features), "--report", str(out)]
-        else:
-            save_cae_checkpoint(model, init_model(2, 4, 3, seed=0), BIAS_TRAIN_THEN_ZERO, {})
-            argv = ["encode", "--model", str(model), "--manifest", str(synth_dir / "test.json"), "--out", str(out)]
         records = load_tensors(model)
-        records[record] = np.array(value)
+        if value in ("nan", "inf"):
+            records[record] = records[record].copy()
+            records[record].flat[1] = float(value)
+        elif value == "3-d":
+            records[record] = records[record][0]
+        elif record == "class_names_json":
+            records[record] = _json_record(["a"])
+        else:
+            records[record] = records[record][:-1]
         save_tensors(model, records)
         assert dispatch(argv) == 2
         captured = capsys.readouterr()
-        assert f"record {record!r}" in captured.err and "model.zten" in captured.err
+        assert captured.err.startswith(f"error: {model}: ") and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_encode_channel_mismatch_names_both_files(self, synth_dir, tmp_path, capsys):
+        # used to fail inside the convolution as "input has 4 channels but
+        # weights expect 5", naming neither file
+        from zbcae.cae import init_model
+        from zbcae.pipeline import save_cae_checkpoint
+
+        model, out, manifest = tmp_path / "model.zten", tmp_path / "out", synth_dir / "test.json"
+        save_cae_checkpoint(model, init_model(2, 5, 3, seed=0), {})
+        assert dispatch(["encode", "--model", str(model), "--manifest", str(manifest), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        for part in (str(model), str(manifest), "5-channel", "4-channel"):
+            assert part in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_evaluate_dimension_mismatch_names_both_files(self, tmp_path, capsys):
+        from zbcae.pipeline import save_features_file, save_svm_checkpoint
+        from zbcae.svm import SvmModel
+
+        features, model, out = tmp_path / "features.zten", tmp_path / "svm.zten", tmp_path / "out"
+        save_features_file(features, np.eye(2, 4), [0.0, 1.0], ["a", "b"], {})
+        save_svm_checkpoint(model, SvmModel(np.eye(2, 3), np.zeros(2), ["a", "b"]), {})
+        assert dispatch(["evaluate", "--svm", str(model), "--features", str(features), "--report", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        for part in (str(model), str(features), "takes 3 features", "has 4"):
+            assert part in captured.err
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("kind", ["model", "features", "classifier"])
     def test_meta_record_that_is_not_an_object_is_data_error(self, synth_dir, tmp_path, capsys, kind):
         # valid JSON that is not an object used to reach {**meta, ...} as a
         # TypeError traceback (exit 1)
-        from zbcae.cae import BIAS_TRAIN_THEN_ZERO, init_model
+        from zbcae.cae import init_model
         from zbcae.pipeline import save_cae_checkpoint, save_features_file, save_svm_checkpoint
         from zbcae.svm import SvmModel
 
         bad, out = tmp_path / f"{kind}.zten", tmp_path / "out"
         if kind == "model":
-            save_cae_checkpoint(bad, init_model(2, 4, 3, seed=0), BIAS_TRAIN_THEN_ZERO, [1, 2])
+            save_cae_checkpoint(bad, init_model(2, 4, 3, seed=0), [1, 2])
             argv = ["encode", "--model", str(bad), "--manifest", str(synth_dir / "test.json"), "--out", str(out)]
         elif kind == "features":
             save_features_file(bad, np.eye(2, 3), [0.0, 1.0], ["a", "b"], [1, 2])
@@ -391,7 +427,7 @@ class TestExitCodes:
         else:
             features = tmp_path / "features.zten"
             save_features_file(features, np.eye(2, 3), [0.0, 1.0], ["a", "b"], {})
-            save_svm_checkpoint(bad, SvmModel(np.eye(2, 3), np.zeros(2), ["a", "b"]), 1.0, [1, 2])
+            save_svm_checkpoint(bad, SvmModel(np.eye(2, 3), np.zeros(2), ["a", "b"]), [1, 2])
             argv = ["evaluate", "--svm", str(bad), "--features", str(features), "--report", str(out)]
         assert dispatch(argv) == 2
         captured = capsys.readouterr()
@@ -508,6 +544,51 @@ class TestCommands:
         assert code == 0
         capsys.readouterr()
         assert staged_report.read_bytes() == all_report.read_bytes()
+
+    def test_checkpoints_in_the_older_layout_give_the_same_bytes(self, synth_dir, tmp_path, capsys):
+        # checkpoints once also held the records conv_stride, conv_pad,
+        # bias_mode and decoder_relu (CAE) and lambda (classifier); the
+        # loaders ignore records they do not read
+        from zbcae.tensorfile import load_tensors, save_tensors
+
+        config = tmp_path / "pipe.cfg"
+        config.write_text(PIPE_CONFIG.replace("epochs = 30", "epochs = 2"))
+        model, old_model, svm, old_svm = (tmp_path / n for n in ("cae.zten", "cae_old.zten", "svm.zten",
+                                                                  "svm_old.zten"))
+        assert dispatch(["train-cae", "--train", str(synth_dir / "train.json"), "--out", str(model),
+                         "--config", str(config)]) == 0
+        r = load_tensors(model)
+        save_tensors(old_model, {
+            "encoder_weights": r["encoder_weights"], "encoder_bias": r["encoder_bias"],
+            "decoder_bias": r["decoder_bias"], "conv_stride": np.array([1.0]), "conv_pad": np.array([1.0]),
+            "bias_mode": np.array([0.0]), "decoder_relu": np.array([1.0]), "meta_json": r["meta_json"],
+        })
+        capsys.readouterr()
+
+        features = {}
+        for layout, path in (("new", model), ("old", old_model)):
+            for split in ("train", "test"):
+                out = tmp_path / f"{split}_{layout}.zten"
+                assert dispatch(["encode", "--model", str(path), "--manifest", str(synth_dir / f"{split}.json"),
+                                 "--out", str(out)]) == 0
+                features[layout, split] = out.read_bytes(), capsys.readouterr().out.replace(str(out), "OUT")
+        for split in ("train", "test"):
+            assert features["old", split] == features["new", split]
+
+        assert dispatch(["train-svm", "--features", str(tmp_path / "train_new.zten"), "--out", str(svm),
+                         "--config", str(config)]) == 0
+        r = load_tensors(svm)
+        save_tensors(old_svm, {
+            "weights": r["weights"], "biases": r["biases"], "lambda": np.array([1.0]),
+            "class_names_json": r["class_names_json"], "meta_json": r["meta_json"],
+        })
+        capsys.readouterr()
+        reports = []
+        for path in (svm, old_svm):
+            assert dispatch(["evaluate", "--svm", str(path), "--features", str(tmp_path / "test_new.zten")]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["config"]["svm"]["lambda"] == 1.0
 
     def test_sweep_structure(self, synth_dir, tmp_path, capsys):
         config = tmp_path / "pipe.cfg"

@@ -1,7 +1,8 @@
 """Property-based fuzzing of the inputs read from files: a manifest read
 from arbitrary JSON (or arbitrary bytes), a synthetic spec and a run config
-read from arbitrary ``key = value`` lines, and a ZTEN container read from
-arbitrary bytes either parse or raise the package's own error type.
+read from arbitrary ``key = value`` lines, a ZTEN container read from
+arbitrary bytes, and a CAE or classifier checkpoint read from arbitrary
+records either parse or raise the package's own error type.
 
 Examples are derandomized and kept few, so the suite stays fast and every
 run tries the same inputs."""
@@ -17,11 +18,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import array_shapes, arrays  # noqa: E402
 
+from zbcae.cae import CaeModel  # noqa: E402
 from zbcae.config import CliConfig, parse_synthetic_spec, resolve_config  # noqa: E402
 from zbcae.dataset import DatasetManifest, SyntheticSpec, load_manifest  # noqa: E402
 from zbcae.errors import ConfigError, ManifestError, TensorFileError  # noqa: E402
-from zbcae.tensorfile import DTYPE_F64, MAGIC, VERSION, load_tensors  # noqa: E402
+from zbcae.pipeline import _json_record, load_cae_checkpoint, load_svm_checkpoint  # noqa: E402
+from zbcae.svm import SvmModel  # noqa: E402
+from zbcae.tensorfile import DTYPE_F64, MAGIC, VERSION, load_tensors, save_tensors  # noqa: E402
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -156,3 +161,68 @@ def test_tensor_file_from_any_bytes_loads_or_is_tensor_file_error(scratch, raw):
         return
     assert isinstance(records, dict)
     assert all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in records.values())
+
+
+def _values(shape):
+    """An array of ``shape``: mostly finite values, else any floats (NaN and
+    infinities included).  Hypothesis favours small integers, so ``k < 7``
+    is the common branch."""
+    return st.integers(0, 7).flatmap(
+        lambda k: arrays(np.float64, shape, elements=st.floats(-10, 10) if k < 7 else st.floats()))
+
+
+def _array(shape):
+    """An array record: mostly of ``shape``, else of any shape."""
+    any_shape = array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3)
+    return st.integers(0, 7).flatmap(lambda k: _values(shape) if k < 7 else any_shape.flatmap(_values))
+
+
+def _json(doc):
+    """A JSON record holding ``doc`` most of the time, else any JSON value,
+    JSON text the parser refuses, or an array of any values."""
+    unparsable = st.sampled_from(["1" * 5000, "[" * 5000 + "]" * 5000]).map(
+        lambda text: np.frombuffer(text.encode(), dtype=np.uint8).astype(np.float64))
+    return st.integers(0, 7).flatmap(lambda k: (
+        st.just(_json_record(doc)) if k < 5 else JSON_VALUES.map(_json_record) if k == 5
+        else unparsable if k == 6 else _array((3,))))
+
+
+def _records(draw, records):
+    """``records`` with one left out now and then and, at times, the extra
+    record an older checkpoint held."""
+    kept = {name: draw(value) for name, value in records.items() if draw(st.integers(0, 15)) < 15}
+    if draw(st.booleans()):
+        kept["lambda"] = draw(_array((1,)))
+    return kept
+
+
+# sampled_from favours its first entries: most draws give dimensions that make a model
+@st.composite
+def cae_records(draw):
+    k, c, kh = (draw(st.sampled_from(sides)) for sides in ([2, 3, 1, 0], [2, 3, 1, 0], [3, 1, 2, 4]))
+    return _records(draw, {"encoder_weights": _array((k, c, kh, kh)), "encoder_bias": _array((k,)),
+                           "decoder_bias": _array((c,)), "meta_json": _json({"filters": k})})
+
+
+@st.composite
+def svm_records(draw):
+    n, d = (draw(st.sampled_from(sides)) for sides in ([2, 3, 1], [2, 3, 1, 0]))
+    return _records(draw, {"weights": _array((n, d)), "biases": _array((n,)),
+                           "class_names_json": _json([str(i) for i in range(n)]),
+                           "meta_json": _json({"svm_config_echo": None})})
+
+
+@FUZZ
+@pytest.mark.parametrize("load, model_type, records", [
+    (load_cae_checkpoint, CaeModel, cae_records()), (load_svm_checkpoint, SvmModel, svm_records()),
+], ids=["cae", "svm"])
+@given(data=st.data())
+def test_checkpoint_from_any_records_loads_or_is_tensor_file_error(scratch, load, model_type, records, data):
+    path = scratch / "checkpoint.zten"
+    save_tensors(path, data.draw(records))
+    try:
+        model, meta = load(path)
+    except TensorFileError as e:
+        assert str(e).startswith(f"{path}: ")
+        return
+    assert isinstance(model, model_type) and isinstance(meta, dict)

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from zbcae import cae
-from zbcae.cae import BIAS_ALWAYS_ZERO, CaeTrainConfig, extract_features, init_model
+from zbcae.cae import CaeTrainConfig, extract_features, init_model
 from zbcae.dataset import SyntheticSpec, gen_synthetic, load_dataset
 from zbcae.errors import ShapeError, TensorFileError
 from zbcae.gradcheck import _max_rel, gradcheck_report
@@ -50,22 +50,13 @@ class TestCheckpoints:
         model.b_e[:] = [0.1, -0.2, 0.3]
         meta = {"filters": 3, "note": "round trip"}
         path = tmp_path / "model.zten"
-        save_cae_checkpoint(path, model, BIAS_ALWAYS_ZERO, meta)
-        loaded, bias_mode, loaded_meta = load_cae_checkpoint(path)
+        save_cae_checkpoint(path, model, meta)
+        loaded, loaded_meta = load_cae_checkpoint(path)
         npt.assert_array_equal(loaded.w_e, model.w_e)
         npt.assert_array_equal(loaded.b_e, model.b_e)
         assert loaded.kernel == model.kernel
-        assert bias_mode == BIAS_ALWAYS_ZERO
         assert loaded_meta == meta
-
-    def test_cae_checkpoint_decoder_is_always_relu(self, tmp_path):
-        path = tmp_path / "model.zten"
-        save_cae_checkpoint(path, init_model(2, 3, 3, seed=0), BIAS_ALWAYS_ZERO, {})
-        records = load_tensors(path)
-        npt.assert_array_equal(records["decoder_relu"], [1.0])
-        save_tensors(path, {**records, "decoder_relu": np.array([0.0])})
-        with pytest.raises(TensorFileError, match="'decoder_relu' must hold one value in \\[1.0\\]"):
-            load_cae_checkpoint(path)
+        assert list(load_tensors(path)) == ["encoder_weights", "encoder_bias", "decoder_bias", "meta_json"]
 
     def test_cae_checkpoint_missing_record(self, tmp_path):
         from zbcae.tensorfile import save_tensors
@@ -78,13 +69,13 @@ class TestCheckpoints:
         rng = np.random.default_rng(6)
         model = SvmModel(weights=rng.normal(size=(3, 5)), biases=rng.normal(size=3), class_names=["a", "b", "c"])
         path = tmp_path / "svm.zten"
-        save_svm_checkpoint(path, model, lam=1.0, meta={"stage": "svm"})
-        loaded, lam, meta = load_svm_checkpoint(path)
+        save_svm_checkpoint(path, model, meta={"stage": "svm"})
+        loaded, meta = load_svm_checkpoint(path)
         npt.assert_array_equal(loaded.weights, model.weights)
         npt.assert_array_equal(loaded.biases, model.biases)
         assert loaded.class_names == ["a", "b", "c"]
-        assert lam == 1.0
         assert meta == {"stage": "svm"}
+        assert list(load_tensors(path)) == ["weights", "biases", "class_names_json", "meta_json"]
 
     def test_features_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -135,7 +126,7 @@ class TestCheckpoints:
     @staticmethod
     def svm_checkpoint(path, **records):
         """A classifier checkpoint with ``records`` overwritten after saving."""
-        save_svm_checkpoint(path, SvmModel(weights=np.eye(2), biases=np.zeros(2), class_names=["a", "b"]), 1.0, {})
+        save_svm_checkpoint(path, SvmModel(weights=np.eye(2), biases=np.zeros(2), class_names=["a", "b"]), {})
         save_tensors(path, {**load_tensors(path), **records})
         return path
 
@@ -152,8 +143,8 @@ class TestCheckpoints:
 
     def test_unicode_class_names_survive(self, tmp_path):
         model = SvmModel(weights=np.eye(2), biases=np.zeros(2), class_names=["naïve", "클래스"])
-        save_svm_checkpoint(tmp_path / "svm.zten", model, 1.0, {})
-        loaded, _, _ = load_svm_checkpoint(tmp_path / "svm.zten")
+        save_svm_checkpoint(tmp_path / "svm.zten", model, {})
+        loaded, _ = load_svm_checkpoint(tmp_path / "svm.zten")
         assert loaded.class_names == ["naïve", "클래스"]
 
 
