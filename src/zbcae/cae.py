@@ -12,14 +12,21 @@ grid.  One batched forward pass serves both the loss and the training
 step; it computes the tied decoder as the transposed convolution with W_e,
 which equals conv(z, tied(W_e)) at that geometry.
 
-A training step holds one weight-gradient buffer, whatever the batch size,
-and runs in one step workspace that :func:`train` makes once and reuses for
-every step: one code buffer, one column buffer and one filter-block buffer,
-each viewed at the current chunk's shape.  The column buffer takes cols(x),
-the decoder's column matrix, cols(dG) and cols(x) again in turn; the
-decoder's input gradient overwrites the code once its ReLU mask is taken.
-Each chunk adds its decoder-side and encoder-side weight terms into the
-gradient buffer a block of filter rows at a time.
+A training step runs in one step workspace that :func:`train` makes once
+and reuses for every step, whatever the batch size: a zero-padded input
+buffer, a code buffer, a column buffer, a cols(x) buffer, one
+weight-gradient buffer and one filter-block buffer, with their views built
+once per chunk size.  The step calls the unchecked kernels of
+:mod:`zbcae.ops` on those views; the public ops keep their checks and call
+the same kernels.  cols(x) stays in a second column buffer through a
+chunk's step where the code buffer and two column matrices fit the chunk
+budget (desk scale); elsewhere the one column buffer takes cols(x), the
+decoder's column matrix, cols(dG) and cols(x) again in turn, the last
+refilled from the padded buffer.  The decoder's input gradient overwrites
+the code once its ReLU mask is taken, and col2im folds a whole chunk in one
+bincount where its index is small.  Each chunk adds its decoder-side and
+encoder-side weight terms into the gradient buffer a block of filter rows
+at a time.
 
 Two bias regimes are supported.  ``train-then-zero`` (default) lets the
 biases learn during reconstruction training and pins them to zero only for
@@ -29,18 +36,19 @@ every forward pass and returns zero bias gradients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonFiniteLossError, ShapeError
 from .ops import (
+    _conv2d,
+    _conv2d_input_grad,
+    _conv2d_weight_grad,
+    _im2col,
+    _im2col_views,
     conv2d,
     conv2d_bias_grad,
-    conv2d_input_grad,
-    conv2d_weight_grad,
-    im2col,
     maxpool2,
     relu,
 )
@@ -122,8 +130,7 @@ class CaeTrainConfig:
             raise ValueError(f"plateau_rel_tol must be > 0, got {self.plateau_rel_tol}")
         if self.max_anneals < 0:
             raise ValueError(f"max_anneals must be >= 0, got {self.max_anneals}")
-        if self.bias_mode not in BIAS_MODES:
-            raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {self.bias_mode!r}")
+        _check_bias_mode(self.bias_mode)
 
 
 @dataclass
@@ -199,7 +206,8 @@ def chunk_size(model: CaeModel, sample_shape: tuple, budget_bytes: int) -> int:
 # Working-set budget of one training chunk.  At the paper geometry (K=4096,
 # 14x14 maps) a chunk is ten samples: a batch of 8 runs as one GEMM per layer.
 # A step holds one chunk's workspace plus the bank and one gradient buffer,
-# so batch 512 needs no more memory than batch 10.
+# so batch 512 needs no more memory than batch 10.  Where the code map and
+# two column matrices fit it, cols(x) gets a buffer of its own.
 TRAIN_CHUNK_BYTES = 64 * 2**20
 
 
@@ -212,7 +220,9 @@ _FILTER_BLOCK_BYTES = 16 * 2**20
 # Budget of one block of filter rows in the SGD update.  Its ``lr * dW``
 # block is the update's only temporary, and it forms while the training
 # workspace is held, so it is kept small; an elementwise update has the
-# same bits at any block size.
+# same bits at any block size.  A chunk's col2im runs as one bincount where
+# its cached index fits this budget too (desk: 124 KB for 4 samples), and
+# one sample at a time otherwise (paper: 3.6 MB for one).
 _UPDATE_BLOCK_BYTES = 2**20
 
 
@@ -244,133 +254,179 @@ def _filter_blocks(bank: np.ndarray, budget_bytes: int):
     return (slice(start, start + rows) for start in range(0, len(bank), rows))
 
 
+class _ChunkViews:
+    """The buffers of a :class:`_Workspace` viewed for a chunk of ``b``
+    samples, N = b * H * W: the padded buffer's interior and patch view
+    (:func:`zbcae.ops._im2col_views`), the code buffer as a (K, N) matrix
+    and as the (B, K, H, W) map of its columns, the column buffer and the
+    cols(x) buffer as (C*kh*kw, N) matrices and at the patch view's 6-D
+    shape, and the chunk's (B, C, H, W) shape."""
+
+    def __init__(self, ws: "_Workspace", b: int):
+        k, rows, (c, h, w), (kh, kw) = ws.k, ws.rows, ws.sample_shape, ws.kernel
+        n = b * h * w
+        self.shape = (b, c, h, w)
+        xp = ws.padded[: b * c * (h + kh - 1) * (w + kw - 1)].reshape(b, c, h + kh - 1, w + kw - 1)
+        self.interior, self.patches = _im2col_views(xp, kh, kw)
+        self.code = ws.code[: k * n].reshape(k, n)
+        self.code_maps = self.code.reshape(k, b, h, w).swapaxes(0, 1)
+        self.cols = ws.cols[: rows * n].reshape(rows, n)
+        self.cols_x = self.cols if ws.cols_x is ws.cols else ws.cols_x[: rows * n].reshape(rows, n)
+        self.cols6, self.cols_x6 = (m.reshape(self.patches.shape) for m in (self.cols, self.cols_x))
+
+
 class _Workspace:
     """Scratch memory of the training step and the loss, made once per
     :func:`train`, :func:`loss_gradients` or :func:`reconstruction_loss`
-    call: one code buffer (K x N), one column buffer (C*kh*kw x N) and one
-    filter-block buffer (:data:`_FILTER_BLOCK_BYTES` of filter rows), flat
-    and sized for the largest chunk of a batch of ``samples`` maps of
-    ``sample_shape``, N = chunk * H * W.  Each chunk views them at its own
-    shape, so their pages are touched on the first step and reused by every
-    later one.
+    call and sized for the largest chunk of a batch of ``samples`` maps of
+    ``sample_shape``, N = chunk * H * W:
+
+    - a zero-padded input buffer, chunk x C x (H + kh - 1) x (W + kw - 1),
+      whose interior each im2col writes and whose border stays zero;
+    - a code buffer (K x N) and a column buffer (C*kh*kw x N);
+    - a cols(x) buffer that holds im2col(x) through the chunk's step, a
+      second column buffer when the code buffer and two column matrices fit
+      :data:`TRAIN_CHUNK_BYTES`, else the column buffer itself, which the
+      step then refills from the padded buffer;
+    - the weight-gradient buffer, a filter-block buffer
+      (:data:`_FILTER_BLOCK_BYTES` of filter rows) and the (rows, block)
+      pairs the gradient is filled by;
+    - the zero bias vectors of always-zero mode.
+
+    ``group`` is the samples per col2im bincount: the whole chunk where its
+    index fits :data:`_UPDATE_BLOCK_BYTES`, else one.  :meth:`views` builds
+    each chunk size's views once, so the buffers' pages are touched on the
+    first step and reused by every later one.
     """
 
     def __init__(self, model: CaeModel, sample_shape: tuple, samples: int):
         k, c, kh, kw = model.w_e.shape
         _, h, w = sample_shape
-        n = min(samples, chunk_size(model, sample_shape, TRAIN_CHUNK_BYTES)) * h * w
-        self._k, self._rows = k, c * kh * kw
-        self._code = np.empty(k * n)
-        self._cols = np.empty(c * kh * kw * n)
-        self._block = np.empty(min(k, _block_rows(model.w_e, _FILTER_BLOCK_BYTES)) * c * kh * kw)
+        self.k, self.rows, self.sample_shape, self.kernel = k, c * kh * kw, (c, h, w), (kh, kw)
+        self.chunk = chunk_size(model, sample_shape, TRAIN_CHUNK_BYTES)
+        most = min(samples, self.chunk)
+        n = most * h * w
+        self.padded = np.zeros(most * c * (h + kh - 1) * (w + kw - 1))
+        self.code = np.empty(k * n)
+        self.cols = np.empty(self.rows * n)
+        self.cols_x = np.empty(self.rows * n) if 8 * (k + 2 * self.rows) * n <= TRAIN_CHUNK_BYTES else self.cols
+        self.group = most if 8 * self.rows * n <= _UPDATE_BLOCK_BYTES else 1
+        self.dw = np.empty_like(model.w_e)
+        self.dw_rows = self.dw.reshape(k, self.rows)
+        block = np.empty(min(k, _block_rows(model.w_e, _FILTER_BLOCK_BYTES)) * self.rows)
+        self.blocks = [(rows, block[: len(self.dw_rows[rows]) * self.rows].reshape(-1, self.rows))
+                       for rows in _filter_blocks(model.w_e, _FILTER_BLOCK_BYTES)]
+        self.zero_biases = (np.zeros(k), np.zeros(c))
+        self._views = {}
 
-    def code(self, n: int) -> np.ndarray:
-        """The code buffer as a (K, n) matrix."""
-        return self._code[: self._k * n].reshape(self._k, n)
-
-    def cols(self, n: int) -> np.ndarray:
-        """The column buffer as a (C*kh*kw, n) matrix."""
-        return self._cols[: self._rows * n].reshape(self._rows, n)
-
-    def block(self, shape: tuple) -> np.ndarray:
-        """The filter-block buffer viewed at ``shape``."""
-        return self._block[: math.prod(shape)].reshape(shape)
+    def views(self, b: int) -> _ChunkViews:
+        """The buffers viewed for a chunk of ``b`` samples."""
+        views = self._views.get(b)
+        if views is None:
+            views = self._views[b] = _ChunkViews(self, b)
+        return views
 
 
-def _add_weight_grad(dw: np.ndarray, first: bool, x: np.ndarray, dout: np.ndarray, cols: np.ndarray,
-                     ws: _Workspace):
-    """Add conv2d_weight_grad(x, dout) into the (K, C, kh, kw) buffer
-    ``dw``, or write it there when ``first``, one block of filter rows at a
-    time.  ``dout`` is (B, K, H, W) and ``cols`` is im2col(x); each block's
-    product is added from the workspace's filter-block buffer.  Each block
-    is its rows of the whole-bank product."""
-    _, _, kh, kw = dw.shape
-    for rows in _filter_blocks(dw, _FILTER_BLOCK_BYTES):
+def _add_weight_grad(ws: _Workspace, dout: np.ndarray, cols: np.ndarray, first: bool):
+    """Add the conv2d weight gradient dout cols^T, of a (K, N) output
+    gradient matrix and a patch matrix, into the workspace's gradient
+    buffer, or write it there when ``first``, one block of filter rows at a
+    time; each block's product is added from the filter-block buffer.  Each
+    block is its rows of the whole-bank product."""
+    for rows, block in ws.blocks:
         if first:
-            conv2d_weight_grad(x, dout[:, rows], kh, kw, cols=cols, out=dw[rows])
+            _conv2d_weight_grad(dout[rows], cols, ws.dw_rows[rows])
         else:
-            dw[rows] += conv2d_weight_grad(x, dout[:, rows], kh, kw, cols=cols, out=ws.block(dw[rows].shape))
+            ws.dw_rows[rows] += _conv2d_weight_grad(dout[rows], cols, block)
+
+
+def _check_bias_mode(bias_mode: str):
+    if bias_mode not in BIAS_MODES:
+        raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
 
 
 def _biases(model: CaeModel, bias_mode: str):
     """(b_e, b_d) of the forward pass under ``bias_mode``: the model's, or
     zeros when always-zero pins them."""
-    if bias_mode not in BIAS_MODES:
-        raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
+    _check_bias_mode(bias_mode)
     if bias_mode == BIAS_TRAIN_THEN_ZERO:
         return model.b_e, model.b_d
     return np.zeros(model.n_filters), np.zeros(model.n_channels)
 
 
 def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray, ws: _Workspace):
-    """The batched forward pass over a (B, C, H, W) chunk in ``ws``: (z, g),
-    the code z as a (B, K, H, W) view of the code buffer and the decoder
-    pre-activation g.
+    """The batched forward pass over a (B, C, H, W) chunk in ``ws``:
+    (views, g), the chunk's :class:`_ChunkViews`, whose code buffer holds
+    the code z, and the decoder pre-activation g.
 
-    The column buffer holds im2col(x) for the encoder GEMM, then the
-    decoder's column matrix W^T z, which col2im folds into g.  The decoder
-    conv(z, tied(W)) is computed as that transposed convolution
-    conv2d_input_grad(z, W), which it equals for the same-size convolution,
-    so no tied copy of the bank is formed.
+    The cols(x) buffer takes im2col(x) for the encoder GEMM; the column
+    buffer then takes the decoder's column matrix W^T z, which col2im folds
+    into g.  The decoder conv(z, tied(W)) is computed as that transposed
+    convolution, which it equals for the same-size convolution, so no tied
+    copy of the bank is formed.
     """
-    kh = kw = model.kernel
-    n = x.shape[0] * x.shape[2] * x.shape[3]
-    cols = im2col(x, kh, kw, out=ws.cols(n))
-    z = conv2d(x, model.w_e, b_e, cols=cols, out=ws.code(n))
-    np.maximum(z, 0.0, out=z)
-    g = conv2d_input_grad(z, model.w_e, out=cols)
+    v = ws.views(len(x))
+    kh, kw = ws.kernel
+    w = model.w_e.reshape(ws.k, ws.rows)
+    _im2col(x, v.interior, v.patches, v.cols_x6)
+    _conv2d(w, v.cols_x, b_e, v.code)
+    np.maximum(v.code, 0.0, out=v.code)
+    g = _conv2d_input_grad(w, v.code, v.shape, kh, kw, ws.group, v.cols)
     g += b_d[:, None, None]
-    return z, g
+    return v, g
 
 
 def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray,
-                            dw: np.ndarray, first: bool, ws: _Workspace):
+                            first: bool, ws: _Workspace):
     """One forward (:func:`_forward`) and backward pass over a chunk, in the
-    workspace's one code buffer and one column buffer.
+    workspace's buffers.
 
     Both weight terms reach W_e through the tie, so both go into the one
-    buffer ``dw`` (written when ``first``, added to otherwise).  The column
-    buffer takes cols(dG) for the decoder's weight term
-    conv2d_weight_grad(dG, z) and its input gradient conv2d(dG, W); that
-    whole-bank GEMM overwrites z in the code buffer once z's ReLU mask is
-    taken, and becomes da.  The column buffer then takes cols(x) again for
-    the encoder's weight term.  Returns (loss, db_e, db_d).
+    gradient buffer (written when ``first``, added to otherwise).  The
+    column buffer takes cols(dG) for the decoder's weight term dG-cols
+    times z and for the input gradient conv(dG, W); that whole-bank GEMM
+    overwrites z in the code buffer once z's ReLU mask is taken, and
+    becomes da.  The encoder's weight term reads cols(x) from its buffer,
+    refilled first when that buffer is the column buffer.  Returns
+    (loss, db_e, db_d).
     """
-    kh = kw = model.kernel
-    n = x.shape[0] * x.shape[2] * x.shape[3]
-    z, g = _forward(model, x, b_e, b_d, ws)
+    v, g = _forward(model, x, b_e, b_d, ws)
     r = relu(g) - x
-    loss = 0.5 * float((r * r).sum())
+    loss = 0.5 * float(np.add.reduce(r * r, axis=None))
 
     dg = r * (g > 0.0)
     del g, r
     db_d = conv2d_bias_grad(dg)
-    cols = im2col(dg, kh, kw, out=ws.cols(n))
-    _add_weight_grad(dw, first, dg, z, cols, ws)
-    active = z > 0.0  # exactly where the pre-activation is
+    _im2col(dg, v.interior, v.patches, v.cols6)
+    _add_weight_grad(ws, v.code, v.cols, first)
+    active = v.code > 0.0  # exactly where the pre-activation is
     # One whole-bank GEMM: blocks of W's rows change its bits at N = 4 (mod 8).
-    da = conv2d(dg, model.w_e, np.zeros(model.n_filters), cols=cols, out=ws.code(n))
-    da *= active
-    db_e = conv2d_bias_grad(da)
-    _add_weight_grad(dw, False, x, da, im2col(x, kh, kw, out=cols), ws)
+    # Its zero bias turns -0.0 into 0.0, as conv2d with a zero bias does.
+    _conv2d(model.w_e.reshape(ws.k, ws.rows), v.cols, ws.zero_biases[0], v.code)
+    v.code *= active
+    db_e = conv2d_bias_grad(v.code_maps)
+    if v.cols_x is v.cols:
+        _im2col(x, v.interior, v.patches, v.cols_x6)
+    _add_weight_grad(ws, v.code, v.cols_x, False)
     return loss, db_e, db_d
 
 
 def _forward_backward(model: CaeModel, x: np.ndarray, bias_mode: str,
                       ws: _Workspace) -> tuple[float, CaeGradients]:
     """(loss, gradients) of a (B, C, H, W) batch, in workspace ``ws``,
-    summed over its chunks into one weight-gradient buffer."""
-    b_e, b_d = _biases(model, bias_mode)
-    dw_e = np.empty_like(model.w_e)
+    summed over its chunks into the workspace's weight-gradient buffer.
+    ``bias_mode`` is one of :data:`BIAS_MODES`; callers check it."""
+    train_biases = bias_mode == BIAS_TRAIN_THEN_ZERO
+    b_e, b_d = (model.b_e, model.b_d) if train_biases else ws.zero_biases
+    step = ws.chunk
     total = None
-    for chunk in _chunks(model, x, TRAIN_CHUNK_BYTES):
-        part = _chunk_forward_backward(model, chunk, b_e, b_d, dw_e, total is None, ws)
+    for start in range(0, len(x), step):
+        part = _chunk_forward_backward(model, x[start : start + step], b_e, b_d, total is None, ws)
         total = part if total is None else tuple(a + b for a, b in zip(total, part))
     loss, db_e, db_d = total
-    if bias_mode == BIAS_ALWAYS_ZERO:
-        db_e = np.zeros(model.n_filters)
-        db_d = np.zeros(model.n_channels)
-    return loss, CaeGradients(dw_e, db_e, db_d)
+    if not train_biases:
+        db_e, db_d = ws.zero_biases
+    return loss, CaeGradients(ws.dw, db_e, db_d)
 
 
 def reconstruction_loss(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO) -> float:
@@ -397,6 +453,7 @@ def loss_gradients(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO
     forward pass treats both biases as the constant 0.
     """
     x = _as_batch(model, batch)
+    _check_bias_mode(bias_mode)
     return _forward_backward(model, x, bias_mode, _Workspace(model, x.shape[1:], len(x)))[1]
 
 
@@ -437,6 +494,7 @@ def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
     if config.epochs == 0:
         return model, history
 
+    _check_bias_mode(config.bias_mode)
     ws = _Workspace(model, data.shape[1:], min(config.batch_size, n))
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate

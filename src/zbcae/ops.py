@@ -6,9 +6,15 @@ max-pooling.  Tensors are plain ``numpy`` arrays of ``float64``; a feature
 map is ``(C, H, W)``, a batch of maps is ``(B, C, H, W)`` and a filter bank
 is ``(K, C, kh, kw)``.  ``im2col``/``col2im`` and the convolutions accept
 either a single map or a batch; a batch runs as one GEMM per call.
-``im2col`` copies its patch matrix out of a strided view of the padded
-batch; ``col2im`` is a bincount scatter-add over the same positions
-``im2col`` reads, one sample at a time.  ``im2col`` and the convolutions
+``im2col`` writes the batch into the interior of a zero-padded buffer
+and copies its patch matrix out of a strided view of that buffer;
+``col2im`` is a bincount scatter-add over the same positions ``im2col``
+reads, one bincount per group of samples over an index cached per
+geometry and group size.  Each of these public kernels checks its
+arguments and calls an unchecked private one (``_im2col``, ``_col2im``,
+``_conv2d``, ``_conv2d_weight_grad``, ``_conv2d_input_grad``), which the
+training step of :mod:`zbcae.cae` calls directly on views that its
+workspace builds once.  ``im2col`` and the convolutions
 also take an optional ``out``, a caller-owned C-contiguous float64 buffer
 that the patch matrix or the GEMM's product is written to, with the bits
 of the freshly allocated result; writing it is their only side effect.
@@ -54,6 +60,26 @@ def _half_pad(kh: int, kw: int) -> tuple:
     return (kh - 1) // 2, (kw - 1) // 2
 
 
+def _im2col_views(xp: np.ndarray, kh: int, kw: int) -> tuple:
+    """(interior, patches): two views of a zero-padded (B, C, H + kh - 1,
+    W + kw - 1) buffer ``xp``.  ``interior`` is its (B, C, H, W) middle, the
+    input's place; ``patches`` is the (C, kh, kw, B, H, W) view whose entry
+    (c, u, v, b, i, j) reads xp[b, c, i + u, j + v]."""
+    b, c, hp, wp = xp.shape
+    h, w = hp - kh + 1, wp - kw + 1
+    sb, sc, sh, sw = xp.strides
+    patches = np.ndarray((c, kh, kw, b, h, w), dtype=xp.dtype, buffer=xp, strides=(sc, sh, sw, sb, sh, sw))
+    return xp[:, :, (kh - 1) // 2 : (kh - 1) // 2 + h, (kw - 1) // 2 : (kw - 1) // 2 + w], patches
+
+
+def _im2col(x: np.ndarray, interior: np.ndarray, patches: np.ndarray, out: np.ndarray) -> None:
+    """The im2col kernel, unchecked: write x into ``interior`` and copy
+    ``patches`` (both from :func:`_im2col_views` of one buffer whose padding
+    is zero) into ``out``, the patch matrix viewed at patches' shape."""
+    interior[...] = x
+    out[...] = patches
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, out: np.ndarray | None = None) -> np.ndarray:
     """Unfold a (C, H, W) map, or a (B, C, H, W) batch of them, into a
     (C*kh*kw, B*H*W) patch matrix (B = 1 for a single map).
@@ -61,56 +87,73 @@ def im2col(x: np.ndarray, kh: int, kw: int, out: np.ndarray | None = None) -> np
     Rows run over (c, u, v) in row-major order, so a filter bank reshaped to
     (K, C*kh*kw) multiplies the matrix directly; columns run over
     (b, i, j), the output positions of every sample in turn.  The whole
-    batch is padded once into one zero-filled buffer, and the matrix is
-    copied out of a (C, kh, kw, B, H, W) view built from that buffer's
-    strides: entry (c, u, v, b, i, j) reads xpad[b, c, i + u, j + v].
-    ``out``, when given, is the (C*kh*kw, B*H*W) buffer the matrix is
-    copied into and returned in.
+    batch is written into the interior of one zero-filled padded buffer,
+    and the matrix is copied out of a (C, kh, kw, B, H, W) view built from
+    that buffer's strides (:func:`_im2col_views`): entry (c, u, v, b, i, j)
+    reads xpad[b, c, i + u, j + v].  ``out``, when given, is the
+    (C*kh*kw, B*H*W) buffer the matrix is copied into and returned in.
     """
     ph, pw = _half_pad(kh, kw)
     xb = x if x.ndim == 4 else x[None]
     b, c, h, w = xb.shape
-    xp = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
-    xp[:, :, ph : ph + h, pw : pw + w] = xb
-    sb, sc, sh, sw = xp.strides
-    patches = np.ndarray((c, kh, kw, b, h, w), dtype=xp.dtype, buffer=xp, strides=(sc, sh, sw, sb, sh, sw))
-    if out is None:
-        return patches.reshape(c * kh * kw, b * h * w)
-    np.copyto(_check_out(out, (c * kh * kw, b * h * w), "im2col").reshape(patches.shape), patches)
+    interior, patches = _im2col_views(np.zeros((b, c, h + 2 * ph, w + 2 * pw)), kh, kw)
+    shape = (c * kh * kw, b * h * w)
+    out = np.empty(shape) if out is None else _check_out(out, shape, "im2col")
+    _im2col(xb, interior, patches, out.reshape(patches.shape))
     return out
 
 
 @lru_cache(maxsize=16)
-def _col2im_index(c: int, h: int, w: int, kh: int, kw: int) -> np.ndarray:
-    """Read-only flat index of each (c, u, v, i, j) entry of a one-sample
-    patch matrix into a (C*H*W + 1) sample: the position (c, i + u - ph,
-    j + v - pw) that :func:`im2col` read it from, or the last slot, C*H*W,
-    for an entry read from the zero padding."""
+def _col2im_index(c: int, h: int, w: int, kh: int, kw: int, samples: int = 1) -> np.ndarray:
+    """Read-only flat index of each (c, u, v, s, i, j) entry of the patch
+    matrix of ``samples`` maps into a (samples*C*H*W + 1) vector: the
+    position s*C*H*W + (c, i + u - ph, j + v - pw) that :func:`im2col` read
+    it from, or the last slot, samples*C*H*W, for an entry read from the
+    zero padding."""
     ph, pw = _half_pad(kh, kw)
-    rows = np.arange(kh)[:, None, None, None] + np.arange(h)[:, None] - ph  # (kh, 1, h, 1)
-    cols = np.arange(kw)[:, None, None] + np.arange(w) - pw  # (kw, 1, w)
+    size = c * h * w
+    rows = np.arange(kh)[:, None, None, None, None] + np.arange(h)[:, None] - ph  # (kh, 1, 1, h, 1)
+    cols = np.arange(kw)[:, None, None, None] + np.arange(w) - pw  # (kw, 1, 1, w)
     inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    flat = np.arange(c)[:, None, None, None, None] * (h * w) + rows * w + cols
-    index = np.where(inside, flat, c * h * w).astype(np.intp).ravel()
+    flat = (np.arange(c)[:, None, None, None, None, None] * (h * w) + rows * w + cols
+            + np.arange(samples)[:, None, None] * size)  # (c, kh, kw, samples, h, w)
+    index = np.where(inside, flat, samples * size).astype(np.intp).ravel()
     index.flags.writeable = False
     return index
+
+
+def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, group: int) -> np.ndarray:
+    """The col2im kernel, unchecked: fold a (C*kh*kw, B*H*W) matrix into a
+    (B, C, H, W) map of ``shape``, with one ``np.bincount`` per ``group``
+    consecutive samples over :func:`_col2im_index` of that many.  One group
+    covering the batch folds straight from the memory of a C-contiguous
+    ``cols``; smaller ones copy their block of columns out first."""
+    b, c, h, w = shape
+    size = c * h * w
+    if group >= b:
+        index = _col2im_index(c, h, w, kh, kw, b)
+        return np.bincount(index, weights=cols.ravel(), minlength=b * size + 1)[:-1].reshape(shape)
+    per_sample = cols.reshape(-1, b, h * w)
+    out = np.empty((b, size))
+    for s in range(0, b, group):
+        n = min(group, b - s)
+        index = _col2im_index(c, h, w, kh, kw, n)
+        folded = np.bincount(index, weights=per_sample[:, s : s + n].ravel(), minlength=n * size + 1)
+        out[s : s + n] = folded[:-1].reshape(n, size)
+    return out.reshape(shape)
 
 
 def col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add patch columns back to a map of
     ``shape``, either (C, H, W) or (B, C, H, W).
 
-    Each sample is one ``np.bincount`` over :func:`_col2im_index`, whose
-    last slot collects (and drops) the entries that fell in the padding.
-    Every output entry sums its terms in (u, v) order starting from 0.0.
+    Each sample is one ``np.bincount`` (:func:`_col2im` in groups of one),
+    whose last slot collects (and drops) the entries that fell in the
+    padding.  Every output entry sums its terms in (u, v) order starting
+    from 0.0, so any grouping of the samples gives the same bits.
     """
     b, c, h, w = shape if len(shape) == 4 else (1, *shape)
-    index = _col2im_index(c, h, w, kh, kw)
-    per_sample = cols.reshape(c * kh * kw, b, h * w)
-    out = np.empty((b, c * h * w))
-    for s in range(b):
-        out[s] = np.bincount(index, weights=per_sample[:, s].ravel(), minlength=c * h * w + 1)[:-1]
-    return out.reshape(shape)
+    return _col2im(cols, (b, c, h, w), kh, kw, 1).reshape(shape)
 
 
 def _by_channel(maps: np.ndarray) -> np.ndarray:
@@ -118,6 +161,31 @@ def _by_channel(maps: np.ndarray) -> np.ndarray:
     follow :func:`im2col`'s order (a view for the outputs of :func:`conv2d`)."""
     k = maps.shape[-3]
     return maps.reshape(k, -1) if maps.ndim == 3 else maps.swapaxes(0, 1).reshape(k, -1)
+
+
+def _conv2d(w: np.ndarray, cols: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The conv2d kernel, unchecked: the (K, N) GEMM of a bank matrix
+    (K, C*kh*kw) and a patch matrix, plus one bias per row, in ``out`` when
+    given."""
+    out = np.matmul(w, cols, out=out)
+    out += bias[:, None]
+    return out
+
+
+def _conv2d_weight_grad(d: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The conv2d_weight_grad kernel, unchecked: the (K, C*kh*kw) GEMM
+    d cols^T of an output gradient matrix (K, N) and a patch matrix, in
+    ``out`` when given."""
+    return np.matmul(d, cols.T, out=out)
+
+
+def _conv2d_input_grad(w: np.ndarray, d: np.ndarray, shape: tuple, kh: int, kw: int, group: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """The conv2d_input_grad kernel, unchecked: the column matrix W^T d of
+    a bank matrix (K, C*kh*kw) and an output gradient matrix (K, N), in
+    ``out`` when given, folded by :func:`_col2im` into a (B, C, H, W) map of
+    ``shape`` in groups of ``group`` samples."""
+    return _col2im(np.matmul(w.T, d, out=out), shape, kh, kw, group)
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
@@ -152,8 +220,7 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         cols = im2col(x, kh, kw)
     if out is not None:
         _check_out(out, (k, cols.shape[1]), "conv2d")
-    out = np.matmul(w.reshape(k, c * kh * kw), cols, out=out)
-    out += b[:, None]
+    out = _conv2d(w.reshape(k, c * kh * kw), cols, b, out)
     if x.ndim == 3:
         return out.reshape(k, *x.shape[1:])
     return out.reshape(k, x.shape[0], *x.shape[2:]).swapaxes(0, 1)
@@ -170,8 +237,8 @@ def conv2d_weight_grad(x: np.ndarray, dout: np.ndarray, kh: int, kw: int,
     d = _by_channel(dout)
     shape = (d.shape[0], x.shape[-3], kh, kw)
     if out is None:
-        return (d @ cols.T).reshape(shape)
-    np.matmul(d, cols.T, out=_check_out(out, shape, "conv2d_weight_grad").reshape(d.shape[0], -1))
+        return _conv2d_weight_grad(d, cols).reshape(shape)
+    _conv2d_weight_grad(d, cols, _check_out(out, shape, "conv2d_weight_grad").reshape(d.shape[0], -1))
     return out
 
 
@@ -185,14 +252,15 @@ def conv2d_input_grad(dout: np.ndarray, weights: np.ndarray, out: np.ndarray | N
     d = _by_channel(dout)
     if out is not None:
         _check_out(out, (c * kh * kw, d.shape[1]), "conv2d_input_grad")
-    dcols = np.matmul(weights.reshape(k, c * kh * kw).T, d, out=out)
-    return col2im(dcols, (*dout.shape[:-3], c, *dout.shape[-2:]), kh, kw)
+    b, _, h, w = dout.shape if dout.ndim == 4 else (1, *dout.shape)
+    grad = _conv2d_input_grad(weights.reshape(k, c * kh * kw), d, (b, c, h, w), kh, kw, 1, out)
+    return grad if dout.ndim == 4 else grad[0]
 
 
 def conv2d_bias_grad(dout: np.ndarray) -> np.ndarray:
     """Gradient of conv2d w.r.t. its per-map bias: sum over each output map
     (and over the batch for a (B, K, Ho, Wo) gradient)."""
-    return dout.sum(axis=(1, 2)) if dout.ndim == 3 else dout.sum(axis=(0, 2, 3))
+    return np.add.reduce(dout, axis=(1, 2) if dout.ndim == 3 else (0, 2, 3))
 
 
 def _check_4d(w, opname: str) -> np.ndarray:

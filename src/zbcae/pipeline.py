@@ -56,6 +56,8 @@ def _class_names(path, records) -> list:
     names = _record_json(path, records, "class_names_json")
     if not isinstance(names, list):
         raise TensorFileError(f"{path}: record 'class_names_json' is not a list")
+    if not all(isinstance(name, str) for name in names):
+        raise TensorFileError(f"{path}: record 'class_names_json' must be a list of strings")
     return names
 
 

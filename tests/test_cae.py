@@ -3,6 +3,7 @@ gradients against central finite differences, trainer behavior."""
 
 import copy
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -464,6 +465,24 @@ class TestStepMatchesReference:
         assert_same_bits(db_d, ref_db_d)
         assert_rel_close(dw_e, ref_dw_e, tol=1e-14)
 
+    @pytest.mark.parametrize("bias_mode", [BIAS_TRAIN_THEN_ZERO, BIAS_ALWAYS_ZERO])
+    def test_held_and_refilled_cols_x_agree(self, monkeypatch, bias_mode):
+        # one chunk of 4 samples: at the default budget cols(x) sits in its
+        # own buffer through the step; at a budget of one code map or column
+        # matrix it is refilled into the one column buffer
+        rng = np.random.default_rng(144)
+        model = random_model(rng, k=16, c=12)
+        batch = rng.normal(0.2, 1.0, size=(4, 12, 6, 6))
+        ws = workspace(model, batch)
+        assert ws.cols_x is not ws.cols
+        held = batched_step(model, batch, bias_mode)
+        monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 8 * 4 * 6 * 6 * 12 * 9)
+        ws = workspace(model, batch)
+        assert ws.cols_x is ws.cols
+        assert cae.chunk_size(model, batch.shape[1:], cae.TRAIN_CHUNK_BYTES) == 4
+        for got, want in zip(batched_step(model, batch, bias_mode), held):
+            assert_same_bits(got, want)
+
     @pytest.mark.parametrize("chunked", [True, False])
     def test_reconstruction_loss_unchanged(self, monkeypatch, chunked):
         rng = np.random.default_rng(142)
@@ -499,6 +518,31 @@ class TestStepMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+
+class TestStepCallBudget:
+    def test_desk_step_makes_at_most_72_calls(self):
+        # Python-visible calls (Python frames and C functions, as
+        # sys.setprofile reports them) of one warm step at the desk geometry:
+        # K=16, 12x6x6 maps, batch 4.  Per-call overhead bounds a step this
+        # small, and the count depends on the code, not on the host.
+        rng = np.random.default_rng(150)
+        model = random_model(rng, k=16, c=12)
+        x = relu(rng.normal(0.2, 1.0, size=(4, 12, 6, 6)))
+        ws = workspace(model, x)
+
+        def step():
+            _, grads = cae._forward_backward(model, x, BIAS_TRAIN_THEN_ZERO, ws)
+            sgd_step(model, grads, 1e-5)
+
+        step()  # builds the chunk's views and the col2im index
+        events = []
+        sys.setprofile(lambda frame, event, arg: events.append(event) if event in ("call", "c_call") else None)
+        try:
+            step()
+        finally:
+            sys.setprofile(None)
+        assert len(events) <= 72
 
 
 class TestSgdStep:
@@ -612,28 +656,33 @@ class TestTrain:
         assert built == [((2, 4, 4), 3)]  # six steps, one workspace
 
     def test_reused_workspace_matches_fresh_steps(self, monkeypatch):
-        # batches of 3, 3 and 1 run as chunks of 2, 1, 2, 1 and 1 samples in
-        # one workspace; each view is written before it is read, so the run
-        # has the bits of steps that each build a fresh workspace
-        monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 2 * 8 * 4 * 4 * 2 * 9)
+        # batches of 3, 3 and 1 run as chunks of 2, 1, 2, 1 and 1 samples
+        # (cols(x) refilled), or of 3, 3 and 1 (cols(x) held), in one
+        # workspace whose chunk views shrink and grow again; each view is
+        # written before it is read, so the run has the bits of steps that
+        # each build a fresh workspace
         rng = np.random.default_rng(30)
         data = np.stack(tiny_dataset(rng, n=7))
-        model = random_model(rng, k=4, c=2)
-        config = CaeTrainConfig(epochs=2, batch_size=3, learning_rate=1e-3, seed=4)
-        trained, history = train(copy.deepcopy(model), data, config)
+        start_model = random_model(rng, k=4, c=2)
+        for budget in (2 * 8 * 4 * 4 * 2 * 9, cae.TRAIN_CHUNK_BYTES):
+            monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", budget)
+            for bias_mode in (BIAS_TRAIN_THEN_ZERO, BIAS_ALWAYS_ZERO):
+                model = copy.deepcopy(start_model)
+                config = CaeTrainConfig(epochs=2, batch_size=3, learning_rate=1e-3, bias_mode=bias_mode, seed=4)
+                trained, history = train(copy.deepcopy(model), data, config)
 
-        order_rng, means = np.random.default_rng(config.seed), []
-        for _ in range(config.epochs):
-            order = order_rng.permutation(len(data))
-            total = 0.0
-            for start in range(0, len(data), config.batch_size):
-                batch = data[order[start : start + config.batch_size]]
-                total += reconstruction_loss(model, batch)
-                sgd_step(model, loss_gradients(model, batch), config.learning_rate)
-            means.append(total / len(data))
-        assert history.mean_loss == means
-        for name in ("w_e", "b_e", "b_d"):
-            assert_same_bits(getattr(trained, name), getattr(model, name))
+                order_rng, means = np.random.default_rng(config.seed), []
+                for _ in range(config.epochs):
+                    order = order_rng.permutation(len(data))
+                    total = 0.0
+                    for start in range(0, len(data), config.batch_size):
+                        batch = data[order[start : start + config.batch_size]]
+                        total += reconstruction_loss(model, batch, bias_mode)
+                        sgd_step(model, loss_gradients(model, batch, bias_mode), config.learning_rate)
+                    means.append(total / len(data))
+                assert history.mean_loss == means
+                for name in ("w_e", "b_e", "b_d"):
+                    assert_same_bits(getattr(trained, name), getattr(model, name))
 
     def test_short_final_batch_is_used(self):
         rng = np.random.default_rng(24)

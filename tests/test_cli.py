@@ -345,8 +345,9 @@ class TestExitCodes:
         ("weights", "inf"),
         ("biases", "short"),
         ("class_names_json", "short"),
+        ("class_names_json", "not-strings"),
     ], ids=["encoder_weights-nan", "encoder_weights-3d", "encoder_bias-short", "weights-inf", "biases-short",
-            "class_names_json-short"])
+            "class_names_json-short", "class_names_json-not-strings"])
     def test_bad_model_array_in_checkpoint_is_data_error(self, synth_dir, tmp_path, capsys, record, value):
         # arrays that make no model used to fail in the model's constructor,
         # with a message that did not name the file
@@ -371,7 +372,7 @@ class TestExitCodes:
         elif value == "3-d":
             records[record] = records[record][0]
         elif record == "class_names_json":
-            records[record] = _json_record(["a"])
+            records[record] = _json_record(["a"] if value == "short" else [1, None])
         else:
             records[record] = records[record][:-1]
         save_tensors(model, records)

@@ -319,7 +319,12 @@ class TestKernelsMatchReference:
         for _ in range(8):
             x, cols = self.random_case(rng, b, kh)
             assert np.array_equal(im2col(x, kh, kh), im2col_reference(x, kh, kh))
-            assert np.array_equal(col2im(cols, x.shape, kh, kh), col2im_reference(cols, x.shape, kh, kh))
+            folded = col2im_reference(cols, x.shape, kh, kh)
+            assert np.array_equal(col2im(cols, x.shape, kh, kh), folded)
+            # the kernel's groups of samples, a short last group included
+            # (b = 5 in groups of 2 or 3), fold with the same bits
+            for group in range(1, b + 2):
+                assert np.array_equal(ops._col2im(cols, x.shape, kh, kh, group), folded)
 
     @pytest.mark.parametrize("kh", [1, 3, 5])
     def test_single_maps_are_bit_identical(self, kh):

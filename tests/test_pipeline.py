@@ -136,6 +136,15 @@ class TestCheckpoints:
         with pytest.raises(TensorFileError, match="not a list"):
             load_svm_checkpoint(self.svm_checkpoint(tmp_path / "svm.zten", class_names_json=_json_record(2)))
 
+    def test_non_string_class_name_is_typed_error(self, tmp_path):
+        # the manifest's rule: a class table is a list of strings
+        features = self.features_file(tmp_path / "f.zten", class_names_json=_json_record([1, None]))
+        with pytest.raises(TensorFileError, match=f"{features}: .*list of strings"):
+            load_features_file(features)
+        classifier = self.svm_checkpoint(tmp_path / "svm.zten", class_names_json=_json_record([1, None]))
+        with pytest.raises(TensorFileError, match=f"{classifier}: .*list of strings"):
+            load_svm_checkpoint(classifier)
+
     def test_checkpoint_json_records_are_validated(self, tmp_path):
         path = self.svm_checkpoint(tmp_path / "svm.zten", meta_json=_json_record({}) + 256.0)
         with pytest.raises(TensorFileError, match="'meta_json' .*not a byte"):
