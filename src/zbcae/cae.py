@@ -8,25 +8,27 @@ Training, the loss and its gradients take their samples as one
 (B, C, H, W) array; encoding and feature extraction take a map or a batch.
 Every convolution is the same-size one of :mod:`zbcae.ops` (stride 1, pad
 (kernel - 1) / 2, odd kernel), so the reconstruction lands on the input
-grid.  One batched forward pass serves both the loss and the training
-step; it computes the tied decoder as the transposed convolution with W_e,
-which equals conv(z, tied(W_e)) at that geometry.
+grid.  The loss is the training step's own loss, from one batched forward
+pass that computes the tied decoder as the transposed convolution with
+W_e, which equals conv(z, tied(W_e)) at that geometry.
 
 A training step runs in one step workspace that :func:`train` makes once
 and reuses for every step, whatever the batch size: a zero-padded input
 buffer, a code buffer, a column buffer, a cols(x) buffer, one
 weight-gradient buffer and one filter-block buffer, with their views built
 once per chunk size.  The step calls the unchecked kernels of
-:mod:`zbcae.ops` on those views; the public ops keep their checks and call
-the same kernels.  cols(x) stays in a second column buffer through a
-chunk's step where the code buffer and two column matrices fit the chunk
-budget (desk scale); elsewhere the one column buffer takes cols(x), the
-decoder's column matrix, cols(dG) and cols(x) again in turn, the last
-refilled from the padded buffer.  The decoder's input gradient overwrites
-the code once its ReLU mask is taken, and col2im folds a whole chunk in one
-bincount where its index is small.  Each chunk adds its decoder-side and
-encoder-side weight terms into the gradient buffer a block of filter rows
-at a time.
+:mod:`zbcae.ops` on those views; the public ops check their arguments, call
+the same kernels and return fresh arrays.  cols(x) stays in a second column
+buffer through a chunk's step where the code buffer and two column matrices
+fit the chunk budget (desk scale); elsewhere the one column buffer takes
+cols(x), the decoder's column matrix, cols(dG) and cols(x) again in turn,
+the last refilled from the padded buffer.  The decoder's input gradient
+overwrites the code once its ReLU mask is taken, and col2im folds a whole
+chunk in one bincount where its index is small.  Each chunk adds its
+decoder-side and encoder-side weight terms into the gradient buffer a block
+of filter rows at a time.  Three byte budgets size it all: the training
+chunk, the filter block and one scratch budget for the temporaries formed
+next to it (an extraction chunk, a col2im index, an SGD row block).
 
 Two bias regimes are supported.  ``train-then-zero`` (default) lets the
 biases learn during reconstruction training and pins them to zero only for
@@ -179,8 +181,8 @@ def encode(model: CaeModel, x: np.ndarray, zero_bias: bool = False) -> np.ndarra
 
 def _as_batch(model: CaeModel, batch) -> np.ndarray:
     """``batch`` as a (B, C, H, W) float64 array; ShapeError unless it
-    stacks into one array with four axes, at least one sample and the
-    model's channel count."""
+    stacks into one array with four axes, at least one sample, the model's
+    channel count and maps of a nonzero extent."""
     try:
         x = np.asarray(batch, dtype=np.float64)
     except ValueError as e:  # a ragged list of maps
@@ -191,6 +193,8 @@ def _as_batch(model: CaeModel, batch) -> np.ndarray:
         raise ShapeError(f"a batch must be B x C x H x W, got shape {x.shape}")
     if x.shape[1] != model.n_channels:
         raise ShapeError(f"samples have {x.shape[1]} channels but the model expects {model.n_channels}")
+    if 0 in x.shape[2:]:
+        raise ShapeError(f"samples must be maps of a nonzero extent, got {x.shape[2]} x {x.shape[3]}")
     return x
 
 
@@ -217,26 +221,17 @@ TRAIN_CHUNK_BYTES = 64 * 2**20
 _FILTER_BLOCK_BYTES = 16 * 2**20
 
 
-# Budget of one block of filter rows in the SGD update.  Its ``lr * dW``
-# block is the update's only temporary, and it forms while the training
-# workspace is held, so it is kept small; an elementwise update has the
-# same bits at any block size.  A chunk's col2im runs as one bincount where
-# its cached index fits this budget too (desk: 124 KB for 4 samples), and
-# one sample at a time otherwise (paper: 3.6 MB for one).
-_UPDATE_BLOCK_BYTES = 2**20
-
-
-# Working-set budget of one extraction chunk.  Kept small: on desk-scale
-# inputs (12x6x6, K=16) larger chunks raise the run's peak RSS for no
-# measurable speed, and at K=4096 over 14x14 maps a chunk is one sample.
-EXTRACT_CHUNK_BYTES = 2**18
-
-
-def _chunks(model: CaeModel, x: np.ndarray, budget_bytes: int):
-    """Consecutive slices of a (B, C, H, W) batch, each within
-    ``budget_bytes`` of working set."""
-    step = chunk_size(model, x.shape[1:], budget_bytes)
-    return (x[start : start + step] for start in range(0, len(x), step))
+# Budget of any temporary formed next to a held working set, kept small
+# because it adds to that set's peak:
+# - one extraction chunk (desk, 12x6x6 and K=16: larger chunks raise the
+#   run's peak RSS for no measurable speed; at K=4096 over 14x14 maps a
+#   chunk is one sample);
+# - a chunk's col2im index, which folds the whole chunk in one bincount
+#   where it fits (desk: 124 KB for 4 samples) and one sample at a time
+#   otherwise (paper: 3.6 MB for one);
+# - one block of filter rows of the SGD update's ``lr * dW``; an
+#   elementwise update has the same bits at any block size.
+_SCRATCH_BYTES = 2**18
 
 
 def _block_rows(bank: np.ndarray, budget_bytes: int) -> int:
@@ -276,9 +271,9 @@ class _ChunkViews:
 
 
 class _Workspace:
-    """Scratch memory of the training step and the loss, made once per
-    :func:`train`, :func:`loss_gradients` or :func:`reconstruction_loss`
-    call and sized for the largest chunk of a batch of ``samples`` maps of
+    """Scratch memory of the training step, made once per :func:`train`,
+    :func:`loss_gradients` or :func:`reconstruction_loss` call and sized
+    for the largest chunk of a batch of ``samples`` maps of
     ``sample_shape``, N = chunk * H * W:
 
     - a zero-padded input buffer, chunk x C x (H + kh - 1) x (W + kw - 1),
@@ -294,7 +289,7 @@ class _Workspace:
     - the zero bias vectors of always-zero mode.
 
     ``group`` is the samples per col2im bincount: the whole chunk where its
-    index fits :data:`_UPDATE_BLOCK_BYTES`, else one.  :meth:`views` builds
+    index fits :data:`_SCRATCH_BYTES`, else one.  :meth:`views` builds
     each chunk size's views once, so the buffers' pages are touched on the
     first step and reused by every later one.
     """
@@ -310,7 +305,7 @@ class _Workspace:
         self.code = np.empty(k * n)
         self.cols = np.empty(self.rows * n)
         self.cols_x = np.empty(self.rows * n) if 8 * (k + 2 * self.rows) * n <= TRAIN_CHUNK_BYTES else self.cols
-        self.group = most if 8 * self.rows * n <= _UPDATE_BLOCK_BYTES else 1
+        self.group = most if 8 * self.rows * n <= _SCRATCH_BYTES else 1
         self.dw = np.empty_like(model.w_e)
         self.dw_rows = self.dw.reshape(k, self.rows)
         block = np.empty(min(k, _block_rows(model.w_e, _FILTER_BLOCK_BYTES)) * self.rows)
@@ -343,15 +338,6 @@ def _add_weight_grad(ws: _Workspace, dout: np.ndarray, cols: np.ndarray, first: 
 def _check_bias_mode(bias_mode: str):
     if bias_mode not in BIAS_MODES:
         raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
-
-
-def _biases(model: CaeModel, bias_mode: str):
-    """(b_e, b_d) of the forward pass under ``bias_mode``: the model's, or
-    zeros when always-zero pins them."""
-    _check_bias_mode(bias_mode)
-    if bias_mode == BIAS_TRAIN_THEN_ZERO:
-        return model.b_e, model.b_d
-    return np.zeros(model.n_filters), np.zeros(model.n_channels)
 
 
 def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray, ws: _Workspace):
@@ -429,19 +415,19 @@ def _forward_backward(model: CaeModel, x: np.ndarray, bias_mode: str,
     return loss, CaeGradients(ws.dw, db_e, db_d)
 
 
-def reconstruction_loss(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO) -> float:
-    """Half the summed squared reconstruction error over the batch, from the
-    training step's forward pass, chunk by chunk.  In always-zero mode both
-    biases are pinned to zero, as in the gradients of that mode.
-    """
+def _batch_step(model: CaeModel, batch, bias_mode: str) -> tuple[float, CaeGradients]:
+    """(loss, gradients) of one checked batch, in a workspace of its own."""
     x = _as_batch(model, batch)
-    b_e, b_d = _biases(model, bias_mode)
-    ws = _Workspace(model, x.shape[1:], len(x))
-    total = 0.0
-    for chunk in _chunks(model, x, TRAIN_CHUNK_BYTES):
-        r = relu(_forward(model, chunk, b_e, b_d, ws)[1]) - chunk
-        total += 0.5 * float((r * r).sum())
-    return total
+    _check_bias_mode(bias_mode)
+    return _forward_backward(model, x, bias_mode, _Workspace(model, x.shape[1:], len(x)))
+
+
+def reconstruction_loss(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO) -> float:
+    """Half the summed squared reconstruction error over the batch: the
+    training step's own loss.  In always-zero mode both biases are pinned
+    to zero, as in the gradients of that mode.
+    """
+    return _batch_step(model, batch, bias_mode)[0]
 
 
 def loss_gradients(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO) -> CaeGradients:
@@ -452,21 +438,22 @@ def loss_gradients(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO
     exactly 0.  In always-zero mode the bias gradients are zero and the
     forward pass treats both biases as the constant 0.
     """
-    x = _as_batch(model, batch)
-    _check_bias_mode(bias_mode)
-    return _forward_backward(model, x, bias_mode, _Workspace(model, x.shape[1:], len(x)))[1]
+    return _batch_step(model, batch, bias_mode)[1]
 
 
 def sgd_step(model: CaeModel, grads: CaeGradients, lr: float) -> CaeModel:
     """Plain in-place stochastic gradient step, no momentum or decay.
 
-    The bank moves one block of filter rows (:data:`_UPDATE_BLOCK_BYTES`)
-    at a time: the same bits as ``w_e -= lr * dw_e`` without a bank-sized
-    ``lr * dw_e``.  ``grads`` is left as it was.
+    The bank moves one block of filter rows (:data:`_SCRATCH_BYTES`) at a
+    time: the same bits as ``w_e -= lr * dw_e`` without a bank-sized
+    ``lr * dw_e``.  ``grads`` is left as it was.  Every gradient must have
+    its parameter's shape (ShapeError before any parameter moves).
     """
-    if grads.dw_e.shape != model.w_e.shape:
-        raise ShapeError(f"weight gradient shape {grads.dw_e.shape} != {model.w_e.shape}")
-    for rows in _filter_blocks(model.w_e, _UPDATE_BLOCK_BYTES):
+    for name, grad, param in (("weight", grads.dw_e, model.w_e), ("encoder bias", grads.db_e, model.b_e),
+                              ("decoder bias", grads.db_d, model.b_d)):
+        if np.shape(grad) != param.shape:
+            raise ShapeError(f"{name} gradient shape {np.shape(grad)} != {param.shape}")
+    for rows in _filter_blocks(model.w_e, _SCRATCH_BYTES):
         model.w_e[rows] -= lr * grads.dw_e[rows]
     model.b_e -= lr * grads.db_e
     model.b_d -= lr * grads.db_d
@@ -543,9 +530,11 @@ def extract_features(model: CaeModel, x: np.ndarray) -> np.ndarray:
     Bias values never influence the output, so the result has length
     D = K * ceil(H/2) * ceil(W/2) and is elementwise non-negative.  A
     (B, C, H, W) batch gives a (B, D) matrix, encoded in chunks of
-    :data:`EXTRACT_CHUNK_BYTES` of working set.
+    :data:`_SCRATCH_BYTES` of working set.
     """
     if x.ndim != 4:
         return maxpool2(encode(model, x, zero_bias=True)).ravel()
-    return np.concatenate([maxpool2(encode(model, chunk, zero_bias=True)).reshape(len(chunk), -1)
-                           for chunk in _chunks(model, x, EXTRACT_CHUNK_BYTES)])
+    x = _as_batch(model, x)
+    step = chunk_size(model, x.shape[1:], _SCRATCH_BYTES)
+    pooled = (maxpool2(encode(model, x[start : start + step], zero_bias=True)) for start in range(0, len(x), step))
+    return np.concatenate([p.reshape(len(p), -1) for p in pooled])

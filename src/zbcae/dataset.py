@@ -96,6 +96,8 @@ def load_dataset(manifest: DatasetManifest):
         t = records[item.record]
         if t.ndim != 3:
             raise ManifestError(f"{file_path}: record {item.record!r} is {t.ndim}-D, expected C x H x W")
+        if 0 in t.shape:
+            raise ManifestError(f"{file_path}: record {item.record!r} has shape {t.shape}, which holds no values")
         if tensors is None:
             tensors = np.empty((len(manifest.items), *t.shape))
         elif t.shape != tensors.shape[1:]:

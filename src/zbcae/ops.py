@@ -10,14 +10,11 @@ either a single map or a batch; a batch runs as one GEMM per call.
 and copies its patch matrix out of a strided view of that buffer;
 ``col2im`` is a bincount scatter-add over the same positions ``im2col``
 reads, one bincount per group of samples over an index cached per
-geometry and group size.  Each of these public kernels checks its
-arguments and calls an unchecked private one (``_im2col``, ``_col2im``,
-``_conv2d``, ``_conv2d_weight_grad``, ``_conv2d_input_grad``), which the
-training step of :mod:`zbcae.cae` calls directly on views that its
-workspace builds once.  ``im2col`` and the convolutions
-also take an optional ``out``, a caller-owned C-contiguous float64 buffer
-that the patch matrix or the GEMM's product is written to, with the bits
-of the freshly allocated result; writing it is their only side effect.
+geometry and group size.  The public kernels check their arguments and
+return fresh arrays; each calls an unchecked private kernel (``_im2col``,
+``_col2im``, ``_conv2d``, ``_conv2d_weight_grad``, ``_conv2d_input_grad``),
+which the training step of :mod:`zbcae.cae` calls directly on views of
+buffers that its workspace holds.
 
 The convolution has one geometry, the same-size one: stride 1 and zero
 padding (k - 1) / 2 around an odd kernel extent k.  There the transposed
@@ -37,19 +34,6 @@ from .errors import ShapeError
 
 def _as_f64(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float64)
-
-
-def _check_out(out: np.ndarray, shape: tuple, opname: str) -> np.ndarray:
-    """``out`` itself when it is a writeable, C-contiguous float64 array of
-    ``shape``; ShapeError otherwise."""
-    if not isinstance(out, np.ndarray):
-        raise ShapeError(f"{opname} out must be a numpy array, got {type(out).__name__}")
-    if (out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous
-            or not out.flags.writeable):
-        raise ShapeError(f"{opname} out must be a writeable C-contiguous float64 array of shape {shape}, "
-                         f"got {out.dtype} {out.shape} (C-contiguous: {out.flags.c_contiguous}, "
-                         f"writeable: {out.flags.writeable})")
-    return out
 
 
 def _half_pad(kh: int, kw: int) -> tuple:
@@ -80,7 +64,7 @@ def _im2col(x: np.ndarray, interior: np.ndarray, patches: np.ndarray, out: np.nd
     out[...] = patches
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, out: np.ndarray | None = None) -> np.ndarray:
+def im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Unfold a (C, H, W) map, or a (B, C, H, W) batch of them, into a
     (C*kh*kw, B*H*W) patch matrix (B = 1 for a single map).
 
@@ -90,15 +74,13 @@ def im2col(x: np.ndarray, kh: int, kw: int, out: np.ndarray | None = None) -> np
     batch is written into the interior of one zero-filled padded buffer,
     and the matrix is copied out of a (C, kh, kw, B, H, W) view built from
     that buffer's strides (:func:`_im2col_views`): entry (c, u, v, b, i, j)
-    reads xpad[b, c, i + u, j + v].  ``out``, when given, is the
-    (C*kh*kw, B*H*W) buffer the matrix is copied into and returned in.
+    reads xpad[b, c, i + u, j + v].
     """
     ph, pw = _half_pad(kh, kw)
     xb = x if x.ndim == 4 else x[None]
     b, c, h, w = xb.shape
     interior, patches = _im2col_views(np.zeros((b, c, h + 2 * ph, w + 2 * pw)), kh, kw)
-    shape = (c * kh * kw, b * h * w)
-    out = np.empty(shape) if out is None else _check_out(out, shape, "im2col")
+    out = np.empty((c * kh * kw, b * h * w))
     _im2col(xb, interior, patches, out.reshape(patches.shape))
     return out
 
@@ -188,8 +170,7 @@ def _conv2d_input_grad(w: np.ndarray, d: np.ndarray, shape: tuple, kh: int, kw: 
     return _col2im(np.matmul(w.T, d, out=out), shape, kh, kw, group)
 
 
-def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-           cols: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Same-size cross-correlation of a (C, H, W) map, or a (B, C, H, W)
     batch, with a (K, C, kh, kw) bank of odd kernel extents.
 
@@ -199,10 +180,7 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     with xpad the input zero-padded by (kh - 1) / 2 rows and (kw - 1) / 2
     columns on each side, so the output keeps the input's extent.  Bias is
     one scalar per output map.  A batch is one GEMM; its (B, K, H, W) result
-    is a view of (K, B, H, W) memory.  ``cols``, when given, is
-    ``im2col(x, kh, kw)`` already computed by the caller.  ``out``, when
-    given, is the (K, B*H*W) buffer the GEMM writes; the result is a view
-    of it.
+    is a view of (K, B, H, W) memory.
     """
     x = np.asarray(x, dtype=np.float64)
     w = _as_f64(weights)
@@ -216,44 +194,28 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         raise ShapeError(f"input has {x.shape[-3]} channels but weights expect {c}")
     if b.shape != (k,):
         raise ShapeError(f"bias has length {b.size} but there are {k} filters")
-    if cols is None:
-        cols = im2col(x, kh, kw)
-    if out is not None:
-        _check_out(out, (k, cols.shape[1]), "conv2d")
-    out = _conv2d(w.reshape(k, c * kh * kw), cols, b, out)
+    out = _conv2d(w.reshape(k, c * kh * kw), im2col(x, kh, kw), b)
     if x.ndim == 3:
         return out.reshape(k, *x.shape[1:])
     return out.reshape(k, x.shape[0], *x.shape[2:]).swapaxes(0, 1)
 
 
-def conv2d_weight_grad(x: np.ndarray, dout: np.ndarray, kh: int, kw: int,
-                       cols: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def conv2d_weight_grad(x: np.ndarray, dout: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Gradient of conv2d w.r.t. its weights, given dL/dout of shape
-    (K, H, W), or (B, K, H, W) summed over the batch.  ``cols``, when
-    given, is ``im2col(x, kh, kw)``; ``out``, when given, is the
-    (K, C, kh, kw) buffer the gradient is written to and returned in."""
-    if cols is None:
-        cols = im2col(np.asarray(x, dtype=np.float64), kh, kw)
+    (K, H, W), or (B, K, H, W) summed over the batch."""
+    x = np.asarray(x, dtype=np.float64)
     d = _by_channel(dout)
-    shape = (d.shape[0], x.shape[-3], kh, kw)
-    if out is None:
-        return _conv2d_weight_grad(d, cols).reshape(shape)
-    _conv2d_weight_grad(d, cols, _check_out(out, shape, "conv2d_weight_grad").reshape(d.shape[0], -1))
-    return out
+    return _conv2d_weight_grad(d, im2col(x, kh, kw)).reshape(d.shape[0], x.shape[-3], kh, kw)
 
 
-def conv2d_input_grad(dout: np.ndarray, weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def conv2d_input_grad(dout: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Gradient of conv2d w.r.t. its input, given dL/dout of shape (K, H, W)
     or (B, K, H, W): the transposed convolution of ``dout``, a (C, H, W) or
     (B, C, H, W) map, folded by :func:`col2im` from the column matrix
-    W^T dout.  ``out``, when given, is the (C*kh*kw, B*H*W) buffer that
-    column matrix is written to; the returned map is always fresh."""
+    W^T dout."""
     k, c, kh, kw = weights.shape
-    d = _by_channel(dout)
-    if out is not None:
-        _check_out(out, (c * kh * kw, d.shape[1]), "conv2d_input_grad")
     b, _, h, w = dout.shape if dout.ndim == 4 else (1, *dout.shape)
-    grad = _conv2d_input_grad(weights.reshape(k, c * kh * kw), d, (b, c, h, w), kh, kw, 1, out)
+    grad = _conv2d_input_grad(weights.reshape(k, c * kh * kw), _by_channel(dout), (b, c, h, w), kh, kw, 1)
     return grad if dout.ndim == 4 else grad[0]
 
 

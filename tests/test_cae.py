@@ -32,7 +32,6 @@ from zbcae.ops import (
     conv2d_bias_grad,
     conv2d_input_grad,
     conv2d_weight_grad,
-    im2col,
     relu,
     tied_decoder_weights,
 )
@@ -62,9 +61,17 @@ def workspace(model, x):
     return cae._Workspace(model, x.shape[1:], len(x))
 
 
+def biases(model, bias_mode):
+    """(b_e, b_d) of the forward pass under ``bias_mode``: the model's, or
+    zeros when always-zero pins them."""
+    if bias_mode == BIAS_TRAIN_THEN_ZERO:
+        return model.b_e, model.b_d
+    return np.zeros(model.n_filters), np.zeros(model.n_channels)
+
+
 def forward(model, x, zero_bias=False):
     """The reconstruction of a (B, C, H, W) batch by the batched forward pass."""
-    b_e, b_d = cae._biases(model, bias_mode_of(zero_bias))
+    b_e, b_d = biases(model, bias_mode_of(zero_bias))
     return relu(cae._forward(model, x, b_e, b_d, workspace(model, x))[1])
 
 
@@ -393,19 +400,17 @@ def chunk_forward_backward_reference(model, x, b_e, b_d):
     encoder's weight terms formed as whole banks and summed as enc + dec.
     Returns (loss, dw_e, db_e, db_d)."""
     k, _, kh, kw = model.w_e.shape
-    cols_x = im2col(x, kh, kw)
-    z = relu(conv2d(x, model.w_e, b_e, cols=cols_x))
+    z = relu(conv2d(x, model.w_e, b_e))
     g = conv2d_input_grad(z, model.w_e) + b_d[:, None, None]
     r = relu(g) - x
     loss = 0.5 * float((r * r).sum())
     dg = r * (g > 0.0)
     db_d = conv2d_bias_grad(dg)
-    cols_dg = im2col(dg, kh, kw)
-    dw_dec = conv2d_weight_grad(dg, z, kh, kw, cols=cols_dg)
-    da = conv2d(dg, model.w_e, np.zeros(k), cols=cols_dg)
+    dw_dec = conv2d_weight_grad(dg, z, kh, kw)
+    da = conv2d(dg, model.w_e, np.zeros(k))
     da *= z > 0.0
     db_e = conv2d_bias_grad(da)
-    dw = conv2d_weight_grad(x, da, kh, kw, cols=cols_x)
+    dw = conv2d_weight_grad(x, da, kh, kw)
     dw += dw_dec
     return loss, dw, db_e, db_d
 
@@ -413,10 +418,11 @@ def chunk_forward_backward_reference(model, x, b_e, b_d):
 def forward_backward_reference(model, batch, bias_mode):
     """The replaced batch step: chunk results summed as total + part."""
     x = np.asarray(batch, dtype=np.float64)
-    b_e, b_d = cae._biases(model, bias_mode)
+    b_e, b_d = biases(model, bias_mode)
+    step = cae.chunk_size(model, x.shape[1:], cae.TRAIN_CHUNK_BYTES)
     total = None
-    for chunk in cae._chunks(model, x, cae.TRAIN_CHUNK_BYTES):
-        part = chunk_forward_backward_reference(model, chunk, b_e, b_d)
+    for start in range(0, len(x), step):
+        part = chunk_forward_backward_reference(model, x[start : start + step], b_e, b_d)
         total = part if total is None else tuple(a + b for a, b in zip(total, part))
     loss, dw_e, db_e, db_d = total
     if bias_mode == BIAS_ALWAYS_ZERO:
@@ -457,7 +463,7 @@ class TestStepMatchesReference:
         batch = rng.normal(0.2, 1.0, size=(5, 32, 6, 6))
         monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 2 * 8 * 6 * 6 * 32 * 9)
         monkeypatch.setattr(cae, "_FILTER_BLOCK_BYTES", 24 * model.w_e[0].nbytes)
-        assert len(list(cae._chunks(model, batch, cae.TRAIN_CHUNK_BYTES))) == 3
+        assert cae.chunk_size(model, batch.shape[1:], cae.TRAIN_CHUNK_BYTES) == 2  # chunks of 2, 2 and 1
         loss, dw_e, db_e, db_d = batched_step(model, batch, bias_mode)
         ref_loss, ref_dw_e, ref_db_e, ref_db_d = forward_backward_reference(model, batch, bias_mode)
         assert loss == ref_loss
@@ -508,7 +514,7 @@ class TestStepMatchesReference:
         batch = relu(np.random.default_rng(143).normal(0.3, 1.0, size=(3 * per_chunk, c, hw, hw)))
         monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", per_chunk * 8 * hw * hw * max(k, c * 9))
         monkeypatch.setattr(cae, "_FILTER_BLOCK_BYTES", 64 * model.w_e[0].nbytes)
-        assert [len(chunk) for chunk in cae._chunks(model, batch, cae.TRAIN_CHUNK_BYTES)] == [per_chunk] * 3
+        assert cae.chunk_size(model, batch.shape[1:], cae.TRAIN_CHUNK_BYTES) == per_chunk
         n = per_chunk * hw * hw
         bound = model.w_e.nbytes + 8 * c * 9 * n + 8 * k * n + 64 * model.w_e[0].nbytes + 2 * 2**20
         tracemalloc.start()
@@ -574,6 +580,19 @@ class TestSgdStep:
         npt.assert_allclose(model.w_e, np.full((1, 1, 1, 1), 0.3))
 
 
+    @pytest.mark.parametrize("name", ["db_e", "db_d"])
+    def test_wrong_length_bias_gradient_is_shape_error_before_any_move(self, name):
+        # (1,) bias gradients used to broadcast over every bias entry
+        rng = np.random.default_rng(22)
+        model = random_model(rng)
+        before = copy.deepcopy(model)
+        grads = CaeGradients(np.ones_like(model.w_e), np.ones(3), np.ones(2))
+        setattr(grads, name, np.ones(1))
+        with pytest.raises(ShapeError, match="gradient shape"):
+            sgd_step(model, grads, lr=0.5)
+        for field_name in ("w_e", "b_e", "b_d"):
+            assert_same_bits(getattr(model, field_name), getattr(before, field_name))
+
     def test_blocked_update_matches_whole_bank_bits(self, monkeypatch):
         rng = np.random.default_rng(21)
         model = random_model(rng, k=20, c=3)
@@ -583,8 +602,8 @@ class TestSgdStep:
         expected = model.w_e.copy()
         expected -= lr * grads.dw_e
         # 8 filter rows per block: blocks of 8, 8 and a trailing 4
-        monkeypatch.setattr(cae, "_UPDATE_BLOCK_BYTES", 8 * model.w_e[0].nbytes)
-        assert len(list(cae._filter_blocks(model.w_e, cae._UPDATE_BLOCK_BYTES))) == 3
+        monkeypatch.setattr(cae, "_SCRATCH_BYTES", 8 * model.w_e[0].nbytes)
+        assert len(list(cae._filter_blocks(model.w_e, cae._SCRATCH_BYTES))) == 3
         sgd_step(model, grads, lr)
         assert_same_bits(model.w_e, expected)
         for name in ("dw_e", "db_e", "db_d"):
@@ -802,3 +821,17 @@ class TestExtractFeatures:
             model.b_e = rng.normal(size=3) * 100
             model.b_d = rng.normal(size=2) * 100
             npt.assert_array_equal(extract_features(model, x), base)
+
+
+class TestZeroExtentMaps:
+    @pytest.mark.parametrize("call", [
+        lambda model, x: train(model, x, CaeTrainConfig(epochs=1)),
+        lambda model, x: loss_gradients(model, x),
+        lambda model, x: reconstruction_loss(model, x),
+        lambda model, x: extract_features(model, x),
+    ], ids=["train", "loss_gradients", "reconstruction_loss", "extract_features"])
+    @pytest.mark.parametrize("shape", [(3, 2, 0, 3), (3, 2, 3, 0)])
+    def test_is_shape_error(self, call, shape):
+        # such a batch used to die in chunk_size with a ZeroDivisionError
+        with pytest.raises(ShapeError, match="nonzero extent"):
+            call(random_model(np.random.default_rng(39)), np.zeros(shape))

@@ -396,6 +396,31 @@ class TestExitCodes:
             assert part in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("command", ["train-cae", "encode", "run-all"])
+    def test_zero_extent_maps_are_data_error(self, tmp_path, capsys, command):
+        # maps of shape (2, 0, 3) used to die in cae.chunk_size with a
+        # ZeroDivisionError traceback
+        from zbcae.cae import init_model
+        from zbcae.dataset import DatasetManifest, ManifestItem, save_manifest
+        from zbcae.pipeline import save_cae_checkpoint
+        from zbcae.tensorfile import save_tensors
+
+        data, manifest, model, out = (tmp_path / name for name in ("maps.zten", "maps.json", "model.zten", "out"))
+        save_tensors(data, {"r": np.zeros((2, 0, 3))})
+        items = [ManifestItem("maps.zten", "r", 0), ManifestItem("maps.zten", "r", 1)]
+        save_manifest(DatasetManifest(["a", "b"], items, tmp_path), manifest)
+        save_cae_checkpoint(model, init_model(2, 2, 3, seed=0), {})
+        argv = {
+            "train-cae": ["train-cae", "--train", str(manifest), "--out", str(out), "--epochs", "1"],
+            "encode": ["encode", "--model", str(model), "--manifest", str(manifest), "--out", str(out)],
+            "run-all": ["run-all", "--train", str(manifest), "--test", str(manifest), "--report", str(out)],
+        }[command]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {data}: ") and "Traceback" not in captured.err
+        assert "'r'" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_evaluate_dimension_mismatch_names_both_files(self, tmp_path, capsys):
         from zbcae.pipeline import save_features_file, save_svm_checkpoint
         from zbcae.svm import SvmModel

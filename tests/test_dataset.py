@@ -99,6 +99,13 @@ class TestManifest:
         with pytest.raises(ManifestError, match="no record named 'missing'"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("shape", [(2, 0, 3), (2, 3, 0), (0, 3, 3)])
+    def test_load_dataset_rejects_maps_without_values(self, tmp_path, shape):
+        save_tensors(tmp_path / "a.zten", {"r": np.zeros(shape)})
+        manifest = DatasetManifest(classes=["x"], items=[ManifestItem("a.zten", "r", 0)], base_dir=tmp_path)
+        with pytest.raises(ManifestError, match=r"a\.zten: record 'r' has shape .* no values"):
+            load_dataset(manifest)
+
     def test_load_dataset_rejects_manifest_without_items(self, tmp_path):
         manifest = DatasetManifest(classes=["x", "y"], items=[], base_dir=tmp_path)
         with pytest.raises(ManifestError, match="no items"):

@@ -274,16 +274,6 @@ class TestBatchedKernels:
                                 rtol=1e-12, atol=1e-12)
             npt.assert_allclose(conv2d_bias_grad(dout), dout.sum(axis=(0, 2, 3)), rtol=1e-12)
 
-    def test_precomputed_columns_give_identical_results(self):
-        rng = np.random.default_rng(304)
-        x = rng.normal(size=(3, 2, 5, 4))
-        wt = rng.normal(size=(4, 2, 3, 3))
-        cols = im2col(x, 3, 3)
-        out = conv2d(x, wt, np.zeros(4))
-        npt.assert_array_equal(conv2d(x, wt, np.zeros(4), cols=cols), out)
-        npt.assert_array_equal(conv2d_weight_grad(x, out, 3, 3, cols=cols),
-                               conv2d_weight_grad(x, out, 3, 3))
-
     def test_transposed_conv_equals_tied_decoder_at_same_padding(self):
         # conv2d(z, tied(W)) == conv2d_input_grad(z, W) for the same-size convolution
         rng = np.random.default_rng(305)
@@ -352,66 +342,6 @@ class TestKernelsMatchReference:
         assert not index.flags.writeable
         with pytest.raises(ValueError):
             index[0] = 0
-
-
-def out_calls(x, w, dout):
-    """name -> (op called with ``out``, shape of its ``out``) for im2col and
-    the three convolutions over a map or a batch x, a bank w and dL/dout."""
-    k, c, kh, kw = w.shape
-    n = dout.size // k
-    return {
-        "im2col": (lambda out: im2col(x, kh, kw, out=out), (c * kh * kw, n)),
-        "conv2d": (lambda out: conv2d(x, w, np.arange(k, dtype=float), out=out), (k, n)),
-        "conv2d_weight_grad": (lambda out: conv2d_weight_grad(x, dout, kh, kw, out=out), w.shape),
-        "conv2d_input_grad": (lambda out: conv2d_input_grad(dout, w, out=out), (c * kh * kw, n)),
-    }
-
-
-def read_only(a):
-    a.flags.writeable = False
-    return a
-
-
-class TestOutBuffers:
-    """``out=`` of im2col and the convolutions: the bits of the freshly
-    allocated result, written into the caller's buffer.  conv2d_input_grad's
-    ``out`` takes its GEMM's column matrix, which col2im folds into a fresh
-    map.  A buffer of the wrong shape, dtype or layout is a ShapeError."""
-
-    @staticmethod
-    def case(batch):
-        rng = np.random.default_rng(460 + batch)
-        x, w, dout = rng.normal(size=(3, 4, 6, 5)), rng.normal(size=(7, 4, 3, 3)), rng.normal(size=(3, 7, 6, 5))
-        return (x, w, dout) if batch else (x[0], w, dout[0])
-
-    @pytest.mark.parametrize("name", ["im2col", "conv2d", "conv2d_weight_grad", "conv2d_input_grad"])
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_out_gets_the_fresh_bits(self, name, batch):
-        x, w, dout = self.case(batch)
-        call, shape = out_calls(x, w, dout)[name]
-        fresh = call(None)
-        out = np.full(shape, np.nan)
-        got = call(out)
-        assert np.array_equal(got, fresh)
-        if name == "conv2d_input_grad":
-            assert np.array_equal(out, w.reshape(len(w), -1).T @ ops._by_channel(dout))
-            assert not np.shares_memory(got, out)
-        else:
-            assert np.shares_memory(got, out)
-
-    @pytest.mark.parametrize("bad", ["shape", "dtype", "layout", "read-only", "list"])
-    @pytest.mark.parametrize("name", ["im2col", "conv2d", "conv2d_weight_grad", "conv2d_input_grad"])
-    def test_unusable_out_is_shape_error(self, name, bad):
-        call, shape = out_calls(*self.case(True))[name]
-        out = {
-            "shape": lambda: np.empty((shape[0] + 1, *shape[1:])),
-            "dtype": lambda: np.empty(shape, dtype=np.float32),
-            "layout": lambda: np.empty(shape[::-1]).T,
-            "read-only": lambda: read_only(np.zeros(shape)),
-            "list": lambda: np.zeros(shape).tolist(),
-        }[bad]()
-        with pytest.raises(ShapeError, match=f"{name} out"):
-            call(out)
 
 
 class TestFlip180:
