@@ -22,13 +22,16 @@ the same kernels and return fresh arrays.  cols(x) stays in a second column
 buffer through a chunk's step where the code buffer and two column matrices
 fit the chunk budget (desk scale); elsewhere the one column buffer takes
 cols(x), the decoder's column matrix, cols(dG) and cols(x) again in turn,
-the last refilled from the padded buffer.  The decoder's input gradient
-overwrites the code once its ReLU mask is taken, and col2im folds a whole
-chunk in one bincount where its index is small.  Each chunk adds its
-decoder-side and encoder-side weight terms into the gradient buffer a block
-of filter rows at a time.  Three byte budgets size it all: the training
-chunk, the filter block and one scratch budget for the temporaries formed
-next to it (an extraction chunk, a col2im index, an SGD row block).
+the last refilled from the padded buffer.  The decoder's column matrix is
+folded into the decoder pre-activation g by one bincount over the chunk
+where its index is small (desk scale), and elsewhere by shifted slice adds
+straight into the padded buffer, whose interior is then g.  The decoder's
+input gradient overwrites the code once its ReLU mask is taken.  Each
+chunk adds its decoder-side and encoder-side weight terms into the
+gradient buffer a block of filter rows at a time.  Three byte budgets size
+it all: the training chunk, the filter block and one scratch budget for the
+temporaries formed next to it (an extraction chunk, a col2im index, an SGD
+row block).
 
 Two bias regimes are supported.  ``train-then-zero`` (default) lets the
 biases learn during reconstruction training and pins them to zero only for
@@ -44,9 +47,10 @@ import numpy as np
 
 from .errors import NonFiniteLossError, ShapeError
 from .ops import (
+    _col2im,
     _conv2d,
-    _conv2d_input_grad,
     _conv2d_weight_grad,
+    _fold,
     _im2col,
     _im2col_views,
     conv2d,
@@ -173,10 +177,14 @@ def init_model(n_filters: int, n_channels: int, kernel: int, seed: int) -> CaeMo
 
 
 def encode(model: CaeModel, x: np.ndarray, zero_bias: bool = False) -> np.ndarray:
-    """ReLU(conv(x, W_e) + b_e), or with b_e pinned to zero when zero_bias."""
+    """ReLU(conv(x, W_e) + b_e) of a (C, H, W) map or a (B, C, H, W) batch,
+    or with b_e pinned to zero when zero_bias.  A map is checked as a batch
+    of one (:func:`_as_batch`)."""
+    single = np.ndim(x) == 3
     b = np.zeros(model.n_filters) if zero_bias else model.b_e
-    z = conv2d(x, model.w_e, b)
-    return np.maximum(z, 0.0, out=z)
+    z = conv2d(_as_batch(model, np.asarray(x)[None] if single else x), model.w_e, b)
+    np.maximum(z, 0.0, out=z)
+    return z[0] if single else z
 
 
 def _as_batch(model: CaeModel, batch) -> np.ndarray:
@@ -216,9 +224,11 @@ TRAIN_CHUNK_BYTES = 64 * 2**20
 
 
 # Budget of one block of filter rows in the weight-gradient products, which
-# never form a bank-sized temporary.  At the paper geometry a block is 904 of
-# the 4096 filters (16 MB of a 75.5 MB bank).
-_FILTER_BLOCK_BYTES = 16 * 2**20
+# never form a bank-sized temporary.  At the paper geometry a block is 224 of
+# the 4096 filters (4.1 MB of a 75.5 MB bank); smaller blocks cost more time
+# than they save memory there (a step's encoder-side term: 317 ms at 16 MiB,
+# 340 ms at 4 MiB, 375 ms at 2 MiB, 438 ms at 1 MiB).
+_FILTER_BLOCK_BYTES = 4 * 2**20
 
 
 # Budget of any temporary formed next to a held working set, kept small
@@ -227,8 +237,8 @@ _FILTER_BLOCK_BYTES = 16 * 2**20
 #   run's peak RSS for no measurable speed; at K=4096 over 14x14 maps a
 #   chunk is one sample);
 # - a chunk's col2im index, which folds the whole chunk in one bincount
-#   where it fits (desk: 124 KB for 4 samples) and one sample at a time
-#   otherwise (paper: 3.6 MB for one);
+#   where it fits (desk: 124 KB for 4 samples); elsewhere the step folds
+#   into its padded buffer and needs no index (paper: 29 MB for 8 samples);
 # - one block of filter rows of the SGD update's ``lr * dW``; an
 #   elementwise update has the same bits at any block size.
 _SCRATCH_BYTES = 2**18
@@ -251,7 +261,8 @@ def _filter_blocks(bank: np.ndarray, budget_bytes: int):
 
 class _ChunkViews:
     """The buffers of a :class:`_Workspace` viewed for a chunk of ``b``
-    samples, N = b * H * W: the padded buffer's interior and patch view
+    samples, N = b * H * W: the padded buffer at the chunk's
+    (B, C, H + kh - 1, W + kw - 1) shape, its interior and its patch view
     (:func:`zbcae.ops._im2col_views`), the code buffer as a (K, N) matrix
     and as the (B, K, H, W) map of its columns, the column buffer and the
     cols(x) buffer as (C*kh*kw, N) matrices and at the patch view's 6-D
@@ -262,6 +273,7 @@ class _ChunkViews:
         n = b * h * w
         self.shape = (b, c, h, w)
         xp = ws.padded[: b * c * (h + kh - 1) * (w + kw - 1)].reshape(b, c, h + kh - 1, w + kw - 1)
+        self.padded = xp
         self.interior, self.patches = _im2col_views(xp, kh, kw)
         self.code = ws.code[: k * n].reshape(k, n)
         self.code_maps = self.code.reshape(k, b, h, w).swapaxes(0, 1)
@@ -277,7 +289,8 @@ class _Workspace:
     ``sample_shape``, N = chunk * H * W:
 
     - a zero-padded input buffer, chunk x C x (H + kh - 1) x (W + kw - 1),
-      whose interior each im2col writes and whose border stays zero;
+      whose interior each im2col writes and whose border is zero whenever
+      an im2col reads it;
     - a code buffer (K x N) and a column buffer (C*kh*kw x N);
     - a cols(x) buffer that holds im2col(x) through the chunk's step, a
       second column buffer when the code buffer and two column matrices fit
@@ -288,8 +301,10 @@ class _Workspace:
       pairs the gradient is filled by;
     - the zero bias vectors of always-zero mode.
 
-    ``group`` is the samples per col2im bincount: the whole chunk where its
-    index fits :data:`_SCRATCH_BYTES`, else one.  :meth:`views` builds
+    ``fold`` is whether the decoder folds its column matrix into the padded
+    buffer (:func:`zbcae.ops._fold`): where the largest chunk's col2im
+    index would not fit :data:`_SCRATCH_BYTES`.  Otherwise each chunk folds
+    in one bincount.  :meth:`views` builds
     each chunk size's views once, so the buffers' pages are touched on the
     first step and reused by every later one.
     """
@@ -305,7 +320,7 @@ class _Workspace:
         self.code = np.empty(k * n)
         self.cols = np.empty(self.rows * n)
         self.cols_x = np.empty(self.rows * n) if 8 * (k + 2 * self.rows) * n <= TRAIN_CHUNK_BYTES else self.cols
-        self.group = most if 8 * self.rows * n <= _SCRATCH_BYTES else 1
+        self.fold = 8 * self.rows * n > _SCRATCH_BYTES
         self.dw = np.empty_like(model.w_e)
         self.dw_rows = self.dw.reshape(k, self.rows)
         block = np.empty(min(k, _block_rows(model.w_e, _FILTER_BLOCK_BYTES)) * self.rows)
@@ -347,17 +362,18 @@ def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray, w
 
     The cols(x) buffer takes im2col(x) for the encoder GEMM; the column
     buffer then takes the decoder's column matrix W^T z, which col2im folds
-    into g.  The decoder conv(z, tied(W)) is computed as that transposed
-    convolution, which it equals for the same-size convolution, so no tied
-    copy of the bank is formed.
+    into g: into the padded buffer when ``ws.fold``, g being its interior,
+    else in one bincount.  The decoder conv(z, tied(W)) is computed as that
+    transposed convolution, which it equals for the same-size convolution,
+    so no tied copy of the bank is formed.
     """
     v = ws.views(len(x))
-    kh, kw = ws.kernel
     w = model.w_e.reshape(ws.k, ws.rows)
     _im2col(x, v.interior, v.patches, v.cols_x6)
     _conv2d(w, v.cols_x, b_e, v.code)
     np.maximum(v.code, 0.0, out=v.code)
-    g = _conv2d_input_grad(w, v.code, v.shape, kh, kw, ws.group, v.cols)
+    np.matmul(w.T, v.code, out=v.cols)
+    g = _fold(v.cols6, v.padded) if ws.fold else _col2im(v.cols, v.shape, *ws.kernel)
     g += b_d[:, None, None]
     return v, g
 
@@ -382,6 +398,8 @@ def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d
 
     dg = r * (g > 0.0)
     del g, r
+    if ws.fold:
+        v.padded.fill(0.0)  # the fold wrote g and the border; im2col needs a zero border
     db_d = conv2d_bias_grad(dg)
     _im2col(dg, v.interior, v.patches, v.cols6)
     _add_weight_grad(ws, v.code, v.cols, first)
@@ -530,11 +548,12 @@ def extract_features(model: CaeModel, x: np.ndarray) -> np.ndarray:
     Bias values never influence the output, so the result has length
     D = K * ceil(H/2) * ceil(W/2) and is elementwise non-negative.  A
     (B, C, H, W) batch gives a (B, D) matrix, encoded in chunks of
-    :data:`_SCRATCH_BYTES` of working set.
+    :data:`_SCRATCH_BYTES` of working set; a (C, H, W) map is a batch of
+    one.
     """
-    if x.ndim != 4:
-        return maxpool2(encode(model, x, zero_bias=True)).ravel()
-    x = _as_batch(model, x)
+    single = x.ndim == 3
+    x = _as_batch(model, x[None] if single else x)
     step = chunk_size(model, x.shape[1:], _SCRATCH_BYTES)
     pooled = (maxpool2(encode(model, x[start : start + step], zero_bias=True)) for start in range(0, len(x), step))
-    return np.concatenate([p.reshape(len(p), -1) for p in pooled])
+    features = np.concatenate([p.reshape(len(p), -1) for p in pooled])
+    return features[0] if single else features

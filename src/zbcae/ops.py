@@ -8,13 +8,14 @@ is ``(K, C, kh, kw)``.  ``im2col``/``col2im`` and the convolutions accept
 either a single map or a batch; a batch runs as one GEMM per call.
 ``im2col`` writes the batch into the interior of a zero-padded buffer
 and copies its patch matrix out of a strided view of that buffer;
-``col2im`` is a bincount scatter-add over the same positions ``im2col``
-reads, one bincount per group of samples over an index cached per
-geometry and group size.  The public kernels check their arguments and
+``col2im`` adds the patch matrix back into such a buffer with kh*kw
+shifted slice adds (``_fold``), or, for the training step's small chunks,
+scatter-adds it in one bincount over an index cached per geometry and
+batch size (``_col2im``).  The public kernels check their arguments and
 return fresh arrays; each calls an unchecked private kernel (``_im2col``,
-``_col2im``, ``_conv2d``, ``_conv2d_weight_grad``, ``_conv2d_input_grad``),
-which the training step of :mod:`zbcae.cae` calls directly on views of
-buffers that its workspace holds.
+``_fold``, ``_conv2d``, ``_conv2d_weight_grad``), which the training step
+of :mod:`zbcae.cae` calls directly on views of buffers that its workspace
+holds.
 
 The convolution has one geometry, the same-size one: stride 1 and zero
 padding (k - 1) / 2 around an odd kernel extent k.  There the transposed
@@ -104,38 +105,55 @@ def _col2im_index(c: int, h: int, w: int, kh: int, kw: int, samples: int = 1) ->
     return index
 
 
-def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int, group: int) -> np.ndarray:
-    """The col2im kernel, unchecked: fold a (C*kh*kw, B*H*W) matrix into a
-    (B, C, H, W) map of ``shape``, with one ``np.bincount`` per ``group``
-    consecutive samples over :func:`_col2im_index` of that many.  One group
-    covering the batch folds straight from the memory of a C-contiguous
-    ``cols``; smaller ones copy their block of columns out first."""
+def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
+    """The bincount col2im kernel, unchecked: fold a C-contiguous
+    (C*kh*kw, B*H*W) matrix into a (B, C, H, W) map of ``shape`` with one
+    ``np.bincount`` over :func:`_col2im_index` of the whole batch, whose
+    last slot collects (and drops) the entries read from the padding.  It
+    suits batches whose index is small; :func:`_fold` needs no index."""
     b, c, h, w = shape
-    size = c * h * w
-    if group >= b:
-        index = _col2im_index(c, h, w, kh, kw, b)
-        return np.bincount(index, weights=cols.ravel(), minlength=b * size + 1)[:-1].reshape(shape)
-    per_sample = cols.reshape(-1, b, h * w)
-    out = np.empty((b, size))
-    for s in range(0, b, group):
-        n = min(group, b - s)
-        index = _col2im_index(c, h, w, kh, kw, n)
-        folded = np.bincount(index, weights=per_sample[:, s : s + n].ravel(), minlength=n * size + 1)
-        out[s : s + n] = folded[:-1].reshape(n, size)
-    return out.reshape(shape)
+    index = _col2im_index(c, h, w, kh, kw, b)
+    return np.bincount(index, weights=cols.ravel(), minlength=b * c * h * w + 1)[:-1].reshape(shape)
+
+
+def _fold(cols6: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """The col2im kernel, unchecked: zero-fill ``xp``, a (B, C, H + kh - 1,
+    W + kw - 1) buffer, add each (u, v) slice of the (C, kh, kw, B, H, W)
+    patch matrix ``cols6`` into xp shifted by (u, v), and return xp's
+    (B, C, H, W) interior, the folded map.  Entries read from the padding
+    land on xp's border, which the caller zeroes again before xp is
+    padding once more.  Each interior entry sums its terms in (u, v) order
+    from 0.0, as the bincount of :func:`_col2im` does, so both give the
+    same bits."""
+    _, kh, kw, _, h, w = cols6.shape
+    xp.fill(0.0)
+    for u in range(kh):
+        for v in range(kw):
+            xp[:, :, u : u + h, v : v + w] += cols6[:, u, v].swapaxes(0, 1)
+    return xp[:, :, (kh - 1) // 2 : (kh - 1) // 2 + h, (kw - 1) // 2 : (kw - 1) // 2 + w]
+
+
+def _fold_fresh(cols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
+    """:func:`_fold` of a (C*kh*kw, B*H*W) matrix into a fresh contiguous
+    (B, C, H, W) map of ``shape``; ShapeError for an even kernel extent."""
+    _half_pad(kh, kw)
+    b, c, h, w = shape
+    xp = np.empty((b, c, h + kh - 1, w + kw - 1))
+    return _fold(np.reshape(cols, (c, kh, kw, b, h, w)), xp).copy()
 
 
 def col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add patch columns back to a map of
     ``shape``, either (C, H, W) or (B, C, H, W).
 
-    Each sample is one ``np.bincount`` (:func:`_col2im` in groups of one),
-    whose last slot collects (and drops) the entries that fell in the
-    padding.  Every output entry sums its terms in (u, v) order starting
-    from 0.0, so any grouping of the samples gives the same bits.
+    The columns are added into a zero-padded buffer with kh*kw shifted
+    slice adds (:func:`_fold`), whose border collects (and drops) the
+    entries read from the padding.  Every output entry sums its terms in
+    (u, v) order starting from 0.0, as the training step's bincount does,
+    so both give the same bits.
     """
     b, c, h, w = shape if len(shape) == 4 else (1, *shape)
-    return _col2im(cols, (b, c, h, w), kh, kw, 1).reshape(shape)
+    return _fold_fresh(cols, (b, c, h, w), kh, kw).reshape(shape)
 
 
 def _by_channel(maps: np.ndarray) -> np.ndarray:
@@ -159,15 +177,6 @@ def _conv2d_weight_grad(d: np.ndarray, cols: np.ndarray, out: np.ndarray | None 
     d cols^T of an output gradient matrix (K, N) and a patch matrix, in
     ``out`` when given."""
     return np.matmul(d, cols.T, out=out)
-
-
-def _conv2d_input_grad(w: np.ndarray, d: np.ndarray, shape: tuple, kh: int, kw: int, group: int,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """The conv2d_input_grad kernel, unchecked: the column matrix W^T d of
-    a bank matrix (K, C*kh*kw) and an output gradient matrix (K, N), in
-    ``out`` when given, folded by :func:`_col2im` into a (B, C, H, W) map of
-    ``shape`` in groups of ``group`` samples."""
-    return _col2im(np.matmul(w.T, d, out=out), shape, kh, kw, group)
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -211,11 +220,11 @@ def conv2d_weight_grad(x: np.ndarray, dout: np.ndarray, kh: int, kw: int) -> np.
 def conv2d_input_grad(dout: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Gradient of conv2d w.r.t. its input, given dL/dout of shape (K, H, W)
     or (B, K, H, W): the transposed convolution of ``dout``, a (C, H, W) or
-    (B, C, H, W) map, folded by :func:`col2im` from the column matrix
+    (B, C, H, W) map, folded as by :func:`col2im` from the column matrix
     W^T dout."""
     k, c, kh, kw = weights.shape
     b, _, h, w = dout.shape if dout.ndim == 4 else (1, *dout.shape)
-    grad = _conv2d_input_grad(weights.reshape(k, c * kh * kw), _by_channel(dout), (b, c, h, w), kh, kw, 1)
+    grad = _fold_fresh(weights.reshape(k, c * kh * kw).T @ _by_channel(dout), (b, c, h, w), kh, kw)
     return grad if dout.ndim == 4 else grad[0]
 
 

@@ -2,6 +2,7 @@
 gradients against central finite differences, trainer behavior."""
 
 import copy
+import itertools
 import math
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 from oracles import central_diff_grad, max_rel_error
-from zbcae import cae
+from zbcae import cae, ops
 from zbcae.cae import (
     BIAS_ALWAYS_ZERO,
     BIAS_TRAIN_THEN_ZERO,
@@ -505,10 +506,10 @@ class TestStepMatchesReference:
         # numpy reports its buffers to tracemalloc.  The bank and the batch
         # exist before tracing starts, so the traced peak is the step's own:
         # one gradient buffer and the workspace's code map, column matrix and
-        # filter block, plus 2 MiB of slack for col2im's cached index and
-        # per-sample copy (450 KB each here) and the input-sized maps.  A
-        # second column matrix (1.8 MB) and a bank-sized block do not fit in
-        # that slack.
+        # filter block, plus 2 MiB of slack for the input-sized maps (the
+        # decoder folds into the padded buffer here, with no col2im index).
+        # A second column matrix (1.8 MB) and a bank-sized block do not fit
+        # in that slack.
         k, c, hw, per_chunk = 256, 32, 14, 4
         model = init_model(k, c, 3, seed=143)
         batch = relu(np.random.default_rng(143).normal(0.3, 1.0, size=(3 * per_chunk, c, hw, hw)))
@@ -524,6 +525,52 @@ class TestStepMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+
+class TestFoldedDecoder:
+    """Where a chunk's col2im index would not fit the scratch budget, the
+    decoder folds its column matrix into the padded buffer instead of
+    scattering it with a bincount; the step keeps the bincount's bits."""
+
+    @staticmethod
+    def steps(model, batch, bias_mode):
+        """(fold, results): whether the workspace folds, and (loss, dw_e,
+        db_e, db_d) of a step over the whole batch and then over its first
+        three samples (a trailing short batch) in that one workspace."""
+        ws = workspace(model, batch)
+        results = []
+        for x in (batch, batch[:3]):
+            loss, grads = cae._forward_backward(model, x, bias_mode, ws)
+            results.append((loss, grads.dw_e.copy(), grads.db_e.copy(), grads.db_d.copy()))
+        return ws.fold, results
+
+    @pytest.mark.parametrize("bias_mode", [BIAS_TRAIN_THEN_ZERO, BIAS_ALWAYS_ZERO])
+    @pytest.mark.parametrize("chunk", [5, 2], ids=["one-chunk", "chunks-of-2"])
+    def test_matches_bincount_bits(self, monkeypatch, bias_mode, chunk):
+        # chunks of 2 run the batch of 5 as 2, 2 and 1 with cols(x) refilled,
+        # and the short batch of 3 as 2 and 1
+        rng = np.random.default_rng(160)
+        model = random_model(rng, k=16, c=4)
+        batch = rng.normal(0.2, 1.0, size=(5, 4, 6, 5))
+        if chunk == 2:
+            monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 2 * 8 * 6 * 5 * 4 * 9)
+        assert min(cae.chunk_size(model, batch.shape[1:], cae.TRAIN_CHUNK_BYTES), len(batch)) == chunk
+        scattered, bincount = self.steps(model, batch, bias_mode)
+        monkeypatch.setattr(cae, "_SCRATCH_BYTES", 1)
+        folded, fold = self.steps(model, batch, bias_mode)
+        assert (scattered, folded) == (False, True)
+        for got_step, want_step in zip(fold, bincount):
+            for got, want in zip(got_step, want_step):
+                assert_same_bits(got, want)
+
+    def test_builds_no_col2im_index(self, monkeypatch):
+        rng = np.random.default_rng(161)
+        model = random_model(rng, k=16, c=4)
+        batch = rng.normal(0.2, 1.0, size=(3, 4, 7, 6))
+        monkeypatch.setattr(cae, "_SCRATCH_BYTES", 1)
+        before = ops._col2im_index.cache_info()
+        batched_step(model, batch, BIAS_TRAIN_THEN_ZERO)
+        assert ops._col2im_index.cache_info() == before
 
 
 class TestStepCallBudget:
@@ -679,12 +726,17 @@ class TestTrain:
         # (cols(x) refilled), or of 3, 3 and 1 (cols(x) held), in one
         # workspace whose chunk views shrink and grow again; each view is
         # written before it is read, so the run has the bits of steps that
-        # each build a fresh workspace
+        # each build a fresh workspace.  A one-byte scratch budget makes the
+        # decoder fold into the padded buffer, whose border must be zero
+        # again for the next im2col.
         rng = np.random.default_rng(30)
         data = np.stack(tiny_dataset(rng, n=7))
         start_model = random_model(rng, k=4, c=2)
-        for budget in (2 * 8 * 4 * 4 * 2 * 9, cae.TRAIN_CHUNK_BYTES):
+        for scratch, budget in itertools.product((cae._SCRATCH_BYTES, 1),
+                                                 (2 * 8 * 4 * 4 * 2 * 9, cae.TRAIN_CHUNK_BYTES)):
+            monkeypatch.setattr(cae, "_SCRATCH_BYTES", scratch)
             monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", budget)
+            assert workspace(start_model, data[:3]).fold == (scratch == 1)
             for bias_mode in (BIAS_TRAIN_THEN_ZERO, BIAS_ALWAYS_ZERO):
                 model = copy.deepcopy(start_model)
                 config = CaeTrainConfig(epochs=2, batch_size=3, learning_rate=1e-3, bias_mode=bias_mode, seed=4)
@@ -835,3 +887,11 @@ class TestZeroExtentMaps:
         # such a batch used to die in chunk_size with a ZeroDivisionError
         with pytest.raises(ShapeError, match="nonzero extent"):
             call(random_model(np.random.default_rng(39)), np.zeros(shape))
+
+    @pytest.mark.parametrize("call", [encode, extract_features], ids=["encode", "extract_features"])
+    @pytest.mark.parametrize("shape", [(2, 0, 3), (2, 3, 0)])
+    def test_single_map_is_shape_error(self, call, shape):
+        # a single map is checked as a batch of one; it used to give an
+        # empty code map or feature vector
+        with pytest.raises(ShapeError, match="nonzero extent"):
+            call(init_model(3, 2, 3, seed=0), np.zeros(shape))

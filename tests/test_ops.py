@@ -286,9 +286,9 @@ class TestBatchedKernels:
 
 
 class TestKernelsMatchReference:
-    """The strided-view im2col and the bincount col2im give the bits of the
-    window-view and slice-add references: the same copies, and every output
-    entry summed in the same (u, v) order from 0.0."""
+    """The strided-view im2col and the fold and bincount col2im kernels give
+    the bits of the window-view and slice-add references: the same copies,
+    and every output entry summed in the same (u, v) order from 0.0."""
 
     @staticmethod
     def random_case(rng, b, kh):
@@ -311,10 +311,12 @@ class TestKernelsMatchReference:
             assert np.array_equal(im2col(x, kh, kh), im2col_reference(x, kh, kh))
             folded = col2im_reference(cols, x.shape, kh, kh)
             assert np.array_equal(col2im(cols, x.shape, kh, kh), folded)
-            # the kernel's groups of samples, a short last group included
-            # (b = 5 in groups of 2 or 3), fold with the same bits
-            for group in range(1, b + 2):
-                assert np.array_equal(ops._col2im(cols, x.shape, kh, kh, group), folded)
+            # the training step's whole-batch bincount folds with the same
+            # bits, and so does the fold into a padded buffer of any content
+            assert np.array_equal(ops._col2im(cols, x.shape, kh, kh), folded)
+            _, c, h, w = x.shape
+            xp = rng.normal(size=(b, c, h + kh - 1, w + kh - 1))
+            assert np.array_equal(ops._fold(cols.reshape(c, kh, kh, b, h, w), xp), folded)
 
     @pytest.mark.parametrize("kh", [1, 3, 5])
     def test_single_maps_are_bit_identical(self, kh):
