@@ -180,11 +180,11 @@ def encode(model: CaeModel, x: np.ndarray, zero_bias: bool = False) -> np.ndarra
     """ReLU(conv(x, W_e) + b_e) of a (C, H, W) map or a (B, C, H, W) batch,
     or with b_e pinned to zero when zero_bias.  A map is checked as a batch
     of one (:func:`_as_batch`)."""
-    single = np.ndim(x) == 3
+    if np.ndim(x) == 3:
+        x = _as_batch(model, np.asarray(x)[None])[0]
     b = np.zeros(model.n_filters) if zero_bias else model.b_e
-    z = conv2d(_as_batch(model, np.asarray(x)[None] if single else x), model.w_e, b)
-    np.maximum(z, 0.0, out=z)
-    return z[0] if single else z
+    z = conv2d(x, model.w_e, b)
+    return np.maximum(z, 0.0, out=z)
 
 
 def _as_batch(model: CaeModel, batch) -> np.ndarray:
@@ -366,6 +366,10 @@ def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray, w
     else in one bincount.  The decoder conv(z, tied(W)) is computed as that
     transposed convolution, which it equals for the same-size convolution,
     so no tied copy of the bank is formed.
+
+    When ``ws.fold``, g is a view into ``v.padded`` and the fold leaves the
+    buffer's border nonzero: the caller must zero ``v.padded`` before the
+    next im2col reads that buffer, and must not use g once it has.
     """
     v = ws.views(len(x))
     w = model.w_e.reshape(ws.k, ws.rows)
@@ -548,12 +552,12 @@ def extract_features(model: CaeModel, x: np.ndarray) -> np.ndarray:
     Bias values never influence the output, so the result has length
     D = K * ceil(H/2) * ceil(W/2) and is elementwise non-negative.  A
     (B, C, H, W) batch gives a (B, D) matrix, encoded in chunks of
-    :data:`_SCRATCH_BYTES` of working set; a (C, H, W) map is a batch of
-    one.
+    :data:`_SCRATCH_BYTES` of working set; a (C, H, W) map is checked as
+    a batch of one.
     """
-    single = x.ndim == 3
-    x = _as_batch(model, x[None] if single else x)
+    if x.ndim != 4:
+        return maxpool2(encode(model, x, zero_bias=True)).ravel()
+    x = _as_batch(model, x)
     step = chunk_size(model, x.shape[1:], _SCRATCH_BYTES)
     pooled = (maxpool2(encode(model, x[start : start + step], zero_bias=True)) for start in range(0, len(x), step))
-    features = np.concatenate([p.reshape(len(p), -1) for p in pooled])
-    return features[0] if single else features
+    return np.concatenate([p.reshape(len(p), -1) for p in pooled])

@@ -46,11 +46,8 @@ D + 1 parameters took 6.5 MB and 64 MB.
 
 from __future__ import annotations
 
-import ctypes
 import warnings
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -356,54 +353,6 @@ def _principal_scores(x, mu):
     return s2, basis * np.sqrt(s2) if n <= d else x @ basis - mu @ basis
 
 
-# Largest min(n, D) that ``train_svm`` solves on one BLAS thread.  Up to it
-# the eigh of the smaller Gram matrix takes as long on one OpenBLAS thread as
-# on two (35 ms at 512), while two threads' small calls can stall for a
-# hundred times that (eigh of a 96 x 96 Gram matrix: 124-136 ms against
-# 0.8-1.8 ms); above it two threads are faster (by 20% at 768 and 41% at
-# 1000).
-_ONE_THREAD_SIZE = 512
-
-
-@lru_cache(maxsize=1)
-def _openblas_threads():
-    """(get, set) thread-count entry points of the OpenBLAS that numpy links,
-    looked up through ctypes on first use, or None where numpy's BLAS is
-    not its bundled scipy-openblas or the entry points are absent."""
-    try:
-        if np.__config__.CONFIG["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
-            return None
-        # the BLAS is a dependency of numpy's core extension, and dlsym
-        # searches a library's dependencies too
-        from numpy._core import _multiarray_umath
-
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, ImportError, KeyError, OSError, TypeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block on one OpenBLAS thread and restore the previous count
-    on the way out, however the block ends; a no-op where
-    :func:`_openblas_threads` finds no entry points."""
-    entry = _openblas_threads()
-    if entry is None:
-        yield
-        return
-    get, set_ = entry
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 def train_svm(x, y, n_classes, config: SvmTrainConfig | None = None, class_names=None) -> SvmModel:
     """Fit the one-vs-rest squared-hinge SVM from zero initialization.
 
@@ -412,8 +361,7 @@ def train_svm(x, y, n_classes, config: SvmTrainConfig | None = None, class_names
     convex and the start is zero, so training is deterministic for given
     inputs.  Inputs are validated before any decomposition (ShapeError).
     Warns when a class has no training sample, and when L-BFGS stops on
-    "max_iters" or "line_search_failed" without converging.  A solve with
-    min(n, D) <= :data:`_ONE_THREAD_SIZE` runs on one BLAS thread.
+    "max_iters" or "line_search_failed" without converging.
     """
     config = config or SvmTrainConfig()
     x, y = _check_training_data(x, y, n_classes)
@@ -423,32 +371,32 @@ def train_svm(x, y, n_classes, config: SvmTrainConfig | None = None, class_names
         warnings.warn(f"classes {missing} have no training samples", stacklevel=2)
     if class_names is None:
         class_names = [str(c) for c in range(n_classes)]
-    with _one_blas_thread() if min(x.shape) <= _ONE_THREAD_SIZE else nullcontext():
-        n = x.shape[0]
-        mu = x.mean(axis=0)
-        s2, pcs = _principal_scores(x, mu)
-        scale = 1.0 / np.sqrt(config.lam + s2)
-        z = pcs * scale
-        lam = config.lam * scale * scale  # lam / (lam + s2) per coordinate
-        root_n = np.sqrt(n)
-        size = n_classes * s2.size
 
-        def objective(theta):
-            value, du, db = squared_hinge_objective(theta[:size].reshape(n_classes, -1), theta[size:] / root_n,
-                                                    z, y, lam)
-            return value, np.concatenate([du.ravel(), db / root_n])
+    n = x.shape[0]
+    mu = x.mean(axis=0)
+    s2, pcs = _principal_scores(x, mu)
+    scale = 1.0 / np.sqrt(config.lam + s2)
+    z = pcs * scale
+    lam = config.lam * scale * scale  # lam / (lam + s2) per coordinate
+    root_n = np.sqrt(n)
+    size = n_classes * s2.size
 
-        result = lbfgs_minimize(objective, np.zeros(size + n_classes), config.lbfgs)
-        if result.reason in ("max_iters", "line_search_failed"):
-            warnings.warn(f"L-BFGS stopped on {result.reason} after {result.iterations} iterations "
-                          "without converging", stacklevel=2)
-        # W = (u scale / S) U^T Xc = (u / s2) Z^T X, since U^T 1 = 0
-        weights = (result.x[:size].reshape(n_classes, -1) / s2) @ z.T @ x
-        return SvmModel(
-            weights=weights,
-            biases=result.x[size:] / root_n - weights @ mu,
-            class_names=list(class_names),
-        )
+    def objective(theta):
+        value, du, db = squared_hinge_objective(theta[:size].reshape(n_classes, -1), theta[size:] / root_n,
+                                                z, y, lam)
+        return value, np.concatenate([du.ravel(), db / root_n])
+
+    result = lbfgs_minimize(objective, np.zeros(size + n_classes), config.lbfgs)
+    if result.reason in ("max_iters", "line_search_failed"):
+        warnings.warn(f"L-BFGS stopped on {result.reason} after {result.iterations} iterations "
+                      "without converging", stacklevel=2)
+    # W = (u scale / S) U^T Xc = (u / s2) Z^T X, since U^T 1 = 0
+    weights = (result.x[:size].reshape(n_classes, -1) / s2) @ z.T @ x
+    return SvmModel(
+        weights=weights,
+        biases=result.x[size:] / root_n - weights @ mu,
+        class_names=list(class_names),
+    )
 
 
 def decision_scores(model: SvmModel, x) -> np.ndarray:

@@ -4,8 +4,6 @@ direction against the vector two-loop recursion, the whitened row-space
 solve against the primal objective, end-to-end fits on separable data,
 against scipy's optimum and against a finite Newton optimum."""
 
-import subprocess
-import sys
 import warnings
 from contextlib import nullcontext
 
@@ -14,7 +12,6 @@ import numpy.testing as npt
 import pytest
 
 from oracles import central_diff_grad, finite_newton_svm, max_rel_error
-from zbcae import svm
 from zbcae.errors import ShapeError
 from zbcae.svm import (
     LbfgsConfig,
@@ -628,78 +625,3 @@ class TestTop1Accuracy:
     def test_empty_input(self):
         with pytest.raises(ShapeError, match="empty"):
             top1_accuracy([], [])
-
-
-class TestSmallSolveThreads:
-    """A solve with min(n, D) <= 512 runs on one OpenBLAS thread and leaves
-    the thread count as it found it."""
-
-    @staticmethod
-    def entry_points():
-        entry = svm._openblas_threads()
-        if entry is None:
-            pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count entry points")
-        return entry
-
-    @staticmethod
-    def spy_solve(monkeypatch, count, fail=False):
-        """Replace the L-BFGS solve by a stand-in that records ``count()``,
-        the BLAS thread count it runs on, then raises when ``fail`` or
-        returns the zero start; returns the list of recorded counts."""
-        seen = []
-
-        def solve(objective, x0, config=None, callback=None):
-            seen.append(count())
-            if fail:
-                raise RuntimeError("solve failed")
-            return svm.LbfgsResult(x=np.zeros_like(x0), value=0.0, iterations=0, reason="grad_tol")
-
-        monkeypatch.setattr(svm, "lbfgs_minimize", solve)
-        return seen
-
-    @pytest.mark.parametrize("limit,threads", [(None, 1), (6, 1), (5, 2)])
-    def test_small_solves_run_on_one_thread(self, monkeypatch, limit, threads):
-        # min(n, D) = 6: one thread up to a limit of 6, two above it
-        get, set_ = self.entry_points()
-        if limit is not None:
-            monkeypatch.setattr(svm, "_ONE_THREAD_SIZE", limit)
-        x, y = relu_blobs(np.random.default_rng(90), 40, 6, 2)
-        original = get()
-        set_(2)
-        try:
-            seen = self.spy_solve(monkeypatch, get)
-            train_svm(x, y, 2)
-            assert seen == [threads]
-            assert get() == 2
-        finally:
-            set_(original)
-
-    def test_count_is_restored_when_the_solve_raises(self, monkeypatch):
-        get, set_ = self.entry_points()
-        x, y = relu_blobs(np.random.default_rng(91), 40, 6, 2)
-        original = get()
-        set_(2)
-        try:
-            seen = self.spy_solve(monkeypatch, get, fail=True)
-            with pytest.raises(RuntimeError, match="solve failed"):
-                train_svm(x, y, 2)
-            assert seen == [1]
-            assert get() == 2
-        finally:
-            set_(original)
-
-    def test_missing_entry_points_leave_the_count_alone(self, monkeypatch):
-        entry = svm._openblas_threads()
-        count = entry[0] if entry else (lambda: None)
-        monkeypatch.setattr(svm, "_openblas_threads", lambda: None)
-        x, y = relu_blobs(np.random.default_rng(92), 40, 6, 2)
-        before = count()
-        seen = self.spy_solve(monkeypatch, count)
-        model = train_svm(x, y, 2)
-        assert seen == [before]
-        assert np.isfinite(model.weights).all()
-
-    def test_entry_points_are_not_looked_up_at_import(self):
-        code = "import zbcae.svm as s; print(s._openblas_threads.cache_info().misses)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert proc.stdout == "0\n"
