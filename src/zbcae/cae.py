@@ -18,14 +18,15 @@ buffer, a code buffer, a column buffer, a cols(x) buffer, one
 weight-gradient buffer and one filter-block buffer, with their views built
 once per chunk size.  The step calls the unchecked kernels of
 :mod:`zbcae.ops` on those views; the public ops check their arguments, call
-the same kernels and return fresh arrays.  cols(x) stays in a second column
-buffer through a chunk's step where the code buffer and two column matrices
-fit the chunk budget (desk scale); elsewhere the one column buffer takes
-cols(x), the decoder's column matrix, cols(dG) and cols(x) again in turn,
-the last refilled from the padded buffer.  The decoder's column matrix is
-folded into the decoder pre-activation g by one bincount over the chunk
-where its index is small (desk scale), and elsewhere by shifted slice adds
-straight into the padded buffer, whose interior is then g.  The decoder's
+the same kernels and return fresh arrays.  One switch picks the step's
+path: where a chunk's column matrix, and so its col2im index, is small
+(desk scale), cols(x) stays in a second column buffer through the step and
+the decoder's column matrix is folded into the decoder pre-activation g by
+one bincount over the chunk; elsewhere the one column buffer takes cols(x),
+the decoder's column matrix, cols(dG) and cols(x) again in turn, the last
+refilled from the padded buffer, and g is folded by shifted slice adds
+straight into the padded buffer's interior.  The padded buffer's border
+is zero from its allocation on, since nothing writes it.  The decoder's
 input gradient overwrites the code once its ReLU mask is taken.  Each
 chunk adds its decoder-side and encoder-side weight terms into the
 gradient buffer a block of filter rows at a time.  Three byte budgets size
@@ -218,8 +219,7 @@ def chunk_size(model: CaeModel, sample_shape: tuple, budget_bytes: int) -> int:
 # Working-set budget of one training chunk.  At the paper geometry (K=4096,
 # 14x14 maps) a chunk is ten samples: a batch of 8 runs as one GEMM per layer.
 # A step holds one chunk's workspace plus the bank and one gradient buffer,
-# so batch 512 needs no more memory than batch 10.  Where the code map and
-# two column matrices fit it, cols(x) gets a buffer of its own.
+# so batch 512 needs no more memory than batch 10.
 TRAIN_CHUNK_BYTES = 64 * 2**20
 
 
@@ -236,9 +236,11 @@ _FILTER_BLOCK_BYTES = 4 * 2**20
 # - one extraction chunk (desk, 12x6x6 and K=16: larger chunks raise the
 #   run's peak RSS for no measurable speed; at K=4096 over 14x14 maps a
 #   chunk is one sample);
-# - a chunk's col2im index, which folds the whole chunk in one bincount
-#   where it fits (desk: 124 KB for 4 samples); elsewhere the step folds
-#   into its padded buffer and needs no index (paper: 29 MB for 8 samples);
+# - a chunk's col2im index, the size of its column matrix: where it fits
+#   (desk: 124 KB for 4 samples), the step is small (``_Workspace.small``),
+#   folds the whole chunk in one bincount and holds cols(x) in a second
+#   column buffer; elsewhere (paper: 29 MB for 8 samples) it folds into its
+#   padded buffer with no index and refills cols(x);
 # - one block of filter rows of the SGD update's ``lr * dW``; an
 #   elementwise update has the same bits at any block size.
 _SCRATCH_BYTES = 2**18
@@ -261,9 +263,9 @@ def _filter_blocks(bank: np.ndarray, budget_bytes: int):
 
 class _ChunkViews:
     """The buffers of a :class:`_Workspace` viewed for a chunk of ``b``
-    samples, N = b * H * W: the padded buffer at the chunk's
-    (B, C, H + kh - 1, W + kw - 1) shape, its interior and its patch view
-    (:func:`zbcae.ops._im2col_views`), the code buffer as a (K, N) matrix
+    samples, N = b * H * W: the interior and the patch view
+    (:func:`zbcae.ops._im2col_views`) of the padded buffer at the chunk's
+    (B, C, H + kh - 1, W + kw - 1) shape, the code buffer as a (K, N) matrix
     and as the (B, K, H, W) map of its columns, the column buffer and the
     cols(x) buffer as (C*kh*kw, N) matrices and at the patch view's 6-D
     shape, and the chunk's (B, C, H, W) shape."""
@@ -273,12 +275,10 @@ class _ChunkViews:
         n = b * h * w
         self.shape = (b, c, h, w)
         xp = ws.padded[: b * c * (h + kh - 1) * (w + kw - 1)].reshape(b, c, h + kh - 1, w + kw - 1)
-        self.padded = xp
         self.interior, self.patches = _im2col_views(xp, kh, kw)
         self.code = ws.code[: k * n].reshape(k, n)
         self.code_maps = self.code.reshape(k, b, h, w).swapaxes(0, 1)
-        self.cols = ws.cols[: rows * n].reshape(rows, n)
-        self.cols_x = self.cols if ws.cols_x is ws.cols else ws.cols_x[: rows * n].reshape(rows, n)
+        self.cols, self.cols_x = (m[: rows * n].reshape(rows, n) for m in (ws.cols, ws.cols_x))
         self.cols6, self.cols_x6 = (m.reshape(self.patches.shape) for m in (self.cols, self.cols_x))
 
 
@@ -289,24 +289,24 @@ class _Workspace:
     ``sample_shape``, N = chunk * H * W:
 
     - a zero-padded input buffer, chunk x C x (H + kh - 1) x (W + kw - 1),
-      whose interior each im2col writes and whose border is zero whenever
-      an im2col reads it;
+      whose interior im2col and the decoder's fold write and whose border
+      nothing writes, so it stays zero;
     - a code buffer (K x N) and a column buffer (C*kh*kw x N);
-    - a cols(x) buffer that holds im2col(x) through the chunk's step, a
-      second column buffer when the code buffer and two column matrices fit
-      :data:`TRAIN_CHUNK_BYTES`, else the column buffer itself, which the
-      step then refills from the padded buffer;
+    - a cols(x) buffer that holds im2col(x) through the chunk's step: a
+      second column buffer when ``small``, else the column buffer itself,
+      which the step then refills from the padded buffer;
     - the weight-gradient buffer, a filter-block buffer
       (:data:`_FILTER_BLOCK_BYTES` of filter rows) and the (rows, block)
       pairs the gradient is filled by;
     - the zero bias vectors of always-zero mode.
 
-    ``fold`` is whether the decoder folds its column matrix into the padded
-    buffer (:func:`zbcae.ops._fold`): where the largest chunk's col2im
-    index would not fit :data:`_SCRATCH_BYTES`.  Otherwise each chunk folds
-    in one bincount.  :meth:`views` builds
-    each chunk size's views once, so the buffers' pages are touched on the
-    first step and reused by every later one.
+    ``small``, the step's one switch, is whether the largest chunk's column
+    matrix, and so its col2im index, fits :data:`_SCRATCH_BYTES`.  A small
+    step holds cols(x) and folds the decoder's column matrix in one
+    bincount (:func:`zbcae.ops._col2im`); any other refills cols(x) and
+    folds into the padded buffer's interior (:func:`zbcae.ops._fold`).
+    :meth:`views` builds each chunk size's views once, so the buffers'
+    pages are touched on the first step and reused by every later one.
     """
 
     def __init__(self, model: CaeModel, sample_shape: tuple, samples: int):
@@ -319,8 +319,8 @@ class _Workspace:
         self.padded = np.zeros(most * c * (h + kh - 1) * (w + kw - 1))
         self.code = np.empty(k * n)
         self.cols = np.empty(self.rows * n)
-        self.cols_x = np.empty(self.rows * n) if 8 * (k + 2 * self.rows) * n <= TRAIN_CHUNK_BYTES else self.cols
-        self.fold = 8 * self.rows * n > _SCRATCH_BYTES
+        self.small = 8 * self.rows * n <= _SCRATCH_BYTES
+        self.cols_x = np.empty(self.rows * n) if self.small else self.cols
         self.dw = np.empty_like(model.w_e)
         self.dw_rows = self.dw.reshape(k, self.rows)
         block = np.empty(min(k, _block_rows(model.w_e, _FILTER_BLOCK_BYTES)) * self.rows)
@@ -362,14 +362,11 @@ def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray, w
 
     The cols(x) buffer takes im2col(x) for the encoder GEMM; the column
     buffer then takes the decoder's column matrix W^T z, which col2im folds
-    into g: into the padded buffer when ``ws.fold``, g being its interior,
-    else in one bincount.  The decoder conv(z, tied(W)) is computed as that
-    transposed convolution, which it equals for the same-size convolution,
-    so no tied copy of the bank is formed.
-
-    When ``ws.fold``, g is a view into ``v.padded`` and the fold leaves the
-    buffer's border nonzero: the caller must zero ``v.padded`` before the
-    next im2col reads that buffer, and must not use g once it has.
+    into g: in one bincount when ``ws.small``, else into the padded
+    buffer's interior, which g then is until the next im2col.  The decoder
+    conv(z, tied(W)) is computed as that transposed convolution, which it
+    equals for the same-size convolution, so no tied copy of the bank is
+    formed.
     """
     v = ws.views(len(x))
     w = model.w_e.reshape(ws.k, ws.rows)
@@ -377,7 +374,7 @@ def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray, w
     _conv2d(w, v.cols_x, b_e, v.code)
     np.maximum(v.code, 0.0, out=v.code)
     np.matmul(w.T, v.code, out=v.cols)
-    g = _fold(v.cols6, v.padded) if ws.fold else _col2im(v.cols, v.shape, *ws.kernel)
+    g = _col2im(v.cols, v.shape, *ws.kernel) if ws.small else _fold(v.cols6, v.interior)
     g += b_d[:, None, None]
     return v, g
 
@@ -393,7 +390,7 @@ def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d
     times z and for the input gradient conv(dG, W); that whole-bank GEMM
     overwrites z in the code buffer once z's ReLU mask is taken, and
     becomes da.  The encoder's weight term reads cols(x) from its buffer,
-    refilled first when that buffer is the column buffer.  Returns
+    refilled first unless ``ws.small``.  Returns
     (loss, db_e, db_d).
     """
     v, g = _forward(model, x, b_e, b_d, ws)
@@ -402,8 +399,6 @@ def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d
 
     dg = r * (g > 0.0)
     del g, r
-    if ws.fold:
-        v.padded.fill(0.0)  # the fold wrote g and the border; im2col needs a zero border
     db_d = conv2d_bias_grad(dg)
     _im2col(dg, v.interior, v.patches, v.cols6)
     _add_weight_grad(ws, v.code, v.cols, first)
@@ -413,7 +408,7 @@ def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d
     _conv2d(model.w_e.reshape(ws.k, ws.rows), v.cols, ws.zero_biases[0], v.code)
     v.code *= active
     db_e = conv2d_bias_grad(v.code_maps)
-    if v.cols_x is v.cols:
+    if not ws.small:
         _im2col(x, v.interior, v.patches, v.cols_x6)
     _add_weight_grad(ws, v.code, v.cols_x, False)
     return loss, db_e, db_d

@@ -94,10 +94,13 @@ _KEYS = {
 def _coerce(f, key: str, value):
     """``value`` as the type of dataclass field ``f``, read from its
     annotation string ("int", "int | None", ...); ConfigError naming
-    ``key`` when it does not parse."""
+    ``key`` when it does not parse.  A number must be written in ASCII:
+    ``int`` and ``float`` would read other scripts' digits too."""
     if not isinstance(value, str):
         return value  # flag values arrive already typed
     kind = f.type.split(" |")[0]
+    if kind in ("int", "float") and not value.isascii():
+        raise ConfigError(f"config key {key!r} expects {kind} in ASCII digits, got {value!r}")
     try:
         if kind == "int":
             return int(value)

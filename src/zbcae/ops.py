@@ -8,14 +8,14 @@ is ``(K, C, kh, kw)``.  ``im2col``/``col2im`` and the convolutions accept
 either a single map or a batch; a batch runs as one GEMM per call.
 ``im2col`` writes the batch into the interior of a zero-padded buffer
 and copies its patch matrix out of a strided view of that buffer;
-``col2im`` adds the patch matrix back into such a buffer with kh*kw
-shifted slice adds (``_fold``), or, for the training step's small chunks,
-scatter-adds it in one bincount over an index cached per geometry and
-batch size (``_col2im``).  The public kernels check their arguments and
-return fresh arrays; each calls an unchecked private kernel (``_im2col``,
-``_fold``, ``_conv2d``, ``_conv2d_weight_grad``), which the training step
-of :mod:`zbcae.cae` calls directly on views of buffers that its workspace
-holds.
+``col2im`` adds the patch matrix into a map with kh*kw shifted slice
+adds, each clipped to the map (``_fold``), or, for the training step's
+small chunks, scatter-adds it in one bincount over an index cached per
+geometry and batch size (``_col2im``).  The public kernels check their
+arguments and return fresh arrays; each calls an unchecked private kernel
+(``_im2col``, ``_fold``, ``_conv2d``, ``_conv2d_weight_grad``), which the
+training step of :mod:`zbcae.cae` calls directly on views of buffers that
+its workspace holds.
 
 The convolution has one geometry, the same-size one: stride 1 and zero
 padding (k - 1) / 2 around an odd kernel extent k.  There the transposed
@@ -116,44 +116,39 @@ def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
     return np.bincount(index, weights=cols.ravel(), minlength=b * c * h * w + 1)[:-1].reshape(shape)
 
 
-def _fold(cols6: np.ndarray, xp: np.ndarray) -> np.ndarray:
-    """The col2im kernel, unchecked: zero-fill ``xp``, a (B, C, H + kh - 1,
-    W + kw - 1) buffer, add each (u, v) slice of the (C, kh, kw, B, H, W)
-    patch matrix ``cols6`` into xp shifted by (u, v), and return xp's
-    (B, C, H, W) interior, the folded map.  Entries read from the padding
-    land on xp's border, which the caller zeroes again before xp is
-    padding once more.  Each interior entry sums its terms in (u, v) order
-    from 0.0, as the bincount of :func:`_col2im` does, so both give the
-    same bits."""
+def _fold(cols6: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The col2im kernel, unchecked: fold the (C, kh, kw, B, H, W) patch
+    matrix ``cols6`` into ``out``, any (B, C, H, W) map, and return it.
+    Each (u, v) slice is added only where it lands inside the map (a slice
+    that lands wholly outside, as with a kernel wider than the map, is
+    skipped), so nothing but ``out`` is written.  Each entry sums its terms
+    in (u, v) order from 0.0, as the bincount of :func:`_col2im` does, so
+    both give the same bits."""
     _, kh, kw, _, h, w = cols6.shape
-    xp.fill(0.0)
+    out.fill(0.0)
     for u in range(kh):
+        du = u - (kh - 1) // 2
         for v in range(kw):
-            xp[:, :, u : u + h, v : v + w] += cols6[:, u, v].swapaxes(0, 1)
-    return xp[:, :, (kh - 1) // 2 : (kh - 1) // 2 + h, (kw - 1) // 2 : (kw - 1) // 2 + w]
-
-
-def _fold_fresh(cols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
-    """:func:`_fold` of a (C*kh*kw, B*H*W) matrix into a fresh contiguous
-    (B, C, H, W) map of ``shape``; ShapeError for an even kernel extent."""
-    _half_pad(kh, kw)
-    b, c, h, w = shape
-    xp = np.empty((b, c, h + kh - 1, w + kw - 1))
-    return _fold(np.reshape(cols, (c, kh, kw, b, h, w)), xp).copy()
+            dv = v - (kw - 1) // 2
+            if abs(du) < h and abs(dv) < w:
+                out[:, :, max(du, 0) : h + min(du, 0), max(dv, 0) : w + min(dv, 0)] += (
+                    cols6[:, u, v, :, max(-du, 0) : h - max(du, 0), max(-dv, 0) : w - max(dv, 0)].swapaxes(0, 1))
+    return out
 
 
 def col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add patch columns back to a map of
     ``shape``, either (C, H, W) or (B, C, H, W).
 
-    The columns are added into a zero-padded buffer with kh*kw shifted
-    slice adds (:func:`_fold`), whose border collects (and drops) the
-    entries read from the padding.  Every output entry sums its terms in
-    (u, v) order starting from 0.0, as the training step's bincount does,
-    so both give the same bits.
+    The columns are added into a fresh map with kh*kw shifted slice adds
+    (:func:`_fold`), each clipped to the map, so the entries read from the
+    padding are dropped.  Every output entry sums its terms in (u, v) order
+    starting from 0.0, as the training step's bincount does, so both give
+    the same bits.
     """
+    _half_pad(kh, kw)
     b, c, h, w = shape if len(shape) == 4 else (1, *shape)
-    return _fold_fresh(cols, (b, c, h, w), kh, kw).reshape(shape)
+    return _fold(np.reshape(cols, (c, kh, kw, b, h, w)), np.empty((b, c, h, w))).reshape(shape)
 
 
 def _by_channel(maps: np.ndarray) -> np.ndarray:
@@ -220,12 +215,11 @@ def conv2d_weight_grad(x: np.ndarray, dout: np.ndarray, kh: int, kw: int) -> np.
 def conv2d_input_grad(dout: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Gradient of conv2d w.r.t. its input, given dL/dout of shape (K, H, W)
     or (B, K, H, W): the transposed convolution of ``dout``, a (C, H, W) or
-    (B, C, H, W) map, folded as by :func:`col2im` from the column matrix
+    (B, C, H, W) map, folded by :func:`col2im` from the column matrix
     W^T dout."""
     k, c, kh, kw = weights.shape
-    b, _, h, w = dout.shape if dout.ndim == 4 else (1, *dout.shape)
-    grad = _fold_fresh(weights.reshape(k, c * kh * kw).T @ _by_channel(dout), (b, c, h, w), kh, kw)
-    return grad if dout.ndim == 4 else grad[0]
+    shape = (c, *dout.shape[1:]) if dout.ndim == 3 else (len(dout), c, *dout.shape[2:])
+    return col2im(weights.reshape(k, c * kh * kw).T @ _by_channel(dout), shape, kh, kw)
 
 
 def conv2d_bias_grad(dout: np.ndarray) -> np.ndarray:

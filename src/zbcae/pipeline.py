@@ -26,7 +26,7 @@ from . import cae as cae_mod
 from .cae import CaeModel, CaeTrainConfig, LossHistory
 from .dataset import DatasetManifest, load_dataset
 from .errors import ShapeError, TensorFileError
-from .svm import SvmModel, SvmTrainConfig, predict_many, top1_accuracy, train_svm
+from .svm import SvmModel, SvmTrainConfig, _class_indices, predict_many, top1_accuracy, train_svm
 from .tensorfile import load_tensors, save_tensors
 
 POOL = 2  # fixed 2x2 pooling window of the extraction path
@@ -231,20 +231,20 @@ class EvalReport:
 def evaluate_features(svm_model: SvmModel, features, labels, meta: dict) -> EvalReport:
     """Score a feature matrix and assemble the report: the classifier's class
     table, and the ``cae`` and ``config`` sections from the run's ``meta``
-    record (a missing key reads null, a missing ``l2_normalize`` False)."""
+    record (a missing key reads null, a missing ``l2_normalize`` False).
+    A label that is not a class index of the classifier raises ShapeError."""
     classes = svm_model.class_names
-    predictions = predict_many(svm_model, features)
-    labels = np.asarray(labels, dtype=np.int64)
     n_classes = len(classes)
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for true, pred in zip(labels, predictions):
-        confusion[true, pred] += 1
+    labels = _class_indices(np.asarray(labels), n_classes)
+    predictions = predict_many(svm_model, features)
+    top1 = top1_accuracy(predictions, labels)
+    confusion = np.bincount(labels * n_classes + predictions, minlength=n_classes**2).reshape(n_classes, n_classes)
     row_sums = confusion.sum(axis=1)
     per_class = [
         float(confusion[c, c] / row_sums[c]) if row_sums[c] else 0.0 for c in range(n_classes)
     ]
     return EvalReport(
-        top1=top1_accuracy(predictions, labels),
+        top1=top1,
         per_class_accuracy=per_class,
         confusion=confusion.tolist(),
         n_test=int(labels.size),

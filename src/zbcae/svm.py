@@ -399,18 +399,13 @@ def train_svm(x, y, n_classes, config: SvmTrainConfig | None = None, class_names
     )
 
 
-def decision_scores(model: SvmModel, x) -> np.ndarray:
-    """Per-class scores x W^T + b of an (n, D) feature matrix."""
+def predict_many(model: SvmModel, x) -> np.ndarray:
+    """Row-wise argmax of the per-class scores x W^T + b of an (n, D)
+    feature matrix; ties go to the lowest class index."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.weights.shape[1]:
         raise ShapeError(f"features of shape {x.shape} do not match the model dimension {model.weights.shape[1]}")
-    return x @ model.weights.T + model.biases
-
-
-def predict_many(model: SvmModel, x) -> np.ndarray:
-    """Row-wise argmax predictions for an (n, D) feature matrix; ties go to
-    the lowest class index."""
-    return np.argmax(decision_scores(model, x), axis=1)
+    return np.argmax(x @ model.weights.T + model.biases, axis=1)
 
 
 def top1_accuracy(predictions, labels) -> float:

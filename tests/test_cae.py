@@ -2,7 +2,6 @@
 gradients against central finite differences, trainer behavior."""
 
 import copy
-import itertools
 import math
 import sys
 import tracemalloc
@@ -474,19 +473,18 @@ class TestStepMatchesReference:
 
     @pytest.mark.parametrize("bias_mode", [BIAS_TRAIN_THEN_ZERO, BIAS_ALWAYS_ZERO])
     def test_held_and_refilled_cols_x_agree(self, monkeypatch, bias_mode):
-        # one chunk of 4 samples: at the default budget cols(x) sits in its
-        # own buffer through the step; at a budget of one code map or column
-        # matrix it is refilled into the one column buffer
+        # one chunk of 4 samples: at the default scratch budget the step is
+        # small and cols(x) sits in its own buffer through the step; at a
+        # one-byte budget it is refilled into the one column buffer
         rng = np.random.default_rng(144)
         model = random_model(rng, k=16, c=12)
         batch = rng.normal(0.2, 1.0, size=(4, 12, 6, 6))
         ws = workspace(model, batch)
         assert ws.cols_x is not ws.cols
         held = batched_step(model, batch, bias_mode)
-        monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 8 * 4 * 6 * 6 * 12 * 9)
+        monkeypatch.setattr(cae, "_SCRATCH_BYTES", 1)
         ws = workspace(model, batch)
         assert ws.cols_x is ws.cols
-        assert cae.chunk_size(model, batch.shape[1:], cae.TRAIN_CHUNK_BYTES) == 4
         for got, want in zip(batched_step(model, batch, bias_mode), held):
             assert_same_bits(got, want)
 
@@ -528,13 +526,14 @@ class TestStepMatchesReference:
 
 
 class TestFoldedDecoder:
-    """Where a chunk's col2im index would not fit the scratch budget, the
-    decoder folds its column matrix into the padded buffer instead of
-    scattering it with a bincount; the step keeps the bincount's bits."""
+    """Where a chunk's col2im index would not fit the scratch budget (the
+    step is not small), the decoder folds its column matrix into the padded
+    buffer's interior instead of scattering it with a bincount, and cols(x)
+    is refilled; the step keeps the small step's bits."""
 
     @staticmethod
     def steps(model, batch, bias_mode):
-        """(fold, results): whether the workspace folds, and (loss, dw_e,
+        """(small, results): whether the workspace is small, and (loss, dw_e,
         db_e, db_d) of a step over the whole batch and then over its first
         three samples (a trailing short batch) in that one workspace."""
         ws = workspace(model, batch)
@@ -542,26 +541,48 @@ class TestFoldedDecoder:
         for x in (batch, batch[:3]):
             loss, grads = cae._forward_backward(model, x, bias_mode, ws)
             results.append((loss, grads.dw_e.copy(), grads.db_e.copy(), grads.db_d.copy()))
-        return ws.fold, results
+        return ws.small, results
 
     @pytest.mark.parametrize("bias_mode", [BIAS_TRAIN_THEN_ZERO, BIAS_ALWAYS_ZERO])
     @pytest.mark.parametrize("chunk", [5, 2], ids=["one-chunk", "chunks-of-2"])
     def test_matches_bincount_bits(self, monkeypatch, bias_mode, chunk):
-        # chunks of 2 run the batch of 5 as 2, 2 and 1 with cols(x) refilled,
-        # and the short batch of 3 as 2 and 1
+        # chunks of 2 run the batch of 5 as 2, 2 and 1, and the short batch
+        # of 3 as 2 and 1
         rng = np.random.default_rng(160)
         model = random_model(rng, k=16, c=4)
         batch = rng.normal(0.2, 1.0, size=(5, 4, 6, 5))
         if chunk == 2:
             monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", 2 * 8 * 6 * 5 * 4 * 9)
         assert min(cae.chunk_size(model, batch.shape[1:], cae.TRAIN_CHUNK_BYTES), len(batch)) == chunk
-        scattered, bincount = self.steps(model, batch, bias_mode)
+        small, bincount = self.steps(model, batch, bias_mode)
         monkeypatch.setattr(cae, "_SCRATCH_BYTES", 1)
-        folded, fold = self.steps(model, batch, bias_mode)
-        assert (scattered, folded) == (False, True)
+        large, fold = self.steps(model, batch, bias_mode)
+        assert (small, large) == (True, False)
         for got_step, want_step in zip(fold, bincount):
             for got, want in zip(got_step, want_step):
                 assert_same_bits(got, want)
+
+    def test_desk_is_small_and_paper_is_not(self):
+        # the desk benchmark's step (K=16, 12x6x6, batch 4: a 124,416-byte
+        # column matrix) runs the bincount, the paper one (K=4096, 256x14x14,
+        # batch 8: 28.9 MB) the fold
+        desk = CaeModel(w_e=np.zeros((16, 12, 3, 3)), b_e=np.zeros(16), b_d=np.zeros(12))
+        paper = CaeModel(w_e=np.zeros((4096, 256, 3, 3)), b_e=np.zeros(4096), b_d=np.zeros(256))
+        assert cae._Workspace(desk, (12, 6, 6), 4).small
+        assert not cae._Workspace(paper, (256, 14, 14), 8).small
+
+    def test_fold_leaves_the_padded_border_zero(self, monkeypatch):
+        rng = np.random.default_rng(162)
+        model = random_model(rng, k=16, c=4)
+        x = rng.normal(0.2, 1.0, size=(3, 4, 7, 6))
+        monkeypatch.setattr(cae, "_SCRATCH_BYTES", 1)
+        ws = workspace(model, x)
+        _, g = cae._forward(model, x, model.b_e, model.b_d, ws)
+        padded = ws.padded.reshape(3, 4, 9, 8)
+        assert np.shares_memory(g, padded) and g.any()  # g is the buffer's interior
+        border = padded.copy()
+        border[:, :, 1:-1, 1:-1] = 0.0
+        assert not border.any()
 
     def test_builds_no_col2im_index(self, monkeypatch):
         rng = np.random.default_rng(161)
@@ -722,21 +743,20 @@ class TestTrain:
         assert built == [((2, 4, 4), 3)]  # six steps, one workspace
 
     def test_reused_workspace_matches_fresh_steps(self, monkeypatch):
-        # batches of 3, 3 and 1 run as chunks of 2, 1, 2, 1 and 1 samples
-        # (cols(x) refilled), or of 3, 3 and 1 (cols(x) held), in one
-        # workspace whose chunk views shrink and grow again; each view is
-        # written before it is read, so the run has the bits of steps that
-        # each build a fresh workspace.  A one-byte scratch budget makes the
-        # decoder fold into the padded buffer, whose border must be zero
-        # again for the next im2col.
+        # batches of 3, 3 and 1 run in one workspace whose chunk views shrink
+        # and grow again: as chunks of 3, 3 and 1 in a small step (cols(x)
+        # held, one bincount), or, at a one-byte scratch budget, as chunks
+        # of 2, 1, 2, 1 and 1 that refill cols(x) and fold into the padded
+        # buffer, whose border must stay zero for the next im2col.  Each
+        # view is written before it is read, so the run has the bits of
+        # steps that each build a fresh workspace.
         rng = np.random.default_rng(30)
         data = np.stack(tiny_dataset(rng, n=7))
         start_model = random_model(rng, k=4, c=2)
-        for scratch, budget in itertools.product((cae._SCRATCH_BYTES, 1),
-                                                 (2 * 8 * 4 * 4 * 2 * 9, cae.TRAIN_CHUNK_BYTES)):
+        for scratch, budget in ((cae._SCRATCH_BYTES, cae.TRAIN_CHUNK_BYTES), (1, 2 * 8 * 4 * 4 * 2 * 9)):
             monkeypatch.setattr(cae, "_SCRATCH_BYTES", scratch)
             monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", budget)
-            assert workspace(start_model, data[:3]).fold == (scratch == 1)
+            assert workspace(start_model, data[:3]).small == (scratch != 1)
             for bias_mode in (BIAS_TRAIN_THEN_ZERO, BIAS_ALWAYS_ZERO):
                 model = copy.deepcopy(start_model)
                 config = CaeTrainConfig(epochs=2, batch_size=3, learning_rate=1e-3, bias_mode=bias_mode, seed=4)

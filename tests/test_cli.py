@@ -121,10 +121,12 @@ class TestConfigFile:
         ("bias_mode = sometimes\n", "bias_mode"),
         ("lambda = -1\n", "regularization"),
         ("lbfgs_memory = 0\n", "memory"),
+        ("epochs = \u0661\u0662\n", "'epochs' expects int in ASCII"),  # Arabic-Indic 12
+        ("lambda = \uff11.\uff15\n", "'lambda' expects float in ASCII"),  # fullwidth 1.5
     ])
     def test_component_rejection_is_config_error(self, tmp_path, line, match):
         f = tmp_path / "c.cfg"
-        f.write_text(line)
+        f.write_text(line, encoding="utf-8")
         with pytest.raises(ConfigError, match=match):
             resolve_config(f, {})
 

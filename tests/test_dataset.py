@@ -158,12 +158,14 @@ class TestParseSyntheticSpec:
         ("colour = 3", ConfigError, "unknown synthetic spec key 'colour'"),
         ("channels = 4.5", ConfigError, "'channels' expects int"),
         ("mu = two", ConfigError, "'mu' expects float"),
+        ("channels = \u0661\u0662", ConfigError, "'channels' expects int in ASCII"),  # Arabic-Indic 12
+        ("mu = \uff11.\uff15", ConfigError, "'mu' expects float in ASCII"),  # fullwidth 1.5
         ("mu = nan", ManifestError, "mu must be finite"),
         ("sigma = inf", ManifestError, "sigma must be finite"),
     ])
     def test_bad_line_is_typed_error(self, tmp_path, line, error, message):
         path = tmp_path / "spec.cfg"
-        path.write_text(line + "\n")
+        path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(error, match=message):
             parse_synthetic_spec(path)
 

@@ -193,6 +193,12 @@ class TestEvaluateFeatures:
         assert report.per_class_accuracy == [1.0, 1.0, 1.0]
         npt.assert_array_equal(np.array(report.confusion), np.diag([2, 2, 1]))
 
+    @pytest.mark.parametrize("bad", [-1, 0.5, 2])
+    def test_label_that_is_no_class_index_is_shape_error(self, bad):
+        model = SvmModel(weights=np.eye(2), biases=np.zeros(2), class_names=list("ab"))
+        with pytest.raises(ShapeError, match="not a class index"):
+            evaluate_features(model, np.eye(3, 2), np.array([0, 1, bad]), {})
+
 
 class TestStages:
     def test_stages_take_the_loaded_array(self, small_synthetic):
