@@ -137,6 +137,8 @@ class CaeTrainConfig:
             raise ValueError(f"plateau_rel_tol must be > 0, got {self.plateau_rel_tol}")
         if self.max_anneals < 0:
             raise ValueError(f"max_anneals must be >= 0, got {self.max_anneals}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         _check_bias_mode(self.bias_mode)
 
 

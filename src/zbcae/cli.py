@@ -8,20 +8,36 @@ loads it once, with :func:`~zbcae.dataset.load_dataset` (``run-all`` and
 ``sweep`` through :mod:`zbcae.pipeline`'s runners), and hands the stages
 the loaded array.
 
+Numbers are read by :func:`~zbcae.errors.read_number`.  A config key's flag
+reaches ``resolve_config`` as text, so its bad value is exit 2 as in a file;
+a bad ``sweep --filters`` or ``gradcheck --seed`` is a usage error (exit 1).
+
 ZBCAE_THREADS, when set to a positive integer, caps the BLAS thread pools
 (it must take effect before numpy loads, which is why this module is
 imported before any numeric submodule in the console-script entry path);
-a value that is not a non-negative integer fails every command (exit 2).
+a value that is not an integer >= 0 fails every command (exit 2).
 """
 
 import os
 import sys
 
+from .errors import ConfigError, ManifestError, NonFiniteLossError, ShapeError, TensorFileError, read_number
+
+
+def _int_at_least(low: int, text: str) -> int | None:
+    """``text`` as an int >= ``low`` by read_number's grammar, else None."""
+    try:
+        value = read_number(text, int)
+    except ValueError:
+        return None
+    return value if value >= low else None
+
+
 _threads = os.environ.get("ZBCAE_THREADS", "").strip()
-_threads_ok = not _threads or (_threads.isascii() and _threads.isdigit())
-if _threads_ok and int(_threads or 0) > 0:
+_cap = _int_at_least(0, _threads or "0")
+if _cap:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
+        os.environ.setdefault(_var, str(_cap))
 
 import argparse
 import json
@@ -31,7 +47,6 @@ from pathlib import Path
 from .cae import BIAS_MODES
 from .config import parse_synthetic_spec, resolve_config
 from .dataset import gen_synthetic, load_dataset, load_manifest
-from .errors import ConfigError, ManifestError, NonFiniteLossError, ShapeError, TensorFileError
 from .gradcheck import gradcheck_report
 from .pipeline import (
     evaluate_features,
@@ -93,14 +108,8 @@ def cmd_gen_synthetic(args) -> int:
 
 
 def cmd_train_cae(args) -> int:
-    config = resolve_config(args.config, {
-        "filters": args.filters,
-        "epochs": args.epochs,
-        "batch_size": args.batch,
-        "learning_rate": args.lr,
-        "bias_mode": args.bias_mode,
-        "seed": args.seed,
-    })
+    keys = ("filters", "epochs", "batch_size", "learning_rate", "bias_mode", "seed")
+    config = resolve_config(args.config, {key: getattr(args, key) for key in keys})
     tensors, _ = load_dataset(load_manifest(args.train))
     model, meta = train_cae_stage(tensors, config.cae, config.filters, kernel=config.kernel, progress=_progress)
     save_cae_checkpoint(args.out, model, meta)
@@ -170,14 +179,9 @@ def cmd_run_all(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        k_values = [int(v) for v in args.filters.split(",") if v.strip()]
-    except ValueError:
-        raise _UsageError(f"--filters expects a comma-separated integer list, got {args.filters!r}")
-    if not k_values:
-        raise _UsageError("--filters list is empty")
-    if min(k_values) < 1:
-        raise _UsageError(f"--filters counts must be >= 1, got {args.filters!r}")
+    k_values = [_int_at_least(1, v.strip()) for v in args.filters.split(",")]
+    if None in k_values:
+        raise _UsageError(f"--filters expects comma-separated integers >= 1, got {args.filters!r}")
     config = resolve_config(args.config, {})
     train_m = load_manifest(args.train)
     test_m = load_manifest(args.test)
@@ -194,7 +198,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    _emit(gradcheck_report(seed=args.seed))
+    seed = _int_at_least(0, args.seed)
+    if seed is None:
+        raise _UsageError(f"--seed expects an integer >= 0, got {args.seed!r}")
+    _emit(gradcheck_report(seed=seed))
     return 0
 
 
@@ -211,12 +218,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--train", required=True, help="training manifest JSON")
     p.add_argument("--out", required=True, help="model checkpoint path")
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--filters", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--bias-mode", dest="bias_mode", choices=BIAS_MODES, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--filters")
+    p.add_argument("--epochs")
+    p.add_argument("--batch", dest="batch_size")
+    p.add_argument("--lr", dest="learning_rate")
+    p.add_argument("--bias-mode", dest="bias_mode", help=" or ".join(BIAS_MODES))
+    p.add_argument("--seed")
     p.set_defaults(func=cmd_train_cae)
 
     p = sub.add_parser("encode", help="extract zero-bias features for a manifest")
@@ -230,7 +237,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", required=True, help="features file from encode")
     p.add_argument("--out", required=True, help="classifier checkpoint path")
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--lambda", type=float, default=None, help="regularization strength")
+    p.add_argument("--lambda", help="regularization strength")
     p.set_defaults(func=cmd_train_svm)
 
     p = sub.add_parser("evaluate", help="score a features file with a trained classifier")
@@ -255,7 +262,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -277,7 +284,7 @@ def dispatch(argv) -> int:
         print("error: a command is required", file=sys.stderr)
         return 1
     try:
-        if not _threads_ok:
+        if _cap is None:
             raise ConfigError(f"ZBCAE_THREADS must be unset or a non-negative integer, got {_threads!r}")
         with warnings.catch_warnings():
             warnings.simplefilter("always")

@@ -7,18 +7,18 @@ defaults are derived from the component configs: every
 :class:`~zbcae.svm.LbfgsConfig` field with an ``lbfgs_`` prefix, and
 :class:`CliConfig`'s own geometry and ``l2_normalize`` fields.  A
 synthetic-spec file's keys and types are likewise the fields of
-:class:`~zbcae.dataset.SyntheticSpec`.
+:class:`~zbcae.dataset.SyntheticSpec`.  Both files and the flags are read as
+text by one loop, numbers by :func:`~zbcae.errors.read_number`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .cae import CaeTrainConfig
 from .dataset import SyntheticSpec
-from .errors import ConfigError
+from .errors import ConfigError, ManifestError, NonFiniteValueError, read_number
 from .svm import LbfgsConfig, SvmTrainConfig
 
 
@@ -40,13 +40,7 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"config key {key!r} expects a boolean, got {value!r}")
+_BOOLS = {**dict.fromkeys(("true", "yes", "on", "1"), True), **dict.fromkeys(("false", "no", "off", "0"), False)}
 
 
 @dataclass
@@ -91,55 +85,47 @@ _KEYS = {
 }
 
 
-def _coerce(f, key: str, value):
-    """``value`` as the type of dataclass field ``f``, read from its
-    annotation string ("int", "int | None", ...); ConfigError naming
-    ``key`` when it does not parse.  A number must be written in ASCII:
-    ``int`` and ``float`` would read other scripts' digits too."""
-    if not isinstance(value, str):
-        return value  # flag values arrive already typed
-    kind = f.type.split(" |")[0]
-    if kind in ("int", "float") and not value.isascii():
-        raise ConfigError(f"config key {key!r} expects {kind} in ASCII digits, got {value!r}")
-    try:
-        if kind == "int":
-            return int(value)
-        if kind == "float":
-            return float(value)
-        if kind == "bool":
-            return _parse_bool(value, key)
-        return value
-    except ValueError as e:
-        raise ConfigError(f"config key {key!r} expects {kind}, got {value!r}") from e
+def _read_fields(pairs: dict, by_name: dict, unknown: str, non_finite=ConfigError) -> dict:
+    """``{key: text}`` as ``{key: value}``, each text read as the type its
+    field in ``by_name`` is annotated with ("int", "int | None", ...).
+    ConfigError for a key not in ``by_name`` (``unknown`` and the key) or
+    text that does not parse; ``non_finite``, the fields' owner's error type,
+    for a non-finite float."""
+    values = {}
+    for key, text in pairs.items():
+        if key not in by_name:
+            raise ConfigError(f"{unknown} {key!r}")
+        kind = by_name[key].type.split(" |")[0]
+        try:
+            if kind in ("int", "float"):
+                values[key] = read_number(text, int if kind == "int" else float)
+            elif kind == "bool" and text.lower() not in _BOOLS:
+                raise ValueError("expects a boolean")
+            else:
+                values[key] = _BOOLS[text.lower()] if kind == "bool" else text
+        except NonFiniteValueError as e:
+            raise non_finite(f"{key} must be finite, got {text!r}") from e
+        except ValueError as e:
+            raise ConfigError(f"config key {key!r} {e}, got {text!r}") from e
+    return values
 
 
 def resolve_config(config_path=None, overrides: dict | None = None) -> CliConfig:
     """Merge defaults, the optional config file, and flag overrides, and
     build the component configs.
 
-    ``overrides`` maps config keys to already-typed values (None entries are
-    ignored).  Unknown keys in either source, a float that is not finite, a
-    negative seed, and every value a component config rejects, raise
-    ConfigError.
+    ``overrides`` maps config keys to values (None entries are ignored),
+    each read from its ``str`` as a file's text is.  Unknown keys in either
+    source, text that does not parse or names a non-finite float, and every
+    value a component config rejects, raise ConfigError.
     """
-    values = {}
-    if config_path is not None:
-        for key, raw in parse_config_file(config_path).items():
-            if key not in _KEYS:
-                raise ConfigError(f"{config_path}: unknown config key {key!r}")
-            values[key] = _coerce(_KEYS[key][1], key, raw)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key not in _KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _coerce(_KEYS[key][1], key, value)
+    by_name = {key: f for key, (_, f) in _KEYS.items()}
+    values = {} if config_path is None else _read_fields(
+        parse_config_file(config_path), by_name, f"{config_path}: unknown config key")
+    values.update(_read_fields({k: str(v) for k, v in (overrides or {}).items() if v is not None},
+                               by_name, "unknown config key"))
     parts = {owner: {} for owner, _ in _KEYS.values()}
     for key, value in values.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
-        if key == "seed" and value < 0:
-            raise ConfigError(f"config key 'seed' must be >= 0, got {value!r}")
         owner, f = _KEYS[key]
         parts[owner][f.name] = value
     try:
@@ -151,11 +137,8 @@ def resolve_config(config_path=None, overrides: dict | None = None) -> CliConfig
 
 def parse_synthetic_spec(path) -> SyntheticSpec:
     """Read a SyntheticSpec from a key=value file whose keys and types are
-    the spec's fields."""
+    the spec's fields; a non-finite float is a ManifestError, as the spec's
+    own range checks raise."""
     spec_fields = {f.name: f for f in fields(SyntheticSpec)}
-    values = {}
-    for key, raw in parse_config_file(path).items():
-        if key not in spec_fields:
-            raise ConfigError(f"{path}: unknown synthetic spec key {key!r}")
-        values[key] = _coerce(spec_fields[key], key, raw)
-    return SyntheticSpec(**values)
+    return SyntheticSpec(**_read_fields(parse_config_file(path), spec_fields,
+                                        f"{path}: unknown synthetic spec key", ManifestError))

@@ -1,8 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and :func:`read_number`, the
+one reader of numbers given as text (no numpy here: the CLI reads
+``ZBCAE_THREADS`` with it before numpy loads).
 
 The CLI maps these onto exit codes: usage problems exit 1, data/format
 problems exit 2, numerical failures exit 3.
 """
+
+import re
+
+_NUMBER = {int: re.compile(r"[+-]?[0-9]+"),
+           float: re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")}
+_NON_FINITE = re.compile(r"[+-]?(nan|inf|infinity)", re.IGNORECASE)
 
 
 class ShapeError(ValueError):
@@ -40,3 +48,22 @@ class ConfigError(ValueError):
 
 class NonFiniteLossError(ArithmeticError):
     """Training produced a NaN or infinite loss."""
+
+
+class NonFiniteValueError(ValueError):
+    """Number text that names nan or an infinity, or overflows to one."""
+
+
+def read_number(text: str, kind: type):
+    """``text`` as ``kind``, int or float, by one ASCII grammar (``_NUMBER``,
+    the README's Configuration section): no whitespace, underscores or other
+    scripts' digits.  NonFiniteValueError for ``nan`` or ``inf`` in any
+    spelling ``float`` takes and for a float that overflows; ValueError for
+    any other text outside the grammar."""
+    if _NUMBER[kind].fullmatch(text):
+        value = kind(text)
+        if abs(value) != float("inf"):
+            return value
+    elif not _NON_FINITE.fullmatch(text):
+        raise ValueError(f"expects {kind.__name__} in ASCII digits")
+    raise NonFiniteValueError("must be finite")

@@ -360,8 +360,10 @@ def train_svm(x, y, n_classes, config: SvmTrainConfig | None = None, class_names
     docstring and the solution is mapped back to (W, b).  The objective is
     convex and the start is zero, so training is deterministic for given
     inputs.  Inputs are validated before any decomposition (ShapeError).
-    Warns when a class has no training sample, and when L-BFGS stops on
-    "max_iters" or "line_search_failed" without converging.
+    Warns when a class has no training sample, when the centred features
+    have rank 0 (constant features: W = 0, so every sample gets the same
+    class), and when L-BFGS stops on "max_iters" or "line_search_failed"
+    without converging.
     """
     config = config or SvmTrainConfig()
     x, y = _check_training_data(x, y, n_classes)
@@ -375,6 +377,9 @@ def train_svm(x, y, n_classes, config: SvmTrainConfig | None = None, class_names
     n = x.shape[0]
     mu = x.mean(axis=0)
     s2, pcs = _principal_scores(x, mu)
+    if s2.size == 0:
+        warnings.warn("centred features have rank 0: every feature is constant, so the classifier fits "
+                      "the biases alone and gives every sample the same class", stacklevel=2)
     scale = 1.0 / np.sqrt(config.lam + s2)
     z = pcs * scale
     lam = config.lam * scale * scale  # lam / (lam + s2) per coordinate

@@ -123,6 +123,9 @@ class TestConfigFile:
         ("lbfgs_memory = 0\n", "memory"),
         ("epochs = \u0661\u0662\n", "'epochs' expects int in ASCII"),  # Arabic-Indic 12
         ("lambda = \uff11.\uff15\n", "'lambda' expects float in ASCII"),  # fullwidth 1.5
+        ("epochs = 1_0\n", "'epochs' expects int in ASCII"),  # Python's int reads 10
+        ("lambda = 1_0.5\n", "'lambda' expects float in ASCII"),
+        ("learning_rate = 1e-5_0\n", "'learning_rate' expects float in ASCII"),  # float reads 1e-50
     ])
     def test_component_rejection_is_config_error(self, tmp_path, line, match):
         f = tmp_path / "c.cfg"
@@ -339,6 +342,36 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert ("learning_rate" if argv[0] == "--lr" else "seed") in err and "missing.json" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--epochs", "1_0"], "config key 'epochs' expects int"),  # argparse's int read 10
+        (["--epochs", "\u0661\u0662"], "config key 'epochs' expects int"),  # Arabic-Indic 12
+        (["--lr", "1e-5_0"], "config key 'learning_rate' expects float"),  # float read 1e-50
+        (["--filters", "\uff11\uff16"], "config key 'filters' expects int"),  # fullwidth 16
+        (["--bias-mode", "sometimes"], "bias_mode must be one of"),  # was a usage error
+    ])
+    def test_flag_value_is_read_as_the_config_file_value(self, tmp_path, capsys, argv, message):
+        missing = str(tmp_path / "missing.json")
+        code = dispatch(["train-cae", "--train", missing, "--out", str(tmp_path / "m.zten"), *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "missing.json" not in err
+
+    @pytest.mark.parametrize("seed", ["-1", "\u0661", "1_0"])
+    def test_bad_gradcheck_seed_is_usage_error(self, capsys, seed):
+        # -1 used to reach numpy and exit 2 with a message naming no flag
+        assert dispatch(["gradcheck", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err and captured.out == ""
+
+    def test_constant_features_warning_is_a_json_line(self, tmp_path, capsys):
+        from zbcae.pipeline import save_features_file
+
+        features = tmp_path / "features.zten"
+        save_features_file(features, np.zeros((6, 4)), [0, 1, 2, 0, 1, 2], ["a", "b", "c"], {})
+        assert dispatch(["train-svm", "--features", str(features), "--out", str(tmp_path / "svm.zten")]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert len(lines) == 1 and lines[0]["category"] == "UserWarning" and "rank 0" in lines[0]["warning"]
 
     @pytest.mark.parametrize("record, value", [
         ("encoder_weights", "nan"),
@@ -636,7 +669,7 @@ class TestCommands:
                          "--test", str(synth_dir / "test.json")])
         assert code == 1
 
-    @pytest.mark.parametrize("filters", ["4,0", "-2", "4,-1,8"])
+    @pytest.mark.parametrize("filters", ["4,0", "-2", "4,-1,8", "4,,8", "4,", "\u0661\u0666", "1_6"])
     def test_sweep_rejects_non_positive_filter_count(self, tmp_path, capsys, filters):
         # rejected as usage before the (missing) manifests are read and K=4 trains
         missing = str(tmp_path / "missing.json")
@@ -668,7 +701,7 @@ class TestConsoleEntry:
         doc = json.loads(proc.stdout)
         assert doc["cae_weights"] < 1e-4
 
-    @pytest.mark.parametrize("threads", ["abc", "-1", "2.5"])
+    @pytest.mark.parametrize("threads", ["abc", "-1", "2.5", "1_0", "\u0662"])
     def test_malformed_thread_cap_is_config_error(self, threads):
         # such values used to be copied into the BLAS variables, and the command ran
         import subprocess

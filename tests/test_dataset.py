@@ -160,6 +160,8 @@ class TestParseSyntheticSpec:
         ("mu = two", ConfigError, "'mu' expects float"),
         ("channels = \u0661\u0662", ConfigError, "'channels' expects int in ASCII"),  # Arabic-Indic 12
         ("mu = \uff11.\uff15", ConfigError, "'mu' expects float in ASCII"),  # fullwidth 1.5
+        ("channels = 1_0", ConfigError, "'channels' expects int in ASCII"),  # Python's int reads 10
+        ("mu = 1_0.5", ConfigError, "'mu' expects float in ASCII"),
         ("mu = nan", ManifestError, "mu must be finite"),
         ("sigma = inf", ManifestError, "sigma must be finite"),
     ])

@@ -2,7 +2,9 @@
 from arbitrary JSON (or arbitrary bytes), a synthetic spec and a run config
 read from arbitrary ``key = value`` lines, a ZTEN container read from
 arbitrary bytes, and a CAE or classifier checkpoint read from arbitrary
-records either parse or raise the package's own error type.
+records either parse or raise the package's own error type.  The number
+reader behind the config, the spec, the flags and ZBCAE_THREADS accepts
+exactly its documented grammar.
 
 Examples are derandomized and kept few, so the suite stays fast and every
 run tries the same inputs."""
@@ -16,14 +18,14 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import array_shapes, arrays  # noqa: E402
 
 from zbcae.cae import CaeModel  # noqa: E402
 from zbcae.config import CliConfig, parse_synthetic_spec, resolve_config  # noqa: E402
 from zbcae.dataset import DatasetManifest, SyntheticSpec, load_manifest  # noqa: E402
-from zbcae.errors import ConfigError, ManifestError, TensorFileError  # noqa: E402
+from zbcae.errors import ConfigError, ManifestError, NonFiniteValueError, TensorFileError, read_number  # noqa: E402
 from zbcae.pipeline import _json_record, load_cae_checkpoint, load_svm_checkpoint  # noqa: E402
 from zbcae.svm import SvmModel  # noqa: E402
 from zbcae.tensorfile import DTYPE_F64, MAGIC, VERSION, load_tensors, save_tensors  # noqa: E402
@@ -122,6 +124,85 @@ def test_run_config_from_any_text_resolves_or_is_config_error(scratch, lines):
         return
     assert isinstance(config, CliConfig)
     assert all(math.isfinite(v) for v in config.echo().values() if isinstance(v, float))
+
+
+def in_grammar(text: str, kind: type) -> bool:
+    """The README's number grammar, stated without a regular expression: an
+    optional sign and ASCII digits; a float may also have one decimal point,
+    with a digit on at least one side, and an exponent (e or E, an optional
+    sign, digits)."""
+    body = text[1:] if text[:1] in ("+", "-") else text
+    if kind is int:
+        return body != "" and all(c in "0123456789" for c in body)
+    mantissa, e, exponent = body.replace("E", "e").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    return (whole + fraction != "" and all(c in "0123456789" for c in whole + fraction)
+            and (not e or in_grammar(exponent, int)))
+
+
+NEAR_MISSES = "_ \t.eE+-n\u0661\uff11"  # underscores, whitespace, other scripts' digits, ...
+DIGITS = st.text("0123456789", max_size=4)
+
+
+@st.composite
+def number_parts(draw):
+    """Sign, digits, point, digits and exponent, each drawn or left out, and
+    half the time one near-miss character put in anywhere."""
+    text = draw(st.sampled_from(["", "+", "-"])) + draw(DIGITS) + draw(st.sampled_from(["", "."])) + draw(DIGITS)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"])) + draw(DIGITS)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(NEAR_MISSES)) + text[i:]
+    return text
+
+
+NUMBER_TEXT = (number_parts() | st.floats().map(repr) | st.integers().map(str)
+               | st.text(st.sampled_from("0123456789" + NEAR_MISSES + "aifINFty"), max_size=10))
+
+
+def check_number_text(text: str, kind: type) -> None:
+    """read_number takes ``text`` if and only if it is in the grammar, and
+    then reads Python's value of it; it calls the nan and inf words and a
+    float that overflows non-finite."""
+    body = text[1:] if text[:1] in ("+", "-") else text
+    word = body.lower() in ("nan", "inf", "infinity")
+    try:
+        value = read_number(text, kind)
+    except NonFiniteValueError:
+        assert word or (in_grammar(text, kind) and abs(float(text)) == math.inf)
+        return
+    except ValueError:
+        assert not word and not in_grammar(text, kind)
+        return
+    assert in_grammar(text, kind) and type(value) is kind and value == kind(text) and abs(value) != math.inf
+
+
+@settings(FUZZ, max_examples=300)
+@given(text=NUMBER_TEXT, kind=st.sampled_from([int, float]))
+@example(text="1e400", kind=float).via("overflows to inf")
+@example(text="1_0", kind=int).via("Python's int reads 10")
+@example(text="-NaN", kind=float).via("a nan word")
+@example(text="Infinity", kind=int).via("an inf word")
+def test_number_reader_accepts_exactly_the_grammar(text, kind):
+    check_number_text(text, kind)
+
+
+def test_number_reader_on_every_one_character_insertion():
+    for number in ("12", "-1.5e+10", ".5E3", "7.", "+0e-0"):
+        for i in range(len(number) + 1):
+            for c in NEAR_MISSES + "0":
+                for kind in (int, float):
+                    check_number_text(number[:i] + c + number[i:], kind)
+
+
+@FUZZ
+@given(x=st.floats(allow_nan=False, allow_infinity=False), n=st.integers())
+@example(x=5e-05, n=25).via("a desk bench run.cfg value")
+@example(x=1e-06, n=0).via("a paper bench run.cfg value")
+def test_repr_and_str_read_back(x, n):
+    assert read_number(repr(x), float).hex() == x.hex()
+    assert read_number(str(n), int) == n
 
 
 @st.composite

@@ -456,7 +456,8 @@ class TestTrainSvm:
         # the centred features are zero, so no coordinate is kept and only
         # the biases are solved: 3(1 - b)^2 + 4(1 + b)^2 is least at b = -1/7
         x = np.full((7, 5), value)
-        model = train_svm(x, np.array([0, 0, 0, 1, 1, 2, 2]), 3)
+        with pytest.warns(UserWarning, match="rank 0"):
+            model = train_svm(x, np.array([0, 0, 0, 1, 1, 2, 2]), 3)
         npt.assert_array_equal(model.weights, np.zeros((3, 5)))
         npt.assert_allclose(model.biases, [-1 / 7, -3 / 7, -3 / 7], rtol=1e-9)
 
