@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteLossError, ShapeError
+from .errors import NonFiniteLossError, ShapeError, check_finite
 from .ops import (
     _col2im,
     _conv2d,
@@ -123,6 +123,7 @@ class CaeTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:

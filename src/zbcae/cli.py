@@ -5,23 +5,26 @@ progress goes to stderr as one JSON line per epoch, and every warning raised
 during a command as one JSON line too.  Exit codes: 0 success, 1 usage error,
 2 data/format error, 3 numerical failure.  A command that names a manifest
 loads it once, with :func:`~zbcae.dataset.load_dataset` (``run-all`` and
-``sweep`` through :mod:`zbcae.pipeline`'s runners), and hands the stages
-the loaded array.
+``sweep`` through :func:`~zbcae.pipeline.filter_size_sweep`, ``run-all`` as
+its one-row case), and hands the stages the loaded array.  :func:`_emit`
+writes every JSON document, the stdout one and a ``--report`` file alike.
 
 Numbers are read by :func:`~zbcae.errors.read_number`.  A config key's flag
 reaches ``resolve_config`` as text, so its bad value is exit 2 as in a file;
 a bad ``sweep --filters`` or ``gradcheck --seed`` is a usage error (exit 1).
 
-ZBCAE_THREADS, when set to a positive integer, caps the BLAS thread pools
-(it must take effect before numpy loads, which is why this module is
-imported before any numeric submodule in the console-script entry path);
-a value that is not an integer >= 0 fails every command (exit 2).
+ZBCAE_THREADS, when set to a positive integer, caps the BLAS thread pools:
+it replaces any value the four BLAS variables already hold (it must take
+effect before numpy loads, which is why this module is imported before any
+numeric submodule in the console-script entry path); a value that is not an
+integer >= 0 fails every command (exit 2).
 """
 
 import os
 import sys
 
-from .errors import ConfigError, ManifestError, NonFiniteLossError, ShapeError, TensorFileError, read_number
+from .errors import (NEGATIVE_NUMBER, ConfigError, ManifestError, NonFiniteLossError, ShapeError, TensorFileError,
+                     read_number)
 
 
 def _int_at_least(low: int, text: str) -> int | None:
@@ -37,7 +40,7 @@ _threads = os.environ.get("ZBCAE_THREADS", "").strip()
 _cap = _int_at_least(0, _threads or "0")
 if _cap:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, str(_cap))
+        os.environ[_var] = str(_cap)
 
 import argparse
 import json
@@ -55,7 +58,6 @@ from .pipeline import (
     load_cae_checkpoint,
     load_features_file,
     load_svm_checkpoint,
-    run_pipeline,
     save_cae_checkpoint,
     save_features_file,
     save_svm_checkpoint,
@@ -70,12 +72,21 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = NEGATIVE_NUMBER  # argparse's own takes -1e-5 for an option
+
     def error(self, message):
         raise _UsageError(message)
 
 
-def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2))
+def _emit(doc, path=None) -> None:
+    """Write ``doc`` as indented JSON to stdout, and the same text to
+    ``path`` when one is given."""
+    text = json.dumps(doc, indent=2) + "\n"
+    sys.stdout.write(text)
+    if path is not None:
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _progress(epoch, mean_loss, lr) -> None:
@@ -85,12 +96,6 @@ def _progress(epoch, mean_loss, lr) -> None:
 def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
     """``warnings.showwarning`` replacement: one JSON line on stderr."""
     print(json.dumps({"warning": str(message), "category": category.__name__}), file=sys.stderr)
-
-
-def _write_report(text: str, path) -> None:
-    sys.stdout.write(text)
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
 
 
 def cmd_gen_synthetic(args) -> int:
@@ -161,8 +166,7 @@ def cmd_evaluate(args) -> int:
     if features.shape[1] != svm_model.weights.shape[1]:
         raise ShapeError(f"classifier {args.svm} takes {svm_model.weights.shape[1]} features per sample but "
                          f"features file {args.features} has {features.shape[1]}; both need one dimension")
-    report = evaluate_features(svm_model, features, labels, meta)
-    _write_report(report.to_json(), args.report)
+    _emit(evaluate_features(svm_model, features, labels, meta), args.report)
     return 0
 
 
@@ -170,11 +174,11 @@ def cmd_run_all(args) -> int:
     config = resolve_config(args.config, {})
     train_m = load_manifest(args.train)
     test_m = load_manifest(args.test)
-    report = run_pipeline(
-        train_m, test_m, config.cae, config.svm, config.filters,
+    report, = filter_size_sweep(
+        train_m, test_m, config.cae, config.svm, [config.filters],
         l2_normalize=config.l2_normalize, kernel=config.kernel, progress=_progress,
     )
-    _write_report(report.to_json(), args.report)
+    _emit(report, args.report)
     return 0
 
 
@@ -189,11 +193,9 @@ def cmd_sweep(args) -> int:
         train_m, test_m, config.cae, config.svm, k_values,
         l2_normalize=config.l2_normalize, kernel=config.kernel, progress=_progress,
     )
-    doc = {"rows": [
-        {"filters": r.config_echo["filters"], "top1_accuracy": r.top1, "feature_dim": r.feature_dim}
-        for r in reports
-    ]}
-    _write_report(json.dumps(doc, indent=2) + "\n", args.report)
+    rows = [{"filters": r["config"]["filters"], "top1_accuracy": r["results"]["top1_accuracy"],
+             "feature_dim": r["results"]["feature_dim"]} for r in reports]
+    _emit({"rows": rows}, args.report)
     return 0
 
 

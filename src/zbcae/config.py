@@ -23,8 +23,9 @@ from .svm import LbfgsConfig, SvmTrainConfig
 
 
 def parse_config_file(path) -> dict:
-    """Parse UTF-8 ``key = value`` lines; '#' starts a comment."""
-    out = {}
+    """Parse UTF-8 ``key = value`` lines; '#' starts a comment.  A key set
+    on two lines is a ConfigError naming both."""
+    out, first_line = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
@@ -36,7 +37,11 @@ def parse_config_file(path) -> dict:
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is set on lines {first_line[key]} and {lineno}")
+        first_line[key] = lineno
+        out[key] = value.strip()
     return out
 
 

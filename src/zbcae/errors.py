@@ -1,15 +1,20 @@
-"""Exception types shared across the package, and :func:`read_number`, the
+"""Exception types shared across the package, :func:`read_number`, the
 one reader of numbers given as text (no numpy here: the CLI reads
-``ZBCAE_THREADS`` with it before numpy loads).
+``ZBCAE_THREADS`` with it before numpy loads), and :func:`check_finite`,
+the run configs' first check.
 
 The CLI maps these onto exit codes: usage problems exit 1, data/format
 problems exit 2, numerical failures exit 3.
 """
 
+import math
 import re
+from dataclasses import fields
 
-_NUMBER = {int: re.compile(r"[+-]?[0-9]+"),
-           float: re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")}
+_UNSIGNED = r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
+_NUMBER = {int: re.compile(r"[+-]?[0-9]+"), float: re.compile(r"[+-]?" + _UNSIGNED)}
+# a negative int or float by the grammar: the CLI's parser reads it as a value
+NEGATIVE_NUMBER = re.compile("-" + _UNSIGNED + r"\Z")
 _NON_FINITE = re.compile(r"[+-]?(nan|inf|infinity)", re.IGNORECASE)
 
 
@@ -67,3 +72,12 @@ def read_number(text: str, kind: type):
     elif not _NON_FINITE.fullmatch(text):
         raise ValueError(f"expects {kind.__name__} in ASCII digits")
     raise NonFiniteValueError("must be finite")
+
+
+def check_finite(config) -> None:
+    """ValueError naming the first field of dataclass ``config`` that holds
+    a float nan or infinity."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")

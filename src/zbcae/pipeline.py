@@ -1,9 +1,10 @@
-"""End-to-end experiment plumbing: model/feature checkpoints, the
-train -> extract -> classify -> evaluate runner, and the filter-size sweep.
+"""End-to-end experiment plumbing: model/feature checkpoints, the stages,
+the report document, and the one train -> extract -> classify -> evaluate
+runner, the filter-size sweep (``run-all`` is its one-row case).
 
 The stages take a manifest's samples as the one (N, C, H, W) array
-:func:`~zbcae.dataset.load_dataset` returns; the runners and the commands
-load each manifest once, and the runners load both before any training.
+:func:`~zbcae.dataset.load_dataset` returns; the runner and the commands
+load each manifest once, and the runner loads both before any training.
 
 Checkpoints reuse the ZTEN container: each holds its arrays, a class table
 where it has one, and a ``meta_json`` record (UTF-8 JSON bytes stored as
@@ -11,14 +12,14 @@ float64 values).  ``meta_json`` is the only record of a run's settings: it
 carries the configuration echo and training summary forward through every
 stage, and :func:`evaluate_features` builds every report from it, so a report
 assembled from staged files is identical to one produced by
-:func:`run_pipeline` in a single process.  The loaders ignore records they
-do not read, so files that still carry older records load unchanged.
+:func:`filter_size_sweep` in a single process.  The loaders ignore records
+they do not read, so files that still carry older records load unchanged.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -199,86 +200,50 @@ def extract_stage(model: CaeModel, tensors: np.ndarray, l2_normalize: bool = Fal
 # ---------------------------------------------------------------------------
 # evaluation report
 
-@dataclass
-class EvalReport:
-    top1: float
-    per_class_accuracy: list
-    confusion: list  # rows = true class, columns = predicted class
-    n_test: int
-    feature_dim: int
-    classes: list
-    cae_summary: dict | None
-    config_echo: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "results": {
-                "top1_accuracy": self.top1,
-                "per_class_accuracy": self.per_class_accuracy,
-                "confusion_matrix": self.confusion,
-                "n_test": self.n_test,
-                "feature_dim": self.feature_dim,
-                "classes": self.classes,
-            },
-            "cae": self.cae_summary,
-            "config": self.config_echo,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
-
-def evaluate_features(svm_model: SvmModel, features, labels, meta: dict) -> EvalReport:
-    """Score a feature matrix and assemble the report: the classifier's class
-    table, and the ``cae`` and ``config`` sections from the run's ``meta``
-    record (a missing key reads null, a missing ``l2_normalize`` False).
-    A label that is not a class index of the classifier raises ShapeError."""
+def evaluate_features(svm_model: SvmModel, features, labels, meta: dict) -> dict:
+    """Score a feature matrix and assemble the report document: its
+    ``results`` (the confusion matrix's rows are true classes, its columns
+    predictions) under the classifier's class table, and the ``cae`` and
+    ``config`` sections from the run's ``meta`` record (a missing key reads
+    null, a missing ``l2_normalize`` False).  A label that is not a class
+    index of the classifier raises ShapeError."""
     classes = svm_model.class_names
     n_classes = len(classes)
     labels = _class_indices(np.asarray(labels), n_classes)
     predictions = predict_many(svm_model, features)
-    top1 = top1_accuracy(predictions, labels)
     confusion = np.bincount(labels * n_classes + predictions, minlength=n_classes**2).reshape(n_classes, n_classes)
     row_sums = confusion.sum(axis=1)
     per_class = [
         float(confusion[c, c] / row_sums[c]) if row_sums[c] else 0.0 for c in range(n_classes)
     ]
-    return EvalReport(
-        top1=top1,
-        per_class_accuracy=per_class,
-        confusion=confusion.tolist(),
-        n_test=int(labels.size),
-        feature_dim=int(np.asarray(features).shape[1]),
-        classes=list(classes),
-        cae_summary=meta.get("cae_summary"),
-        config_echo={
+    return {
+        "results": {
+            "top1_accuracy": top1_accuracy(predictions, labels),
+            "per_class_accuracy": per_class,
+            "confusion_matrix": confusion.tolist(),
+            "n_test": int(labels.size),
+            "feature_dim": int(np.asarray(features).shape[1]),
+            "classes": list(classes),
+        },
+        "cae": meta.get("cae_summary"),
+        "config": {
             **{key: meta.get(key) for key in ("filters", "kernel", "stride", "pad", "pool")},
             "l2_normalize": meta.get("l2_normalize", False),
             "cae": meta.get("cae_config"),
             "svm": meta.get("svm_config_echo"),
         },
-    )
-
-
-def run_pipeline(train_manifest: DatasetManifest, test_manifest: DatasetManifest,
-                 cae_config: CaeTrainConfig, svm_config: SvmTrainConfig, n_filters: int,
-                 l2_normalize: bool = False, kernel: int = 3, progress=None) -> EvalReport:
-    """Unsupervised feature learning end to end: train the auto-encoder on
-    the train split, extract zero-bias features for both splits, fit the
-    SVM on train features, and score the test split (the one-row
-    :func:`filter_size_sweep`)."""
-    return filter_size_sweep(train_manifest, test_manifest, cae_config, svm_config, [n_filters],
-                             l2_normalize, kernel, progress)[0]
+    }
 
 
 def filter_size_sweep(train_manifest: DatasetManifest, test_manifest: DatasetManifest,
                       cae_config: CaeTrainConfig, svm_config: SvmTrainConfig, k_values,
                       l2_normalize: bool = False, kernel: int = 3, progress=None) -> list:
-    """Re-run the full pipeline for each filter count, sharing every seed,
-    and return one report per count.  Each manifest is loaded once, and the
-    class tables and sample shapes of both are checked before any training.
-    Each report reads the CAE stage's meta plus what ``encode`` and
-    ``train-svm`` add to it."""
+    """For each filter count, train the auto-encoder on the train split,
+    extract zero-bias features for both splits, fit the SVM on the train
+    features and score the test split, sharing every seed; return one report
+    document per count.  Each manifest is loaded once, and the class tables
+    and sample shapes of both are checked before any training.  Each report
+    reads the CAE stage's meta plus what ``encode`` and ``train-svm`` add."""
     if not k_values:
         raise ValueError("k_values must be non-empty")
     classes = list(train_manifest.classes)

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, check_finite
 
 
 @dataclass
@@ -95,6 +95,7 @@ class LbfgsConfig:
     rel_loss_tol: float = 1e-9
 
     def __post_init__(self):
+        check_finite(self)
         if self.memory < 1:
             raise ValueError(f"memory must be >= 1, got {self.memory}")
         if self.initial_step <= 0:
@@ -115,6 +116,7 @@ class SvmTrainConfig:
     lbfgs: LbfgsConfig = field(default_factory=LbfgsConfig)
 
     def __post_init__(self):
+        check_finite(self)
         if self.lam < 0:
             raise ValueError(f"regularization must be >= 0, got {self.lam}")
 

@@ -3,14 +3,17 @@ JSON stdout, and equivalence between run-all and the staged commands."""
 
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zbcae.cae import CaeTrainConfig
 from zbcae.cli import dispatch
 from zbcae.config import CliConfig, parse_config_file, resolve_config
 from zbcae.errors import ConfigError
+from zbcae.svm import LbfgsConfig, SvmTrainConfig
 from test_dataset import MALFORMED_MANIFESTS, write_manifest
 
 SYNTH_SPEC = """\
@@ -35,6 +38,8 @@ seed = 0
 
 
 FLOAT_KEYS = sorted(k for k, v in CliConfig().echo().items() if isinstance(v, float))
+FLOAT_FIELDS = [(cls, f.name) for cls in (CaeTrainConfig, SvmTrainConfig, LbfgsConfig)
+                for f in fields(cls) if f.type == "float"]
 
 
 def _cell_value(text):
@@ -126,6 +131,7 @@ class TestConfigFile:
         ("epochs = 1_0\n", "'epochs' expects int in ASCII"),  # Python's int reads 10
         ("lambda = 1_0.5\n", "'lambda' expects float in ASCII"),
         ("learning_rate = 1e-5_0\n", "'learning_rate' expects float in ASCII"),  # float reads 1e-50
+        ("epochs = 5\nepochs = 7\n", "key 'epochs' is set on lines 1 and 2"),  # not a silent override
     ])
     def test_component_rejection_is_config_error(self, tmp_path, line, match):
         f = tmp_path / "c.cfg"
@@ -142,6 +148,14 @@ class TestConfigFile:
                 resolve_config(f, {})
             with pytest.raises(ConfigError, match=key):
                 resolve_config(None, {key: float(value)})
+
+    @pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+    def test_component_config_rejects_non_finite_float(self, cls, name):
+        # a Python caller's value skips the text reader, so the config itself
+        # must name the field before a range check lets nan or inf through
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+                cls(**{name: value})
 
     def test_negative_seed_rejected(self, tmp_path):
         f = tmp_path / "c.cfg"
@@ -197,7 +211,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("line", ["mu = nan", "mu = inf", "sigma = nan", "sigma = -inf"])
     def test_non_finite_synthetic_spec_is_data_error(self, tmp_path, capsys, line):
         spec, out = tmp_path / "spec.cfg", tmp_path / "data"
-        spec.write_text(SYNTH_SPEC + line + "\n")
+        key = line.split(" =")[0]  # replaced, not repeated: a repeated key is an error of its own
+        kept = [s for s in SYNTH_SPEC.splitlines() if not s.startswith(f"{key} =")]
+        spec.write_text("\n".join(kept + [line]) + "\n")
         assert dispatch(["gen-synthetic", "--spec", str(spec), "--out", str(out)]) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
@@ -334,8 +350,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "stride 1 and pad" in err and "missing.json" not in err
 
-    @pytest.mark.parametrize("argv", [["--lr", "nan"], ["--lr", "inf"], ["--seed", "-1"]],
-                             ids=["lr-nan", "lr-inf", "seed-negative"])
+    @pytest.mark.parametrize("argv", [["--lr", "nan"], ["--lr", "inf"], ["--seed", "-1"], ["--lr", "-1e-5"]],
+                             ids=["lr-nan", "lr-inf", "seed-negative", "lr-negative-exponent"])
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, argv):
         missing = str(tmp_path / "missing.json")
         code = dispatch(["train-cae", "--train", missing, "--out", str(tmp_path / "m.zten"), *argv])
@@ -718,6 +734,24 @@ class TestConsoleEntry:
         assert proc.returncode == 2
         assert json.loads(proc.stdout) == [None] * 4
         assert proc.stderr == f"error: ZBCAE_THREADS must be unset or a non-negative integer, got {threads!r}\n"
+
+    def test_thread_cap_replaces_blas_variables_already_set(self):
+        # a caller's OPENBLAS_NUM_THREADS=4 must not outlive the cap
+        import subprocess
+        import sys
+
+        import zbcae
+
+        blas_vars = ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"]
+        src = str(Path(zbcae.__file__).resolve().parents[1])
+        env = dict(os.environ, **dict.fromkeys(blas_vars, "4"), ZBCAE_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = ("import json, os\n"
+                  "import zbcae.cli\n"
+                  f"print(json.dumps([os.environ.get(v) for v in {blas_vars!r}]))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["1"] * 4
 
     def test_staged_svm_reports_identical_across_thread_counts(self, tmp_path):
         # eigh and GEMM bits may depend on the BLAS thread count, so the

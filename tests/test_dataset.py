@@ -164,6 +164,7 @@ class TestParseSyntheticSpec:
         ("mu = 1_0.5", ConfigError, "'mu' expects float in ASCII"),
         ("mu = nan", ManifestError, "mu must be finite"),
         ("sigma = inf", ManifestError, "sigma must be finite"),
+        ("mu = 1.0\nmu = 2.0", ConfigError, "key 'mu' is set on lines 1 and 2"),
     ])
     def test_bad_line_is_typed_error(self, tmp_path, line, error, message):
         path = tmp_path / "spec.cfg"

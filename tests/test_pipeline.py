@@ -1,6 +1,8 @@
 """Pipeline tests: checkpoint round trips, report construction, end-to-end
 runs on a small synthetic set, sweep structure, gradient-check harness."""
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -19,7 +21,6 @@ from zbcae.pipeline import (
     load_cae_checkpoint,
     load_features_file,
     load_svm_checkpoint,
-    run_pipeline,
     save_cae_checkpoint,
     save_features_file,
     save_svm_checkpoint,
@@ -179,9 +180,9 @@ class TestEvaluateFeatures:
         feats = rng.normal(size=(30, 4))
         labels = rng.integers(0, 3, size=30)
         report = evaluate_features(model, feats, labels, {})
-        confusion = np.array(report.confusion)
+        confusion = np.array(report["results"]["confusion_matrix"])
         npt.assert_array_equal(confusion.sum(axis=1), np.bincount(labels, minlength=3))
-        assert confusion.sum() == report.n_test == 30
+        assert confusion.sum() == report["results"]["n_test"] == 30
 
     def test_perfect_predictor_fills_diagonal(self):
         # features one-hot on the true class; identity weights predict exactly
@@ -189,9 +190,9 @@ class TestEvaluateFeatures:
         feats = np.eye(3)[labels]
         model = SvmModel(weights=np.eye(3), biases=np.zeros(3), class_names=list("abc"))
         report = evaluate_features(model, feats, labels, {})
-        assert report.top1 == 1.0
-        assert report.per_class_accuracy == [1.0, 1.0, 1.0]
-        npt.assert_array_equal(np.array(report.confusion), np.diag([2, 2, 1]))
+        assert report["results"]["top1_accuracy"] == 1.0
+        assert report["results"]["per_class_accuracy"] == [1.0, 1.0, 1.0]
+        npt.assert_array_equal(np.array(report["results"]["confusion_matrix"]), np.diag([2, 2, 1]))
 
     @pytest.mark.parametrize("bad", [-1, 0.5, 2])
     def test_label_that_is_no_class_index_is_shape_error(self, bad):
@@ -216,28 +217,28 @@ class TestStages:
 class TestRunPipeline:
     def test_learns_synthetic_signal(self, small_synthetic):
         train_m, test_m = small_synthetic
-        report = run_pipeline(train_m, test_m, small_cae_config(), SvmTrainConfig(), 4)
-        assert report.top1 >= 0.75
-        assert report.feature_dim == 4 * 2 * 2
-        assert report.cae_summary["final_mean_loss"] < report.cae_summary["initial_mean_loss"]
-        assert report.config_echo["filters"] == 4
-        assert report.config_echo["l2_normalize"] is False
+        report = filter_size_sweep(train_m, test_m, small_cae_config(), SvmTrainConfig(), [4])[0]
+        assert report["results"]["top1_accuracy"] >= 0.75
+        assert report["results"]["feature_dim"] == 4 * 2 * 2
+        assert report["cae"]["final_mean_loss"] < report["cae"]["initial_mean_loss"]
+        assert report["config"]["filters"] == 4
+        assert report["config"]["l2_normalize"] is False
 
     def test_two_runs_are_byte_identical(self, small_synthetic):
         train_m, test_m = small_synthetic
-        a = run_pipeline(train_m, test_m, small_cae_config(), SvmTrainConfig(), 4)
-        b = run_pipeline(train_m, test_m, small_cae_config(), SvmTrainConfig(), 4)
-        assert a.to_json() == b.to_json()
+        a = filter_size_sweep(train_m, test_m, small_cae_config(), SvmTrainConfig(), [4])[0]
+        b = filter_size_sweep(train_m, test_m, small_cae_config(), SvmTrainConfig(), [4])[0]
+        assert json.dumps(a) == json.dumps(b)
 
     def test_l2_normalization_is_echoed(self, small_synthetic):
         train_m, test_m = small_synthetic
-        report = run_pipeline(train_m, test_m, small_cae_config(), SvmTrainConfig(), 4, l2_normalize=True)
-        assert report.config_echo["l2_normalize"] is True
+        report = filter_size_sweep(train_m, test_m, small_cae_config(), SvmTrainConfig(), [4], l2_normalize=True)[0]
+        assert report["config"]["l2_normalize"] is True
 
     def test_swapped_manifests_still_run(self, small_synthetic):
         train_m, test_m = small_synthetic
-        report = run_pipeline(test_m, train_m, small_cae_config(epochs=5), SvmTrainConfig(), 4)
-        assert report.n_test == len(train_m)
+        report = filter_size_sweep(test_m, train_m, small_cae_config(epochs=5), SvmTrainConfig(), [4])[0]
+        assert report["results"]["n_test"] == len(train_m)
 
     def test_each_manifest_is_loaded_once(self, small_synthetic, monkeypatch):
         import zbcae.pipeline as pipeline_mod
@@ -251,7 +252,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(pipeline_mod, "load_dataset", counting_load)
         train_m, test_m = small_synthetic
-        run_pipeline(train_m, test_m, small_cae_config(epochs=2), SvmTrainConfig(), 4)
+        filter_size_sweep(train_m, test_m, small_cae_config(epochs=2), SvmTrainConfig(), [4])
         assert sorted(loaded) == sorted([id(train_m), id(test_m)])
         loaded.clear()  # a sweep too loads each manifest once, however many filter counts it runs
         filter_size_sweep(train_m, test_m, small_cae_config(epochs=2), SvmTrainConfig(), [2, 4, 8])
@@ -262,7 +263,7 @@ class TestRunPipeline:
         other_spec = SyntheticSpec(n_classes=3, samples_per_class=5, channels=6, height=4, width=4, seed=1)
         other_train, _ = gen_synthetic(other_spec, tmp_path)
         with pytest.raises(ShapeError, match="class tables"):
-            run_pipeline(train_m, other_train, small_cae_config(epochs=1), SvmTrainConfig(), 4)
+            filter_size_sweep(train_m, other_train, small_cae_config(epochs=1), SvmTrainConfig(), [4])
 
     @pytest.mark.parametrize("field", ["channels", "height"])
     def test_mismatched_sample_shapes_rejected_before_training(self, small_synthetic, tmp_path, monkeypatch,
@@ -276,7 +277,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(cae, "train", no_training)
         with pytest.raises(ShapeError, match="one sample shape"):
-            run_pipeline(train_m, other_test, small_cae_config(epochs=1), SvmTrainConfig(), 4)
+            filter_size_sweep(train_m, other_test, small_cae_config(epochs=1), SvmTrainConfig(), [4])
         with pytest.raises(ShapeError, match="one sample shape"):
             filter_size_sweep(train_m, other_test, small_cae_config(epochs=1), SvmTrainConfig(), [2, 4])
 
@@ -285,16 +286,17 @@ class TestFilterSizeSweep:
     def test_three_row_table(self, small_synthetic):
         train_m, test_m = small_synthetic
         reports = filter_size_sweep(train_m, test_m, small_cae_config(epochs=10), SvmTrainConfig(), [2, 4, 8])
-        assert [r.config_echo["filters"] for r in reports] == [2, 4, 8]
-        assert all(0.0 <= r.top1 <= 1.0 for r in reports)
-        assert [r.feature_dim for r in reports] == [8, 16, 32]
+        assert [r["config"]["filters"] for r in reports] == [2, 4, 8]
+        assert all(0.0 <= r["results"]["top1_accuracy"] <= 1.0 for r in reports)
+        assert [r["results"]["feature_dim"] for r in reports] == [8, 16, 32]
 
     def test_singleton_sweep_matches_single_run(self, small_synthetic):
+        # every row starts from the same seeds, so it does not depend on the rows before it
         train_m, test_m = small_synthetic
-        reports = filter_size_sweep(train_m, test_m, small_cae_config(), SvmTrainConfig(), [4])
-        single = run_pipeline(train_m, test_m, small_cae_config(), SvmTrainConfig(), 4)
-        assert len(reports) == 1
-        assert reports[0].to_json() == single.to_json()
+        reports = filter_size_sweep(train_m, test_m, small_cae_config(), SvmTrainConfig(), [2, 4])
+        single = filter_size_sweep(train_m, test_m, small_cae_config(), SvmTrainConfig(), [4])
+        assert len(single) == 1
+        assert json.dumps(reports[1]) == json.dumps(single[0])
 
     def test_empty_k_list_rejected(self, small_synthetic):
         train_m, test_m = small_synthetic
