@@ -14,9 +14,9 @@ W_e, which equals conv(z, tied(W_e)) at that geometry.
 
 A training step runs in one step workspace that :func:`train` makes once
 and reuses for every step, whatever the batch size: a zero-padded input
-buffer, a code buffer, a column buffer, a cols(x) buffer, one
-weight-gradient buffer and one filter-block buffer, with their views built
-once per chunk size.  The step calls the unchecked kernels of
+buffer, a code buffer, a column buffer, a cols(x) buffer, a packed ReLU
+mask, one weight-gradient buffer and one filter-block buffer, with their
+views built once per chunk size.  The step calls the unchecked kernels of
 :mod:`zbcae.ops` on those views; the public ops check their arguments, call
 the same kernels and return fresh arrays.  One switch picks the step's
 path: where a chunk's column matrix, and so its col2im index, is small
@@ -26,8 +26,12 @@ one bincount over the chunk; elsewhere the one column buffer takes cols(x),
 the decoder's column matrix, cols(dG) and cols(x) again in turn, the last
 refilled from the padded buffer, and g is folded by shifted slice adds
 straight into the padded buffer's interior.  The padded buffer's border
-is zero from its allocation on, since nothing writes it.  The decoder's
-input gradient overwrites the code once its ReLU mask is taken.  Each
+is zero from its allocation on, since nothing writes it.  The residual
+goes into the column buffer, dead between the fold and cols(dG), and the
+decoder's output gradient overwrites g.  The decoder's input gradient
+overwrites the code once the code's ReLU mask is packed into bits.  So
+a warm step allocates nothing the size of an input map but the small
+step's bincount result.  Each
 chunk adds its decoder-side and encoder-side weight terms into the
 gradient buffer a block of filter rows at a time.  Three byte budgets size
 it all: the training chunk, the filter block and one scratch budget for the
@@ -57,7 +61,6 @@ from .ops import (
     conv2d,
     conv2d_bias_grad,
     maxpool2,
-    relu,
 )
 
 BIAS_TRAIN_THEN_ZERO = "train-then-zero"
@@ -271,7 +274,9 @@ class _ChunkViews:
     (B, C, H + kh - 1, W + kw - 1) shape, the code buffer as a (K, N) matrix
     and as the (B, K, H, W) map of its columns, the column buffer and the
     cols(x) buffer as (C*kh*kw, N) matrices and at the patch view's 6-D
-    shape, and the chunk's (B, C, H, W) shape."""
+    shape, the chunk's (B, C, H, W) shape, the column buffer's head as the
+    (B, C, H, W) residual (C*kh*kw >= C, so it fits), and the mask buffer as
+    a (K, ceil(N / 8)) matrix of packed bits."""
 
     def __init__(self, ws: "_Workspace", b: int):
         k, rows, (c, h, w), (kh, kw) = ws.k, ws.rows, ws.sample_shape, ws.kernel
@@ -283,6 +288,8 @@ class _ChunkViews:
         self.code_maps = self.code.reshape(k, b, h, w).swapaxes(0, 1)
         self.cols, self.cols_x = (m[: rows * n].reshape(rows, n) for m in (ws.cols, ws.cols_x))
         self.cols6, self.cols_x6 = (m.reshape(self.patches.shape) for m in (self.cols, self.cols_x))
+        self.residual = ws.cols[: b * c * h * w].reshape(self.shape)
+        self.mask = ws.mask[: k * -(-n // 8)].reshape(k, -1)
 
 
 class _Workspace:
@@ -294,10 +301,14 @@ class _Workspace:
     - a zero-padded input buffer, chunk x C x (H + kh - 1) x (W + kw - 1),
       whose interior im2col and the decoder's fold write and whose border
       nothing writes, so it stays zero;
-    - a code buffer (K x N) and a column buffer (C*kh*kw x N);
+    - a code buffer (K x N) and a column buffer (C*kh*kw x N), whose head
+      also holds the chunk's residual between the decoder's fold and
+      cols(dG);
     - a cols(x) buffer that holds im2col(x) through the chunk's step: a
       second column buffer when ``small``, else the column buffer itself,
       which the step then refills from the padded buffer;
+    - a mask buffer of K x ceil(N / 8) bytes, the code's ReLU mask packed
+      into bits across the input-gradient GEMM;
     - the weight-gradient buffer, a filter-block buffer
       (:data:`_FILTER_BLOCK_BYTES` of filter rows) and the (rows, block)
       pairs the gradient is filled by;
@@ -322,6 +333,7 @@ class _Workspace:
         self.padded = np.zeros(most * c * (h + kh - 1) * (w + kw - 1))
         self.code = np.empty(k * n)
         self.cols = np.empty(self.rows * n)
+        self.mask = np.empty(k * -(-n // 8), dtype=np.uint8)
         self.small = 8 * self.rows * n <= _SCRATCH_BYTES
         self.cols_x = np.empty(self.rows * n) if self.small else self.cols
         self.dw = np.empty_like(model.w_e)
@@ -387,29 +399,36 @@ def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d
     """One forward (:func:`_forward`) and backward pass over a chunk, in the
     workspace's buffers.
 
-    Both weight terms reach W_e through the tie, so both go into the one
-    gradient buffer (written when ``first``, added to otherwise).  The
-    column buffer takes cols(dG) for the decoder's weight term dG-cols
-    times z and for the input gradient conv(dG, W); that whole-bank GEMM
-    overwrites z in the code buffer once z's ReLU mask is taken, and
-    becomes da.  The encoder's weight term reads cols(x) from its buffer,
-    refilled first unless ``ws.small``.  Returns
+    The residual r = relu(g) - x goes into the column buffer's head, dead
+    once g is folded; dG = r (g > 0) then overwrites g, and r is squared in
+    place for the loss.  Both weight terms reach W_e through the tie, so
+    both go into the one gradient buffer (written when ``first``, added to
+    otherwise).  The column buffer takes cols(dG) for the decoder's weight
+    term dG-cols times z and for the input gradient conv(dG, W); that
+    whole-bank GEMM overwrites z in the code buffer once z's ReLU mask is
+    packed into the mask buffer, a block of filter rows at a time, and
+    becomes da when multiplied by the unpacked 0/1 mask (a product, so a
+    -0.0 stays -0.0, as with a bool mask).  The encoder's weight term reads
+    cols(x) from its buffer, refilled first unless ``ws.small``.  Returns
     (loss, db_e, db_d).
     """
     v, g = _forward(model, x, b_e, b_d, ws)
-    r = relu(g) - x
-    loss = 0.5 * float(np.add.reduce(r * r, axis=None))
+    r = np.maximum(g, 0.0, out=v.residual)
+    r -= x
+    dg = np.multiply(r, g > 0.0, out=g)
+    r *= r
+    loss = 0.5 * float(np.add.reduce(r, axis=None))
 
-    dg = r * (g > 0.0)
-    del g, r
     db_d = conv2d_bias_grad(dg)
     _im2col(dg, v.interior, v.patches, v.cols6)
     _add_weight_grad(ws, v.code, v.cols, first)
-    active = v.code > 0.0  # exactly where the pre-activation is
+    for rows, _ in ws.blocks:  # z > 0 exactly where the pre-activation is
+        v.mask[rows] = np.packbits(v.code[rows] > 0.0, axis=1)
     # One whole-bank GEMM: blocks of W's rows change its bits at N = 4 (mod 8).
     # Its zero bias turns -0.0 into 0.0, as conv2d with a zero bias does.
     _conv2d(model.w_e.reshape(ws.k, ws.rows), v.cols, ws.zero_biases[0], v.code)
-    v.code *= active
+    for rows, _ in ws.blocks:
+        v.code[rows] *= np.unpackbits(v.mask[rows], axis=1, count=v.code.shape[1])
     db_e = conv2d_bias_grad(v.code_maps)
     if not ws.small:
         _im2col(x, v.interior, v.patches, v.cols_x6)

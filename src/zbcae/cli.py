@@ -9,8 +9,10 @@ loads it once, with :func:`~zbcae.dataset.load_dataset` (``run-all`` and
 its one-row case), and hands the stages the loaded array.  :func:`_emit`
 writes every JSON document, the stdout one and a ``--report`` file alike.
 
-Numbers are read by :func:`~zbcae.errors.read_number`.  A config key's flag
-reaches ``resolve_config`` as text, so its bad value is exit 2 as in a file;
+Numbers are read by :func:`~zbcae.errors.read_number`.  A flag takes any
+single-dash text that names no option (``-1e-5``, ``-inf``) as its value.
+A config key's flag reaches ``resolve_config`` as text, so its bad value is
+exit 2 as in a file;
 a bad ``sweep --filters`` or ``gradcheck --seed`` is a usage error (exit 1).
 
 ZBCAE_THREADS, when set to a positive integer, caps the BLAS thread pools:
@@ -23,8 +25,7 @@ integer >= 0 fails every command (exit 2).
 import os
 import sys
 
-from .errors import (NEGATIVE_NUMBER, ConfigError, ManifestError, NonFiniteLossError, ShapeError, TensorFileError,
-                     read_number)
+from .errors import ConfigError, ManifestError, NonFiniteLossError, ShapeError, TensorFileError, read_number
 
 
 def _int_at_least(low: int, text: str) -> int | None:
@@ -44,6 +45,7 @@ if _cap:
 
 import argparse
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -74,7 +76,10 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = NEGATIVE_NUMBER  # argparse's own takes -1e-5 for an option
+        # argparse takes a dash token for an option unless it looks like a
+        # negative number; here any single-dash token that names no option
+        # (-1e-5, -inf, -1_0) is a value, for read_number to judge
+        self._negative_number_matcher = re.compile("-(?!-)")
 
     def error(self, message):
         raise _UsageError(message)

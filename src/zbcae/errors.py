@@ -11,10 +11,7 @@ import math
 import re
 from dataclasses import fields
 
-_UNSIGNED = r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
-_NUMBER = {int: re.compile(r"[+-]?[0-9]+"), float: re.compile(r"[+-]?" + _UNSIGNED)}
-# a negative int or float by the grammar: the CLI's parser reads it as a value
-NEGATIVE_NUMBER = re.compile("-" + _UNSIGNED + r"\Z")
+_NUMBER = {int: re.compile(r"[+-]?[0-9]+"), float: re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")}
 _NON_FINITE = re.compile(r"[+-]?(nan|inf|infinity)", re.IGNORECASE)
 
 

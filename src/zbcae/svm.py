@@ -408,10 +408,13 @@ def train_svm(x, y, n_classes, config: SvmTrainConfig | None = None, class_names
 
 def predict_many(model: SvmModel, x) -> np.ndarray:
     """Row-wise argmax of the per-class scores x W^T + b of an (n, D)
-    feature matrix; ties go to the lowest class index."""
+    feature matrix; ties go to the lowest class index.  Non-finite features
+    raise ShapeError, as in :func:`train_svm`."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.weights.shape[1]:
         raise ShapeError(f"features of shape {x.shape} do not match the model dimension {model.weights.shape[1]}")
+    if not np.isfinite(x).all():
+        raise ShapeError("features contain non-finite values")
     return np.argmax(x @ model.weights.T + model.biases, axis=1)
 
 

@@ -504,8 +504,9 @@ class TestStepMatchesReference:
         # numpy reports its buffers to tracemalloc.  The bank and the batch
         # exist before tracing starts, so the traced peak is the step's own:
         # one gradient buffer and the workspace's code map, column matrix and
-        # filter block, plus 2 MiB of slack for the input-sized maps (the
-        # decoder folds into the padded buffer here, with no col2im index).
+        # filter block, plus 2 MiB of slack for the step's small temporaries
+        # (the decoder folds into the padded buffer here, with no col2im
+        # index).
         # A second column matrix (1.8 MB) and a bank-sized block do not fit
         # in that slack.
         k, c, hw, per_chunk = 256, 32, 14, 4
@@ -617,6 +618,31 @@ class TestStepCallBudget:
         finally:
             sys.setprofile(None)
         assert len(events) <= 72
+
+
+class TestStepAllocations:
+    @pytest.mark.parametrize("k, c, b", [(64, 32, 4), (128, 64, 8)])
+    def test_warm_step_allocates_less_than_one_input_map(self, k, c, b):
+        # numpy reports its buffers to tracemalloc.  Where the step is not
+        # small, the residual goes into the column buffer, the decoder's
+        # output gradient into g (the padded buffer's interior) and the
+        # code's ReLU mask into packed bits, so what a warm step still
+        # allocates (bool masks of one map or one filter block, the bias
+        # gradients) stays under one input-sized map (200,704 and 802,816
+        # bytes here).
+        rng = np.random.default_rng(170)
+        model = random_model(rng, k=k, c=c)
+        x = relu(rng.normal(0.2, 1.0, size=(b, c, 14, 14)))
+        ws = workspace(model, x)
+        assert not ws.small
+        cae._forward_backward(model, x, BIAS_TRAIN_THEN_ZERO, ws)  # builds the chunk's views
+        tracemalloc.start()
+        try:
+            cae._forward_backward(model, x, BIAS_TRAIN_THEN_ZERO, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
 
 
 class TestSgdStep:

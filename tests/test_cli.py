@@ -350,14 +350,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "stride 1 and pad" in err and "missing.json" not in err
 
-    @pytest.mark.parametrize("argv", [["--lr", "nan"], ["--lr", "inf"], ["--seed", "-1"], ["--lr", "-1e-5"]],
-                             ids=["lr-nan", "lr-inf", "seed-negative", "lr-negative-exponent"])
-    def test_bad_flag_value_is_config_error(self, tmp_path, capsys, argv):
+    # a value that starts with "-" but is outside the number grammar (-inf,
+    # -1_0, -nan) used to be taken for an option (exit 1, "expected one
+    # argument")
+    @pytest.mark.parametrize("command, flag, value, key", [
+        ("train-cae", "--lr", "nan", "learning_rate"),
+        ("train-cae", "--lr", "inf", "learning_rate"),
+        ("train-cae", "--seed", "-1", "seed"),
+        ("train-cae", "--lr", "-1e-5", "learning_rate"),
+        ("train-cae", "--lr", "-inf", "learning_rate"),
+        ("train-cae", "--lr", "-1_0", "learning_rate"),
+        ("train-cae", "--lr", "1_0", "learning_rate"),
+        ("train-cae", "--epochs", "-inf", "epochs"),
+        ("train-svm", "--lambda", "-nan", "lambda"),
+    ], ids=["lr-nan", "lr-inf", "seed-negative", "lr-negative-exponent", "lr-negative-inf", "lr-negative-underscore",
+            "lr-underscore", "epochs-negative-inf", "lambda-negative-nan"])
+    def test_bad_flag_value_is_config_error(self, tmp_path, capsys, command, flag, value, key):
         missing = str(tmp_path / "missing.json")
-        code = dispatch(["train-cae", "--train", missing, "--out", str(tmp_path / "m.zten"), *argv])
+        source = "--train" if command == "train-cae" else "--features"
+        code = dispatch([command, source, missing, "--out", str(tmp_path / "m.zten"), flag, value])
         assert code == 2
         err = capsys.readouterr().err
-        assert ("learning_rate" if argv[0] == "--lr" else "seed") in err and "missing.json" not in err
+        assert key in err and "missing.json" not in err
 
     @pytest.mark.parametrize("argv, message", [
         (["--epochs", "1_0"], "config key 'epochs' expects int"),  # argparse's int read 10

@@ -608,6 +608,14 @@ class TestPredict:
             with pytest.raises(ShapeError, match="dimension"):
                 predict_many(model, x)
 
+    def test_non_finite_features_are_shape_error(self):
+        # they used to predict class 0 for every row, with numpy's "invalid
+        # value encountered in matmul" warning
+        model = SvmModel(weights=np.eye(2), biases=np.zeros(2), class_names=["a", "b"])
+        x = np.array([[np.nan, 5.0], [0.0, np.inf], [1.0, 0.0]])
+        with pytest.raises(ShapeError, match="non-finite"):
+            predict_many(model, x)
+
 
 class TestTop1Accuracy:
     def test_all_correct(self):
