@@ -12,31 +12,19 @@ grid.  The loss is the training step's own loss, from one batched forward
 pass that computes the tied decoder as the transposed convolution with
 W_e, which equals conv(z, tied(W_e)) at that geometry.
 
-A training step runs in one step workspace that :func:`train` makes once
-and reuses for every step, whatever the batch size: a zero-padded input
-buffer, a code buffer, a column buffer, a cols(x) buffer, a packed ReLU
-mask, one weight-gradient buffer and one filter-block buffer, with their
-views built once per chunk size.  The step calls the unchecked kernels of
-:mod:`zbcae.ops` on those views; the public ops check their arguments, call
-the same kernels and return fresh arrays.  One switch picks the step's
-path: where a chunk's column matrix, and so its col2im index, is small
-(desk scale), cols(x) stays in a second column buffer through the step and
-the decoder's column matrix is folded into the decoder pre-activation g by
-one bincount over the chunk; elsewhere the one column buffer takes cols(x),
-the decoder's column matrix, cols(dG) and cols(x) again in turn, the last
-refilled from the padded buffer, and g is folded by shifted slice adds
-straight into the padded buffer's interior.  The padded buffer's border
-is zero from its allocation on, since nothing writes it.  The residual
-goes into the column buffer, dead between the fold and cols(dG), and the
-decoder's output gradient overwrites g.  The decoder's input gradient
-overwrites the code once the code's ReLU mask is packed into bits.  So
-a warm step allocates nothing the size of an input map but the small
-step's bincount result.  Each
-chunk adds its decoder-side and encoder-side weight terms into the
-gradient buffer a block of filter rows at a time.  Three byte budgets size
-it all: the training chunk, the filter block and one scratch budget for the
-temporaries formed next to it (an extraction chunk, a col2im index, an SGD
-row block).
+A training step runs in one step workspace (:class:`_Workspace`) that
+:func:`train` makes once and reuses for every step, whatever the batch
+size, and calls the unchecked kernels of :mod:`zbcae.ops` on views of it
+built once per chunk size; the public ops check their arguments, call the
+same kernels and return fresh arrays.  A warm step allocates nothing the
+size of an input map but the small step's bincount result.  A batch of one
+chunk in :func:`train` moves W_e inside its step, one block of filter rows
+at a time, with no weight-gradient bank (:func:`_fused_update`); a batch of
+several chunks, :func:`loss_gradients` and :func:`reconstruction_loss` sum
+the chunks' gradient in a bank (:func:`_chunk_forward_backward`).  Three
+byte budgets size it all: the training chunk, the filter block and one
+scratch budget for the temporaries formed next to it (an extraction chunk,
+a col2im index, an SGD row block).
 
 Two bias regimes are supported.  ``train-then-zero`` (default) lets the
 biases learn during reconstruction training and pins them to zero only for
@@ -47,10 +35,11 @@ every forward pass and returns zero bias gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import NonFiniteLossError, ShapeError, check_finite
+from .errors import CollapseError, NonFiniteLossError, ShapeError, check_finite
 from .ops import (
     _col2im,
     _conv2d,
@@ -224,8 +213,8 @@ def chunk_size(model: CaeModel, sample_shape: tuple, budget_bytes: int) -> int:
 
 # Working-set budget of one training chunk.  At the paper geometry (K=4096,
 # 14x14 maps) a chunk is ten samples: a batch of 8 runs as one GEMM per layer.
-# A step holds one chunk's workspace plus the bank and one gradient buffer,
-# so batch 512 needs no more memory than batch 10.
+# A step holds one chunk's workspace beside the bank; a batch of several
+# chunks adds one gradient bank, so batch 512 needs no more than batch 11.
 TRAIN_CHUNK_BYTES = 64 * 2**20
 
 
@@ -237,18 +226,12 @@ TRAIN_CHUNK_BYTES = 64 * 2**20
 _FILTER_BLOCK_BYTES = 4 * 2**20
 
 
-# Budget of any temporary formed next to a held working set, kept small
-# because it adds to that set's peak:
-# - one extraction chunk (desk, 12x6x6 and K=16: larger chunks raise the
-#   run's peak RSS for no measurable speed; at K=4096 over 14x14 maps a
-#   chunk is one sample);
-# - a chunk's col2im index, the size of its column matrix: where it fits
-#   (desk: 124 KB for 4 samples), the step is small (``_Workspace.small``),
-#   folds the whole chunk in one bincount and holds cols(x) in a second
-#   column buffer; elsewhere (paper: 29 MB for 8 samples) it folds into its
-#   padded buffer with no index and refills cols(x);
-# - one block of filter rows of the SGD update's ``lr * dW``; an
-#   elementwise update has the same bits at any block size.
+# Budget of any temporary formed next to a held working set, whose peak it
+# adds to: an extraction chunk (larger ones raise desk's peak RSS for no
+# measurable speed; at K=4096 over 14x14 maps a chunk is one sample); a
+# chunk's col2im index, whose fit makes the step small (``_Workspace.small``;
+# desk: 124 KB for 4 samples, paper: 29 MB for 8); a row block of the SGD
+# update's ``lr * dW``, elementwise, so of the same bits at any block size.
 _SCRATCH_BYTES = 2**18
 
 
@@ -269,14 +252,11 @@ def _filter_blocks(bank: np.ndarray, budget_bytes: int):
 
 class _ChunkViews:
     """The buffers of a :class:`_Workspace` viewed for a chunk of ``b``
-    samples, N = b * H * W: the interior and the patch view
-    (:func:`zbcae.ops._im2col_views`) of the padded buffer at the chunk's
-    (B, C, H + kh - 1, W + kw - 1) shape, the code buffer as a (K, N) matrix
-    and as the (B, K, H, W) map of its columns, the column buffer and the
-    cols(x) buffer as (C*kh*kw, N) matrices and at the patch view's 6-D
-    shape, the chunk's (B, C, H, W) shape, the column buffer's head as the
-    (B, C, H, W) residual (C*kh*kw >= C, so it fits), and the mask buffer as
-    a (K, ceil(N / 8)) matrix of packed bits."""
+    samples, N = b * H * W: the padded buffer's interior and patch view
+    (:func:`zbcae.ops._im2col_views`), the code as a (K, N) matrix and as
+    (B, K, H, W) maps, the column and cols(x) buffers as (C*kh*kw, N) and
+    6-D patch matrices, the column buffer's head as the (B, C, H, W)
+    residual (C*kh*kw >= C), and the mask buffer as (K, ceil(N / 8)) bits."""
 
     def __init__(self, ws: "_Workspace", b: int):
         k, rows, (c, h, w), (kh, kw) = ws.k, ws.rows, ws.sample_shape, ws.kernel
@@ -295,32 +275,25 @@ class _ChunkViews:
 class _Workspace:
     """Scratch memory of the training step, made once per :func:`train`,
     :func:`loss_gradients` or :func:`reconstruction_loss` call and sized
-    for the largest chunk of a batch of ``samples`` maps of
-    ``sample_shape``, N = chunk * H * W:
-
-    - a zero-padded input buffer, chunk x C x (H + kh - 1) x (W + kw - 1),
-      whose interior im2col and the decoder's fold write and whose border
-      nothing writes, so it stays zero;
-    - a code buffer (K x N) and a column buffer (C*kh*kw x N), whose head
-      also holds the chunk's residual between the decoder's fold and
-      cols(dG);
-    - a cols(x) buffer that holds im2col(x) through the chunk's step: a
-      second column buffer when ``small``, else the column buffer itself,
-      which the step then refills from the padded buffer;
-    - a mask buffer of K x ceil(N / 8) bytes, the code's ReLU mask packed
-      into bits across the input-gradient GEMM;
-    - the weight-gradient buffer, a filter-block buffer
-      (:data:`_FILTER_BLOCK_BYTES` of filter rows) and the (rows, block)
-      pairs the gradient is filled by;
-    - the zero bias vectors of always-zero mode.
+    for the largest chunk of a batch of ``samples`` maps, N = chunk * H * W:
+    a zero-padded input buffer, whose border nothing writes; a code buffer
+    (K x N); a column buffer (C*kh*kw x N), whose head holds the residual
+    between the decoder's fold and cols(dG); a cols(x) buffer, a second
+    column buffer when ``small``, else the column buffer, refilled; a mask
+    buffer of K x ceil(N / 8) bytes for the code's packed ReLU mask;
+    ``blocks``, (rows, dec, enc) per block of filter rows, views of a
+    filter-block buffer (:data:`_FILTER_BLOCK_BYTES`) and of a second one
+    when ``small``; ``dw``, the gradient bank, made only by a step that sums
+    one; the zero biases of always-zero mode; and ``active``, the positive
+    code and reconstruction units counted since :func:`train` reset it.
 
     ``small``, the step's one switch, is whether the largest chunk's column
     matrix, and so its col2im index, fits :data:`_SCRATCH_BYTES`.  A small
     step holds cols(x) and folds the decoder's column matrix in one
     bincount (:func:`zbcae.ops._col2im`); any other refills cols(x) and
     folds into the padded buffer's interior (:func:`zbcae.ops._fold`).
-    :meth:`views` builds each chunk size's views once, so the buffers'
-    pages are touched on the first step and reused by every later one.
+    Each chunk size's views are built once, so the buffers' pages are
+    touched on the first step and reused by every later one.
     """
 
     def __init__(self, model: CaeModel, sample_shape: tuple, samples: int):
@@ -336,13 +309,18 @@ class _Workspace:
         self.mask = np.empty(k * -(-n // 8), dtype=np.uint8)
         self.small = 8 * self.rows * n <= _SCRATCH_BYTES
         self.cols_x = np.empty(self.rows * n) if self.small else self.cols
-        self.dw = np.empty_like(model.w_e)
-        self.dw_rows = self.dw.reshape(k, self.rows)
-        block = np.empty(min(k, _block_rows(model.w_e, _FILTER_BLOCK_BYTES)) * self.rows)
-        self.blocks = [(rows, block[: len(self.dw_rows[rows]) * self.rows].reshape(-1, self.rows))
+        dec = np.empty(min(k, _block_rows(model.w_e, _FILTER_BLOCK_BYTES)) * self.rows)
+        buffers = (dec, np.empty_like(dec) if self.small else dec)
+        self.blocks = [(rows, *(b[: len(model.w_e[rows]) * self.rows].reshape(-1, self.rows) for b in buffers))
                        for rows in _filter_blocks(model.w_e, _FILTER_BLOCK_BYTES)]
         self.zero_biases = (np.zeros(k), np.zeros(c))
+        self.active = [0, 0]
         self._views = {}
+
+    @cached_property
+    def dw(self) -> np.ndarray:
+        """The weight-gradient bank, (K, C*kh*kw)."""
+        return np.empty((self.k, self.rows))
 
     def views(self, b: int) -> _ChunkViews:
         """The buffers viewed for a chunk of ``b`` samples."""
@@ -350,19 +328,6 @@ class _Workspace:
         if views is None:
             views = self._views[b] = _ChunkViews(self, b)
         return views
-
-
-def _add_weight_grad(ws: _Workspace, dout: np.ndarray, cols: np.ndarray, first: bool):
-    """Add the conv2d weight gradient dout cols^T, of a (K, N) output
-    gradient matrix and a patch matrix, into the workspace's gradient
-    buffer, or write it there when ``first``, one block of filter rows at a
-    time; each block's product is added from the filter-block buffer.  Each
-    block is its rows of the whole-bank product."""
-    for rows, block in ws.blocks:
-        if first:
-            _conv2d_weight_grad(dout[rows], cols, ws.dw_rows[rows])
-        else:
-            ws.dw_rows[rows] += _conv2d_weight_grad(dout[rows], cols, block)
 
 
 def _check_bias_mode(bias_mode: str):
@@ -373,16 +338,11 @@ def _check_bias_mode(bias_mode: str):
 def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray, ws: _Workspace):
     """The batched forward pass over a (B, C, H, W) chunk in ``ws``:
     (views, g), the chunk's :class:`_ChunkViews`, whose code buffer holds
-    the code z, and the decoder pre-activation g.
-
-    The cols(x) buffer takes im2col(x) for the encoder GEMM; the column
-    buffer then takes the decoder's column matrix W^T z, which col2im folds
-    into g: in one bincount when ``ws.small``, else into the padded
-    buffer's interior, which g then is until the next im2col.  The decoder
-    conv(z, tied(W)) is computed as that transposed convolution, which it
-    equals for the same-size convolution, so no tied copy of the bank is
-    formed.
-    """
+    the code z, and the decoder pre-activation g.  The decoder's column
+    matrix W^T z goes into the column buffer and is folded into g: in one
+    bincount when ``ws.small``, else into the padded buffer's interior.
+    That transposed convolution equals conv(z, tied(W)) for the same-size
+    convolution, so no tied copy of the bank is formed."""
     v = ws.views(len(x))
     w = model.w_e.reshape(ws.k, ws.rows)
     _im2col(x, v.interior, v.patches, v.cols_x6)
@@ -394,64 +354,96 @@ def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray, w
     return v, g
 
 
-def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray,
-                            first: bool, ws: _Workspace):
-    """One forward (:func:`_forward`) and backward pass over a chunk, in the
-    workspace's buffers.
-
-    The residual r = relu(g) - x goes into the column buffer's head, dead
-    once g is folded; dG = r (g > 0) then overwrites g, and r is squared in
-    place for the loss.  Both weight terms reach W_e through the tie, so
-    both go into the one gradient buffer (written when ``first``, added to
-    otherwise).  The column buffer takes cols(dG) for the decoder's weight
-    term dG-cols times z and for the input gradient conv(dG, W); that
-    whole-bank GEMM overwrites z in the code buffer once z's ReLU mask is
-    packed into the mask buffer, a block of filter rows at a time, and
-    becomes da when multiplied by the unpacked 0/1 mask (a product, so a
-    -0.0 stays -0.0, as with a bool mask).  The encoder's weight term reads
-    cols(x) from its buffer, refilled first unless ``ws.small``.  Returns
-    (loss, db_e, db_d).
-    """
+def _chunk_loss(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray, ws: _Workspace):
+    """The forward pass (:func:`_forward`) and loss of a chunk: (views,
+    loss, db_d), with z in the code buffer and cols(dG) in the column
+    buffer.  The residual r = relu(g) - x goes into the column buffer's
+    head, dead once g is folded; dG = r (g > 0) overwrites g, and r is
+    squared in place for the loss."""
     v, g = _forward(model, x, b_e, b_d, ws)
     r = np.maximum(g, 0.0, out=v.residual)
     r -= x
-    dg = np.multiply(r, g > 0.0, out=g)
+    live = g > 0.0
+    ws.active[1] += np.count_nonzero(live)
+    dg = np.multiply(r, live, out=g)
     r *= r
     loss = 0.5 * float(np.add.reduce(r, axis=None))
-
     db_d = conv2d_bias_grad(dg)
     _im2col(dg, v.interior, v.patches, v.cols6)
-    _add_weight_grad(ws, v.code, v.cols, first)
-    for rows, _ in ws.blocks:  # z > 0 exactly where the pre-activation is
-        v.mask[rows] = np.packbits(v.code[rows] > 0.0, axis=1)
+    return v, loss, db_d
+
+
+def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray,
+                            first: bool, ws: _Workspace):
+    """:func:`_chunk_loss` and a backward pass that writes (``first``) or
+    adds the chunk's weight terms into the bank a block of filter rows at a
+    time: the decoder's dG-cols z^T, then the encoder's da cols(x)^T.  The
+    input gradient conv(dG, W) overwrites z once z's ReLU mask is packed
+    into bits; times the unpacked 0/1 mask (so a -0.0 stays -0.0, as with a
+    bool mask) it is da.  Returns (loss, db_e, db_d)."""
+    v, loss, db_d = _chunk_loss(model, x, b_e, b_d, ws)
+    for rows, _, block in ws.blocks:
+        if first:
+            _conv2d_weight_grad(v.code[rows], v.cols, ws.dw[rows])
+        else:
+            ws.dw[rows] += _conv2d_weight_grad(v.code[rows], v.cols, block)
+        v.mask[rows] = np.packbits(v.code[rows] > 0.0, axis=1)  # z > 0 exactly where its pre-activation is
+    ws.active[0] += np.bitwise_count(v.mask).sum()
     # One whole-bank GEMM: blocks of W's rows change its bits at N = 4 (mod 8).
     # Its zero bias turns -0.0 into 0.0, as conv2d with a zero bias does.
     _conv2d(model.w_e.reshape(ws.k, ws.rows), v.cols, ws.zero_biases[0], v.code)
-    for rows, _ in ws.blocks:
-        v.code[rows] *= np.unpackbits(v.mask[rows], axis=1, count=v.code.shape[1])
-    db_e = conv2d_bias_grad(v.code_maps)
     if not ws.small:
         _im2col(x, v.interior, v.patches, v.cols_x6)
-    _add_weight_grad(ws, v.code, v.cols_x, False)
-    return loss, db_e, db_d
+    for rows, _, block in ws.blocks:
+        v.code[rows] *= np.unpackbits(v.mask[rows], axis=1, count=v.code.shape[1])
+        ws.dw[rows] += _conv2d_weight_grad(v.code[rows], v.cols_x, block)
+    return loss, conv2d_bias_grad(v.code_maps), db_d
+
+
+def _fused_update(model: CaeModel, x: np.ndarray, v: _ChunkViews, ws: _Workspace, lr: float) -> np.ndarray:
+    """Move W_e by -lr dW for the chunk ``x`` whose :func:`_chunk_loss` is
+    in ``v``, one block of filter rows at a time, with no gradient bank
+    (LOMO's fused update, Lv et al., arXiv:2306.09782); returns db_e.
+
+    A block's terms need only its rows of W: its decoder term, then its da
+    from the old rows over the code it overwrites, times its bool ReLU mask.
+    A small step holds cols(x), so a block moves once, by lr (dec + enc):
+    the bits of :func:`sgd_step` where the bank is one block (desk).  Any
+    other moves each block by lr dec, refills cols(x), then by lr enc.
+    """
+    w = model.w_e.reshape(ws.k, ws.rows)
+    for rows, dec, enc in ws.blocks:
+        _conv2d_weight_grad(v.code[rows], v.cols, dec)
+        mask = v.code[rows] > 0.0
+        ws.active[0] += np.count_nonzero(mask)
+        _conv2d(w[rows], v.cols, ws.zero_biases[0][rows], v.code[rows])
+        v.code[rows] *= mask
+        if ws.small:
+            dec += _conv2d_weight_grad(v.code[rows], v.cols_x, enc)
+        dec *= lr
+        w[rows] -= dec
+    if not ws.small:
+        _im2col(x, v.interior, v.patches, v.cols_x6)
+        for rows, _, enc in ws.blocks:
+            w[rows] -= np.multiply(_conv2d_weight_grad(v.code[rows], v.cols_x, enc), lr, out=enc)
+    return conv2d_bias_grad(v.code_maps)
 
 
 def _forward_backward(model: CaeModel, x: np.ndarray, bias_mode: str,
                       ws: _Workspace) -> tuple[float, CaeGradients]:
     """(loss, gradients) of a (B, C, H, W) batch, in workspace ``ws``,
-    summed over its chunks into the workspace's weight-gradient buffer.
+    summed over its chunks into the workspace's weight-gradient bank.
     ``bias_mode`` is one of :data:`BIAS_MODES`; callers check it."""
     train_biases = bias_mode == BIAS_TRAIN_THEN_ZERO
     b_e, b_d = (model.b_e, model.b_d) if train_biases else ws.zero_biases
-    step = ws.chunk
     total = None
-    for start in range(0, len(x), step):
-        part = _chunk_forward_backward(model, x[start : start + step], b_e, b_d, total is None, ws)
+    for start in range(0, len(x), ws.chunk):
+        part = _chunk_forward_backward(model, x[start : start + ws.chunk], b_e, b_d, total is None, ws)
         total = part if total is None else tuple(a + b for a, b in zip(total, part))
     loss, db_e, db_d = total
     if not train_biases:
         db_e, db_d = ws.zero_biases
-    return loss, CaeGradients(ws.dw, db_e, db_d)
+    return loss, CaeGradients(ws.dw.reshape(model.w_e.shape), db_e, db_d)
 
 
 def _batch_step(model: CaeModel, batch, bias_mode: str) -> tuple[float, CaeGradients]:
@@ -499,6 +491,28 @@ def sgd_step(model: CaeModel, grads: CaeGradients, lr: float) -> CaeModel:
     return model
 
 
+def _train_step(model: CaeModel, x: np.ndarray, bias_mode: str, lr: float, ws: _Workspace, where: str) -> float:
+    """One SGD step at ``lr`` on a (B, C, H, W) batch in ``ws``; returns its
+    loss.  A batch of one chunk moves W_e in the step (:func:`_fused_update`),
+    one of several sums its gradient in the bank for :func:`sgd_step`.  A
+    non-finite loss raises NonFiniteLossError naming ``where`` first."""
+    train_biases = bias_mode == BIAS_TRAIN_THEN_ZERO
+    if len(x) > ws.chunk:
+        loss, grads = _forward_backward(model, x, bias_mode, ws)
+    else:
+        v, loss, db_d = _chunk_loss(model, x, *((model.b_e, model.b_d) if train_biases else ws.zero_biases), ws)
+    if not np.isfinite(loss):
+        raise NonFiniteLossError(f"non-finite reconstruction loss at {where}; reduce the learning rate")
+    if len(x) > ws.chunk:
+        sgd_step(model, grads, lr)
+    elif train_biases:
+        model.b_e -= lr * _fused_update(model, x, v, ws, lr)
+        model.b_d -= lr * db_d
+    else:
+        _fused_update(model, x, v, ws, lr)
+    return loss
+
+
 def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
     """Run SGD with per-epoch shuffling and plateau-triggered annealing.
 
@@ -512,7 +526,9 @@ def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
     ``anneal_factor``, at most ``max_anneals`` times.
 
     ``progress``, if given, is called as progress(epoch, mean_loss, lr)
-    after every epoch.  Returns (model, LossHistory).
+    after every epoch.  An epoch that left the code or the reconstruction
+    zero on every sample then raises CollapseError.  Returns (model,
+    LossHistory).
     """
     data = _as_batch(model, dataset)
     n = len(data)
@@ -522,6 +538,7 @@ def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
 
     _check_bias_mode(config.bias_mode)
     ws = _Workspace(model, data.shape[1:], min(config.batch_size, n))
+    held = np.empty((min(config.batch_size, n), *data.shape[1:]))
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
     plateau_run = 0
@@ -530,16 +547,11 @@ def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         total = 0.0
+        ws.active = [0, 0]
         for b, start in enumerate(range(0, n, config.batch_size)):
-            batch = data[order[start : start + config.batch_size]]
-            loss, grads = _forward_backward(model, batch, config.bias_mode, ws)
-            if not np.isfinite(loss):
-                raise NonFiniteLossError(
-                    f"non-finite reconstruction loss at epoch {epoch}, batch {b}; "
-                    f"reduce the learning rate"
-                )
-            sgd_step(model, grads, lr)
-            total += loss
+            rows = order[start : start + config.batch_size]
+            batch = np.take(data, rows, axis=0, out=held[: len(rows)], mode="clip")  # "raise" buffers a copy
+            total += _train_step(model, batch, config.bias_mode, lr, ws, f"epoch {epoch}, batch {b}")
         mean = total / n
         history.mean_loss.append(mean)
         history.learning_rate.append(lr)
@@ -560,6 +572,10 @@ def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
                 plateau_run = 0
         if progress is not None:
             progress(epoch, mean, lr)
+        if not all(ws.active):
+            dead = "code" if not ws.active[0] else "reconstruction"
+            raise CollapseError(f"no {dead} unit was active in epoch {epoch} at learning rate "
+                                f"{history.learning_rate[-1]}; reduce the learning rate")
     return model, history
 
 

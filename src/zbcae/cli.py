@@ -25,7 +25,8 @@ integer >= 0 fails every command (exit 2).
 import os
 import sys
 
-from .errors import ConfigError, ManifestError, NonFiniteLossError, ShapeError, TensorFileError, read_number
+from .errors import (CollapseError, ConfigError, ManifestError, NonFiniteLossError, ShapeError, TensorFileError,
+                     read_number)
 
 
 def _int_at_least(low: int, text: str) -> int | None:
@@ -300,7 +301,7 @@ def dispatch(argv) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except NonFiniteLossError as e:
+    except (NonFiniteLossError, CollapseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (TensorFileError, ManifestError, ConfigError, ShapeError, ValueError, OSError) as e:

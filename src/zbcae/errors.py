@@ -52,6 +52,11 @@ class NonFiniteLossError(ArithmeticError):
     """Training produced a NaN or infinite loss."""
 
 
+class CollapseError(ArithmeticError):
+    """A training epoch left the code or the reconstruction zero on every
+    sample: the parameters before that ReLU get no gradient, for good."""
+
+
 class NonFiniteValueError(ValueError):
     """Number text that names nan or an infinity, or overflows to one."""
 

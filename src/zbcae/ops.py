@@ -1,7 +1,7 @@
 """Dense float64 tensor kernels.
 
 Everything here is a pure function of its inputs: the same-size 2D
-cross-correlation and its adjoints, kernel flipping, ReLU and 2x2
+cross-correlation and its adjoints, kernel flipping and 2x2
 max-pooling.  Tensors are plain ``numpy`` arrays of ``float64``; a feature
 map is ``(C, H, W)``, a batch of maps is ``(B, C, H, W)`` and a filter bank
 is ``(K, C, kh, kw)``.  ``im2col``/``col2im`` and the convolutions accept
@@ -250,11 +250,6 @@ def tied_decoder_weights(w_e: np.ndarray) -> np.ndarray:
     """
     w = _check_4d(w_e, "tied_decoder_weights")
     return _as_f64(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x), in the memory layout of ``x``."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
 def maxpool2(x: np.ndarray) -> np.ndarray:

@@ -413,9 +413,11 @@ def predict_many(model: SvmModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.weights.shape[1]:
         raise ShapeError(f"features of shape {x.shape} do not match the model dimension {model.weights.shape[1]}")
-    if not np.isfinite(x).all():
-        raise ShapeError("features contain non-finite values")
-    return np.argmax(x @ model.weights.T + model.biases, axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite feature gives a non-finite score
+        scores = x @ model.weights.T + model.biases
+    if not np.isfinite(scores).all():
+        raise ShapeError("features contain non-finite values, or their scores overflow")
+    return np.argmax(scores, axis=1)
 
 
 def top1_accuracy(predictions, labels) -> float:

@@ -56,7 +56,7 @@ def stack_key() -> str:
     for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
         corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
         if corename is not None:
-            corename.restype = ctypes.c_char_p
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
             core = corename().decode()
     return f"numpy {np.__version__}, {blas['name']} {blas['version']} {core}"
 

@@ -2,7 +2,6 @@
 gradients against central finite differences, trainer behavior."""
 
 import copy
-import math
 import sys
 import tracemalloc
 
@@ -26,13 +25,12 @@ from zbcae.cae import (
     sgd_step,
     train,
 )
-from zbcae.errors import NonFiniteLossError, ShapeError
+from zbcae.errors import CollapseError, NonFiniteLossError, ShapeError
 from zbcae.ops import (
     conv2d,
     conv2d_bias_grad,
     conv2d_input_grad,
     conv2d_weight_grad,
-    relu,
     tied_decoder_weights,
 )
 
@@ -53,7 +51,7 @@ def decode(model, z, zero_bias=False):
     """Per-sample reference decoder: relu(conv2d(z, tied(W_e)) + b_d) through
     the explicit tied bank."""
     b = np.zeros(model.n_channels) if zero_bias else model.b_d
-    return relu(conv2d(z, tied_decoder_weights(model.w_e), b))
+    return np.maximum(conv2d(z, tied_decoder_weights(model.w_e), b), 0.0)
 
 
 def workspace(model, x):
@@ -72,7 +70,7 @@ def biases(model, bias_mode):
 def forward(model, x, zero_bias=False):
     """The reconstruction of a (B, C, H, W) batch by the batched forward pass."""
     b_e, b_d = biases(model, bias_mode_of(zero_bias))
-    return relu(cae._forward(model, x, b_e, b_d, workspace(model, x))[1])
+    return np.maximum(cae._forward(model, x, b_e, b_d, workspace(model, x))[1], 0.0)
 
 
 def one_sample_chunks(monkeypatch):
@@ -173,7 +171,7 @@ class TestEncodeDecode:
         model = identity_center_model()
         x = np.abs(np.random.default_rng(11).normal(size=(1, 1, 4, 4)))
         z = encode(model, x, zero_bias=True)
-        npt.assert_array_equal(forward(model, x, zero_bias=True), relu(z))
+        npt.assert_array_equal(forward(model, x, zero_bias=True), np.maximum(z, 0.0))
 
     def test_channel_mismatch_raises(self):
         model = random_model(np.random.default_rng(12))
@@ -295,7 +293,7 @@ class TestLossGradients:
             for x in batch:
                 z = encode(model, x)
                 g = conv2d(z, w_d_frozen, model.b_d)
-                y = relu(g)
+                y = np.maximum(g, 0.0)
                 total += 0.5 * float(((y - x) ** 2).sum())
             return total
 
@@ -320,9 +318,9 @@ def per_sample_reference_step(model, batch, bias_mode):
     db_e, db_d = np.zeros(k), np.zeros(c)
     for x in batch:
         a = conv2d(x, model.w_e, b_e)
-        z = relu(a)
+        z = np.maximum(a, 0.0)
         g = conv2d(z, w_d, b_d)
-        r = relu(g) - x
+        r = np.maximum(g, 0.0) - x
         loss += 0.5 * float((r * r).sum())
         dg = r * (g > 0.0)
         db_d += conv2d_bias_grad(dg)
@@ -394,25 +392,42 @@ class TestBatchedStep:
         assert 8 * n * 14 * 14 * 4096 <= cae.TRAIN_CHUNK_BYTES
 
 
-def chunk_forward_backward_reference(model, x, b_e, b_d):
-    """The chunk step from ops calls alone, with fresh arrays throughout:
-    the decoder as the transposed convolution, the decoder's and the
-    encoder's weight terms formed as whole banks and summed as enc + dec.
-    Returns (loss, dw_e, db_e, db_d)."""
+def chunk_terms_reference(model, x, b_e, b_d):
+    """The chunk step's terms from ops calls alone, with fresh arrays
+    throughout and the decoder as the transposed convolution: (loss, dec,
+    enc, db_e, db_d), with the decoder's and the encoder's weight terms
+    formed as whole banks."""
     k, _, kh, kw = model.w_e.shape
-    z = relu(conv2d(x, model.w_e, b_e))
+    z = np.maximum(conv2d(x, model.w_e, b_e), 0.0)
     g = conv2d_input_grad(z, model.w_e) + b_d[:, None, None]
-    r = relu(g) - x
+    r = np.maximum(g, 0.0) - x
     loss = 0.5 * float((r * r).sum())
     dg = r * (g > 0.0)
-    db_d = conv2d_bias_grad(dg)
-    dw_dec = conv2d_weight_grad(dg, z, kh, kw)
     da = conv2d(dg, model.w_e, np.zeros(k))
     da *= z > 0.0
-    db_e = conv2d_bias_grad(da)
-    dw = conv2d_weight_grad(x, da, kh, kw)
-    dw += dw_dec
-    return loss, dw, db_e, db_d
+    return loss, conv2d_weight_grad(dg, z, kh, kw), conv2d_weight_grad(x, da, kh, kw), conv2d_bias_grad(da), \
+        conv2d_bias_grad(dg)
+
+
+def chunk_forward_backward_reference(model, x, b_e, b_d):
+    """The chunk step from ops calls alone (:func:`chunk_terms_reference`),
+    its weight terms summed as enc + dec.  Returns (loss, dw_e, db_e,
+    db_d)."""
+    loss, dec, enc, db_e, db_d = chunk_terms_reference(model, x, b_e, b_d)
+    enc += dec
+    return loss, enc, db_e, db_d
+
+
+def fused_step_reference(model, x, bias_mode, lr):
+    """The training step of a one-chunk batch that is not small, from ops
+    calls alone: W_e - lr dec - lr enc in two subtractions, and the biases
+    as sgd_step moves them."""
+    _, dec, enc, db_e, db_d = chunk_terms_reference(model, x, *biases(model, bias_mode))
+    model.w_e -= lr * dec
+    model.w_e -= lr * enc
+    if bias_mode == BIAS_TRAIN_THEN_ZERO:
+        model.b_e -= lr * db_e
+        model.b_d -= lr * db_d
 
 
 def forward_backward_reference(model, batch, bias_mode):
@@ -511,7 +526,7 @@ class TestStepMatchesReference:
         # in that slack.
         k, c, hw, per_chunk = 256, 32, 14, 4
         model = init_model(k, c, 3, seed=143)
-        batch = relu(np.random.default_rng(143).normal(0.3, 1.0, size=(3 * per_chunk, c, hw, hw)))
+        batch = np.maximum(np.random.default_rng(143).normal(0.3, 1.0, size=(3 * per_chunk, c, hw, hw)), 0.0)
         monkeypatch.setattr(cae, "TRAIN_CHUNK_BYTES", per_chunk * 8 * hw * hw * max(k, c * 9))
         monkeypatch.setattr(cae, "_FILTER_BLOCK_BYTES", 64 * model.w_e[0].nbytes)
         assert cae.chunk_size(model, batch.shape[1:], cae.TRAIN_CHUNK_BYTES) == per_chunk
@@ -603,12 +618,11 @@ class TestStepCallBudget:
         # small, and the count depends on the code, not on the host.
         rng = np.random.default_rng(150)
         model = random_model(rng, k=16, c=12)
-        x = relu(rng.normal(0.2, 1.0, size=(4, 12, 6, 6)))
+        x = np.maximum(rng.normal(0.2, 1.0, size=(4, 12, 6, 6)), 0.0)
         ws = workspace(model, x)
 
-        def step():
-            _, grads = cae._forward_backward(model, x, BIAS_TRAIN_THEN_ZERO, ws)
-            sgd_step(model, grads, 1e-5)
+        def step():  # a batch of one chunk: the model moves inside the step
+            cae._train_step(model, x, BIAS_TRAIN_THEN_ZERO, 1e-5, ws, "epoch 0, batch 0")
 
         step()  # builds the chunk's views and the col2im index
         events = []
@@ -632,7 +646,7 @@ class TestStepAllocations:
         # bytes here).
         rng = np.random.default_rng(170)
         model = random_model(rng, k=k, c=c)
-        x = relu(rng.normal(0.2, 1.0, size=(b, c, 14, 14)))
+        x = np.maximum(rng.normal(0.2, 1.0, size=(b, c, 14, 14)), 0.0)
         ws = workspace(model, x)
         assert not ws.small
         cae._forward_backward(model, x, BIAS_TRAIN_THEN_ZERO, ws)  # builds the chunk's views
@@ -643,6 +657,76 @@ class TestStepAllocations:
         finally:
             tracemalloc.stop()
         assert peak < x.nbytes
+
+
+class TestFusedStep:
+    """A one-chunk batch in train moves W_e inside the step, one block of
+    filter rows at a time, with no weight-gradient bank."""
+
+    @staticmethod
+    def one_chunk(seed):
+        # K=64, C=32, 14x14 maps, batch 4: one chunk, and not small
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, k=64, c=32)
+        x = np.maximum(rng.normal(0.2, 1.0, size=(4, 32, 14, 14)), 0.0)
+        ws = workspace(model, x)
+        assert not ws.small and len(x) <= ws.chunk
+        return model, x, ws
+
+    def test_warm_step_allocates_no_gradient_bank(self):
+        # the workspace holds no bank (147,456 bytes here), and what a warm
+        # step allocates (the forward pass's temporaries, bool masks of one
+        # map or one filter block, the bias gradients) stays under one input
+        # map (200,704 bytes)
+        model, x, ws = self.one_chunk(171)
+        cae._train_step(model, x, BIAS_TRAIN_THEN_ZERO, 1e-6, ws, "epoch 0, batch 0")  # builds the chunk's views
+        tracemalloc.start()
+        try:
+            cae._train_step(model, x, BIAS_TRAIN_THEN_ZERO, 1e-6, ws, "epoch 0, batch 1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "dw" not in vars(ws)
+        assert peak < x.nbytes
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_train_makes_a_bank_only_for_batches_of_several_chunks(self, monkeypatch, chunked):
+        built = []
+
+        class Spy(cae._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        model, x, _ = self.one_chunk(172)
+        monkeypatch.setattr(cae, "_Workspace", Spy)
+        if chunked:
+            one_sample_chunks(monkeypatch)
+        train(model, x, CaeTrainConfig(epochs=1, batch_size=4, learning_rate=1e-6))
+        assert ("dw" in vars(built[0])) == chunked
+
+    @pytest.mark.parametrize("bias_mode", [BIAS_TRAIN_THEN_ZERO, BIAS_ALWAYS_ZERO])
+    @pytest.mark.parametrize("block_rows", [64, 24], ids=["one-block", "blocks-of-24"])
+    def test_matches_two_subtractions_from_reference_ops(self, monkeypatch, bias_mode, block_rows):
+        # N = 784 = 0 (mod 8), where blocks of W's rows keep the da GEMM's bits
+        model, x, _ = self.one_chunk(173)
+        monkeypatch.setattr(cae, "_FILTER_BLOCK_BYTES", block_rows * model.w_e[0].nbytes)
+        expected = copy.deepcopy(model)
+        loss = reconstruction_loss(model, x, bias_mode)
+        fused_step_reference(expected, x, bias_mode, 1e-4)
+        assert cae._train_step(model, x, bias_mode, 1e-4, workspace(model, x), "epoch 0, batch 0") == loss
+        for name in ("w_e", "b_e", "b_d"):
+            assert_same_bits(getattr(model, name), getattr(expected, name))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_raises_before_any_parameter_moves(self):
+        model, x, ws = self.one_chunk(174)
+        before = copy.deepcopy(model)
+        with pytest.raises(NonFiniteLossError, match="at epoch 2, batch 5; reduce"):
+            cae._train_step(model, x * 1e200, BIAS_TRAIN_THEN_ZERO, 1e-4, ws, "epoch 2, batch 5")
+        for name in ("w_e", "b_e", "b_d"):
+            assert_same_bits(getattr(model, name), getattr(before, name))
 
 
 class TestSgdStep:
@@ -705,7 +789,7 @@ class TestSgdStep:
 
 
 def tiny_dataset(rng, n=16, c=2, hw=4):
-    return [relu(rng.normal(loc=0.5, size=(c, hw, hw))) for _ in range(n)]
+    return [np.maximum(rng.normal(loc=0.5, size=(c, hw, hw)), 0.0) for _ in range(n)]
 
 
 class TestTrain:
@@ -747,12 +831,28 @@ class TestTrain:
 
     @pytest.mark.parametrize("n,batch_size", [(5, 4), (8, 8), (7, 2)])
     def test_one_sgd_step_per_batch(self, monkeypatch, n, batch_size):
+        # a batch of one chunk moves the model inside the step
+        # (_fused_update), a batch of several by sgd_step, here with chunks
+        # of one sample; each batch makes one such call, at the learning
+        # rate of its epoch, which anneals after epoch 1 here
         calls = []
-        monkeypatch.setattr(cae, "sgd_step", lambda model, grads, lr: calls.append(lr))
-        rng = np.random.default_rng(27)
-        config = CaeTrainConfig(epochs=3, batch_size=batch_size, learning_rate=1e-4, seed=0)
-        train(init_model(2, 2, 3, seed=2), tiny_dataset(rng, n=n), config)
-        assert len(calls) == config.epochs * math.ceil(n / batch_size)
+        for name in ("sgd_step", "_fused_update"):
+            def spy(*args, name=name, real=getattr(cae, name)):
+                calls.append((name, args[-1]))
+                return real(*args)
+            monkeypatch.setattr(cae, name, spy)
+        config = CaeTrainConfig(epochs=3, batch_size=batch_size, learning_rate=1e-4, plateau_patience=1,
+                                plateau_rel_tol=1e9, seed=0)
+        sizes = [len(range(n)[start : start + batch_size]) for start in range(0, n, batch_size)]
+        for chunked in (False, True):
+            if chunked:
+                one_sample_chunks(monkeypatch)
+            calls.clear()
+            rng = np.random.default_rng(27)
+            _, history = train(init_model(2, 2, 3, seed=2), tiny_dataset(rng, n=n), config)
+            assert history.learning_rate == [1e-4, 1e-4, pytest.approx(1e-5)]
+            assert calls == [("sgd_step" if size > 1 and chunked else "_fused_update", lr)
+                             for lr in history.learning_rate for size in sizes]
 
     def test_one_workspace_per_train_call(self, monkeypatch):
         built = []
@@ -775,7 +875,11 @@ class TestTrain:
         # of 2, 1, 2, 1 and 1 that refill cols(x) and fold into the padded
         # buffer, whose border must stay zero for the next im2col.  Each
         # view is written before it is read, so the run has the bits of
-        # steps that each build a fresh workspace.
+        # steps that each build a fresh workspace: sgd_step after
+        # loss_gradients, except for the trailing one-chunk batch of the
+        # step that is not small, which moves W_e - lr dec - lr enc (a
+        # small step's bank is one block here, so its one-chunk batches
+        # keep sgd_step's bits).
         rng = np.random.default_rng(30)
         data = np.stack(tiny_dataset(rng, n=7))
         start_model = random_model(rng, k=4, c=2)
@@ -795,7 +899,10 @@ class TestTrain:
                     for start in range(0, len(data), config.batch_size):
                         batch = data[order[start : start + config.batch_size]]
                         total += reconstruction_loss(model, batch, bias_mode)
-                        sgd_step(model, loss_gradients(model, batch, bias_mode), config.learning_rate)
+                        if scratch == 1 and len(batch) <= cae.chunk_size(model, data.shape[1:], budget):
+                            fused_step_reference(model, batch, bias_mode, config.learning_rate)
+                        else:
+                            sgd_step(model, loss_gradients(model, batch, bias_mode), config.learning_rate)
                     means.append(total / len(data))
                 assert history.mean_loss == means
                 for name in ("w_e", "b_e", "b_d"):
@@ -840,6 +947,19 @@ class TestTrain:
         config = CaeTrainConfig(epochs=2, batch_size=4, learning_rate=1e-4, seed=1)
         with pytest.raises(NonFiniteLossError, match=r"epoch \d+, batch \d+"):
             train(model, dataset, config)
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_dead_code_is_collapse_error(self, monkeypatch, chunked):
+        # encoder biases of -1e3 leave every code unit at zero on every
+        # sample, so W_e and b_e get no gradient and the code stays dead
+        if chunked:
+            one_sample_chunks(monkeypatch)
+        rng = np.random.default_rng(31)
+        model = random_model(rng, k=3, c=2)
+        model.b_e[:] = -1e3
+        config = CaeTrainConfig(epochs=3, batch_size=4, learning_rate=1e-3, seed=0)
+        with pytest.raises(CollapseError, match="no code unit was active in epoch 0 at learning rate 0.001"):
+            train(model, tiny_dataset(rng, n=8), config)
 
     def test_empty_dataset_raises(self):
         model = identity_center_model()

@@ -318,6 +318,24 @@ class TestExitCodes:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_collapsed_training_is_numerical_error(self, tmp_path, capsys):
+        # the README desk set at a learning rate 200x the README's: after
+        # epoch 0 the decoder's pre-activation is negative on every sample,
+        # so every gradient is zero and the loss sits at 0.5 sum(x^2) / n
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("seed = 7\n")
+        assert dispatch(["gen-synthetic", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+        config = tmp_path / "c.cfg"
+        config.write_text("filters = 16\nepochs = 6\nbatch_size = 4\nlearning_rate = 1e-2\n")
+        out = tmp_path / "m.zten"
+        capsys.readouterr()
+        code = dispatch(["train-cae", "--train", str(tmp_path / "data" / "train.json"), "--out", str(out),
+                         "--config", str(config)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: no reconstruction unit was active in epoch 1 at learning rate 0.01; reduce the learning rate")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, geometry", [
         pytest.param("train-cae", "stride = 2\n", id="stride = 2\n"),
         pytest.param("train-cae", "pad = 0\n", id="pad = 0\n"),

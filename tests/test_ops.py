@@ -20,7 +20,6 @@ from zbcae.ops import (
     flip180,
     im2col,
     maxpool2,
-    relu,
     tied_decoder_weights,
 )
 
@@ -398,25 +397,6 @@ class TestTiedDecoderWeights:
     def test_rejects_non_4d(self):
         with pytest.raises(ShapeError):
             tied_decoder_weights(np.zeros(5))
-
-
-class TestRelu:
-    def test_definition(self):
-        npt.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), np.array([0.0, 0.0, 2.0]))
-
-    def test_fixed_point_on_nonnegative(self):
-        x = np.abs(np.random.default_rng(31).normal(size=(2, 3, 3)))
-        npt.assert_array_equal(relu(x), x)
-
-    def test_saturates_negative(self):
-        x = -np.abs(np.random.default_rng(37).normal(size=(4,))) - 0.1
-        npt.assert_array_equal(relu(x), np.zeros(4))
-
-    def test_idempotent_and_nonnegative(self):
-        x = np.random.default_rng(41).normal(size=(3, 4, 4))
-        r = relu(x)
-        assert (r >= 0).all()
-        npt.assert_array_equal(relu(r), r)
 
 
 class TestMaxpool2:
