@@ -17,14 +17,13 @@ A training step runs in one step workspace (:class:`_Workspace`) that
 size, and calls the unchecked kernels of :mod:`zbcae.ops` on views of it
 built once per chunk size; the public ops check their arguments, call the
 same kernels and return fresh arrays.  A warm step allocates nothing the
-size of an input map but the small step's bincount result.  A batch of one
-chunk in :func:`train` moves W_e inside its step, one block of filter rows
-at a time, with no weight-gradient bank (:func:`_fused_update`); a batch of
-several chunks, :func:`loss_gradients` and :func:`reconstruction_loss` sum
-the chunks' gradient in a bank (:func:`_chunk_forward_backward`).  Three
-byte budgets size it all: the training chunk, the filter block and one
-scratch budget for the temporaries formed next to it (an extraction chunk,
-a col2im index, an SGD row block).
+size of an input map but the small step's bincount result.  One backward
+pass (:func:`_backward`) hands each block of filter rows' weight terms to
+a sink: a batch of one chunk in :func:`train` moves W_e with them, with no
+weight-gradient bank; a batch of several chunks and :func:`loss_gradients`
+add them into a bank.  Three byte budgets size it all: the training chunk,
+the filter block and one scratch budget for the temporaries formed next to
+it (an extraction chunk, a col2im index, an SGD row block).
 
 Two bias regimes are supported.  ``train-then-zero`` (default) lets the
 biases learn during reconstruction training and pins them to zero only for
@@ -213,8 +212,8 @@ def chunk_size(model: CaeModel, sample_shape: tuple, budget_bytes: int) -> int:
 
 # Working-set budget of one training chunk.  At the paper geometry (K=4096,
 # 14x14 maps) a chunk is ten samples: a batch of 8 runs as one GEMM per layer.
-# A step holds one chunk's workspace beside the bank; a batch of several
-# chunks adds one gradient bank, so batch 512 needs no more than batch 11.
+# A step holds one chunk's workspace; a batch of several chunks adds one
+# gradient bank, so batch 512 needs no more than batch 11.
 TRAIN_CHUNK_BYTES = 64 * 2**20
 
 
@@ -255,8 +254,8 @@ class _ChunkViews:
     samples, N = b * H * W: the padded buffer's interior and patch view
     (:func:`zbcae.ops._im2col_views`), the code as a (K, N) matrix and as
     (B, K, H, W) maps, the column and cols(x) buffers as (C*kh*kw, N) and
-    6-D patch matrices, the column buffer's head as the (B, C, H, W)
-    residual (C*kh*kw >= C), and the mask buffer as (K, ceil(N / 8)) bits."""
+    6-D patch matrices, and the column buffer's head as the (B, C, H, W)
+    residual (C*kh*kw >= C)."""
 
     def __init__(self, ws: "_Workspace", b: int):
         k, rows, (c, h, w), (kh, kw) = ws.k, ws.rows, ws.sample_shape, ws.kernel
@@ -269,7 +268,6 @@ class _ChunkViews:
         self.cols, self.cols_x = (m[: rows * n].reshape(rows, n) for m in (ws.cols, ws.cols_x))
         self.cols6, self.cols_x6 = (m.reshape(self.patches.shape) for m in (self.cols, self.cols_x))
         self.residual = ws.cols[: b * c * h * w].reshape(self.shape)
-        self.mask = ws.mask[: k * -(-n // 8)].reshape(k, -1)
 
 
 class _Workspace:
@@ -279,8 +277,7 @@ class _Workspace:
     a zero-padded input buffer, whose border nothing writes; a code buffer
     (K x N); a column buffer (C*kh*kw x N), whose head holds the residual
     between the decoder's fold and cols(dG); a cols(x) buffer, a second
-    column buffer when ``small``, else the column buffer, refilled; a mask
-    buffer of K x ceil(N / 8) bytes for the code's packed ReLU mask;
+    column buffer when ``small``, else the column buffer, refilled;
     ``blocks``, (rows, dec, enc) per block of filter rows, views of a
     filter-block buffer (:data:`_FILTER_BLOCK_BYTES`) and of a second one
     when ``small``; ``dw``, the gradient bank, made only by a step that sums
@@ -306,7 +303,6 @@ class _Workspace:
         self.padded = np.zeros(most * c * (h + kh - 1) * (w + kw - 1))
         self.code = np.empty(k * n)
         self.cols = np.empty(self.rows * n)
-        self.mask = np.empty(k * -(-n // 8), dtype=np.uint8)
         self.small = 8 * self.rows * n <= _SCRATCH_BYTES
         self.cols_x = np.empty(self.rows * n) if self.small else self.cols
         dec = np.empty(min(k, _block_rows(model.w_e, _FILTER_BLOCK_BYTES)) * self.rows)
@@ -322,12 +318,16 @@ class _Workspace:
         """The weight-gradient bank, (K, C*kh*kw)."""
         return np.empty((self.k, self.rows))
 
+    def add(self, rows: slice, *terms: np.ndarray):
+        """The bank's sink for :func:`_backward`: each term in turn, (total + dec) + enc."""
+        for term in terms:
+            self.dw[rows] += term
+
     def views(self, b: int) -> _ChunkViews:
         """The buffers viewed for a chunk of ``b`` samples."""
-        views = self._views.get(b)
-        if views is None:
-            views = self._views[b] = _ChunkViews(self, b)
-        return views
+        if b not in self._views:
+            self._views[b] = _ChunkViews(self, b)
+        return self._views[b]
 
 
 def _check_bias_mode(bias_mode: str):
@@ -354,13 +354,15 @@ def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray, w
     return v, g
 
 
-def _chunk_loss(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray, ws: _Workspace):
+def _chunk_loss(model: CaeModel, x: np.ndarray, bias_mode: str, ws: _Workspace):
     """The forward pass (:func:`_forward`) and loss of a chunk: (views,
     loss, db_d), with z in the code buffer and cols(dG) in the column
     buffer.  The residual r = relu(g) - x goes into the column buffer's
     head, dead once g is folded; dG = r (g > 0) overwrites g, and r is
-    squared in place for the loss."""
-    v, g = _forward(model, x, b_e, b_d, ws)
+    squared in place for the loss.  ``bias_mode`` is one of
+    :data:`BIAS_MODES`; callers check it."""
+    biases = (model.b_e, model.b_d) if bias_mode == BIAS_TRAIN_THEN_ZERO else ws.zero_biases
+    v, g = _forward(model, x, *biases, ws)
     r = np.maximum(g, 0.0, out=v.residual)
     r -= x
     live = g > 0.0
@@ -373,44 +375,14 @@ def _chunk_loss(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray
     return v, loss, db_d
 
 
-def _chunk_forward_backward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray,
-                            first: bool, ws: _Workspace):
-    """:func:`_chunk_loss` and a backward pass that writes (``first``) or
-    adds the chunk's weight terms into the bank a block of filter rows at a
-    time: the decoder's dG-cols z^T, then the encoder's da cols(x)^T.  The
-    input gradient conv(dG, W) overwrites z once z's ReLU mask is packed
-    into bits; times the unpacked 0/1 mask (so a -0.0 stays -0.0, as with a
-    bool mask) it is da.  Returns (loss, db_e, db_d)."""
-    v, loss, db_d = _chunk_loss(model, x, b_e, b_d, ws)
-    for rows, _, block in ws.blocks:
-        if first:
-            _conv2d_weight_grad(v.code[rows], v.cols, ws.dw[rows])
-        else:
-            ws.dw[rows] += _conv2d_weight_grad(v.code[rows], v.cols, block)
-        v.mask[rows] = np.packbits(v.code[rows] > 0.0, axis=1)  # z > 0 exactly where its pre-activation is
-    ws.active[0] += np.bitwise_count(v.mask).sum()
-    # One whole-bank GEMM: blocks of W's rows change its bits at N = 4 (mod 8).
-    # Its zero bias turns -0.0 into 0.0, as conv2d with a zero bias does.
-    _conv2d(model.w_e.reshape(ws.k, ws.rows), v.cols, ws.zero_biases[0], v.code)
-    if not ws.small:
-        _im2col(x, v.interior, v.patches, v.cols_x6)
-    for rows, _, block in ws.blocks:
-        v.code[rows] *= np.unpackbits(v.mask[rows], axis=1, count=v.code.shape[1])
-        ws.dw[rows] += _conv2d_weight_grad(v.code[rows], v.cols_x, block)
-    return loss, conv2d_bias_grad(v.code_maps), db_d
-
-
-def _fused_update(model: CaeModel, x: np.ndarray, v: _ChunkViews, ws: _Workspace, lr: float) -> np.ndarray:
-    """Move W_e by -lr dW for the chunk ``x`` whose :func:`_chunk_loss` is
-    in ``v``, one block of filter rows at a time, with no gradient bank
-    (LOMO's fused update, Lv et al., arXiv:2306.09782); returns db_e.
-
-    A block's terms need only its rows of W: its decoder term, then its da
-    from the old rows over the code it overwrites, times its bool ReLU mask.
-    A small step holds cols(x), so a block moves once, by lr (dec + enc):
-    the bits of :func:`sgd_step` where the bank is one block (desk).  Any
-    other moves each block by lr dec, refills cols(x), then by lr enc.
-    """
+def _backward(model: CaeModel, x: np.ndarray, v: _ChunkViews, ws: _Workspace, sink) -> np.ndarray:
+    """The backward pass of the chunk ``x`` whose :func:`_chunk_loss` is in
+    ``v``, a block of filter rows at a time; returns db_e.  A block forms its
+    decoder term dG-cols z^T, then its da from its rows of W over the code
+    it overwrites, times its bool ReLU mask, and then calls ``sink(rows,
+    dec, enc)`` with its encoder term da cols(x)^T where the step is small
+    (holds cols(x)).  Any other calls ``sink(rows, dec)``, refills cols(x),
+    then calls ``sink(rows, enc)`` per block."""
     w = model.w_e.reshape(ws.k, ws.rows)
     for rows, dec, enc in ws.blocks:
         _conv2d_weight_grad(v.code[rows], v.cols, dec)
@@ -418,47 +390,57 @@ def _fused_update(model: CaeModel, x: np.ndarray, v: _ChunkViews, ws: _Workspace
         ws.active[0] += np.count_nonzero(mask)
         _conv2d(w[rows], v.cols, ws.zero_biases[0][rows], v.code[rows])
         v.code[rows] *= mask
-        if ws.small:
-            dec += _conv2d_weight_grad(v.code[rows], v.cols_x, enc)
-        dec *= lr
-        w[rows] -= dec
+        sink(rows, dec, *((_conv2d_weight_grad(v.code[rows], v.cols_x, enc),) if ws.small else ()))
     if not ws.small:
         _im2col(x, v.interior, v.patches, v.cols_x6)
         for rows, _, enc in ws.blocks:
-            w[rows] -= np.multiply(_conv2d_weight_grad(v.code[rows], v.cols_x, enc), lr, out=enc)
+            sink(rows, _conv2d_weight_grad(v.code[rows], v.cols_x, enc))
     return conv2d_bias_grad(v.code_maps)
 
 
-def _forward_backward(model: CaeModel, x: np.ndarray, bias_mode: str,
-                      ws: _Workspace) -> tuple[float, CaeGradients]:
-    """(loss, gradients) of a (B, C, H, W) batch, in workspace ``ws``,
-    summed over its chunks into the workspace's weight-gradient bank.
+def _sgd_sink(w: np.ndarray, lr: float):
+    """The training step's sink for :func:`_backward`: moves the rows of the
+    (K, C*kh*kw) bank ``w`` by -lr times their terms, with no gradient bank
+    (LOMO's fused update, Lv et al., arXiv:2306.09782).  A small step's two
+    terms are summed first: :func:`sgd_step`'s bits where the bank is one
+    block (desk).  Other steps move rows by lr dec, then by lr enc."""
+
+    def move(rows, term, *enc):
+        for other in enc:
+            term += other
+        term *= lr
+        w[rows] -= term
+
+    return move
+
+
+def _forward_backward(model: CaeModel, x: np.ndarray, bias_mode: str, ws: _Workspace) -> tuple[float, CaeGradients]:
+    """(loss, gradients) of a (B, C, H, W) batch in workspace ``ws``, summed
+    over its chunks into the gradient bank (:meth:`_Workspace.add`).
     ``bias_mode`` is one of :data:`BIAS_MODES`; callers check it."""
-    train_biases = bias_mode == BIAS_TRAIN_THEN_ZERO
-    b_e, b_d = (model.b_e, model.b_d) if train_biases else ws.zero_biases
+    ws.dw.fill(0.0)
     total = None
     for start in range(0, len(x), ws.chunk):
-        part = _chunk_forward_backward(model, x[start : start + ws.chunk], b_e, b_d, total is None, ws)
+        chunk = x[start : start + ws.chunk]
+        v, loss, db_d = _chunk_loss(model, chunk, bias_mode, ws)
+        part = (loss, _backward(model, chunk, v, ws, ws.add), db_d)
         total = part if total is None else tuple(a + b for a, b in zip(total, part))
     loss, db_e, db_d = total
-    if not train_biases:
+    if bias_mode != BIAS_TRAIN_THEN_ZERO:
         db_e, db_d = ws.zero_biases
     return loss, CaeGradients(ws.dw.reshape(model.w_e.shape), db_e, db_d)
 
 
-def _batch_step(model: CaeModel, batch, bias_mode: str) -> tuple[float, CaeGradients]:
-    """(loss, gradients) of one checked batch, in a workspace of its own."""
-    x = _as_batch(model, batch)
-    _check_bias_mode(bias_mode)
-    return _forward_backward(model, x, bias_mode, _Workspace(model, x.shape[1:], len(x)))
-
-
 def reconstruction_loss(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO) -> float:
     """Half the summed squared reconstruction error over the batch: the
-    training step's own loss.  In always-zero mode both biases are pinned
-    to zero, as in the gradients of that mode.
+    training step's own loss, from its forward pass alone.  In always-zero
+    mode both biases are pinned to zero, as in the gradients of that mode.
     """
-    return _batch_step(model, batch, bias_mode)[0]
+    x = _as_batch(model, batch)
+    _check_bias_mode(bias_mode)
+    ws = _Workspace(model, x.shape[1:], len(x))
+    return sum(_chunk_loss(model, x[start : start + ws.chunk], bias_mode, ws)[1]
+               for start in range(0, len(x), ws.chunk))
 
 
 def loss_gradients(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO) -> CaeGradients:
@@ -469,7 +451,9 @@ def loss_gradients(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO
     exactly 0.  In always-zero mode the bias gradients are zero and the
     forward pass treats both biases as the constant 0.
     """
-    return _batch_step(model, batch, bias_mode)[1]
+    x = _as_batch(model, batch)
+    _check_bias_mode(bias_mode)
+    return _forward_backward(model, x, bias_mode, _Workspace(model, x.shape[1:], len(x)))[1]
 
 
 def sgd_step(model: CaeModel, grads: CaeGradients, lr: float) -> CaeModel:
@@ -493,23 +477,23 @@ def sgd_step(model: CaeModel, grads: CaeGradients, lr: float) -> CaeModel:
 
 def _train_step(model: CaeModel, x: np.ndarray, bias_mode: str, lr: float, ws: _Workspace, where: str) -> float:
     """One SGD step at ``lr`` on a (B, C, H, W) batch in ``ws``; returns its
-    loss.  A batch of one chunk moves W_e in the step (:func:`_fused_update`),
-    one of several sums its gradient in the bank for :func:`sgd_step`.  A
-    non-finite loss raises NonFiniteLossError naming ``where`` first."""
-    train_biases = bias_mode == BIAS_TRAIN_THEN_ZERO
+    loss.  A batch of one chunk moves W_e in its backward pass
+    (:func:`_sgd_sink`), one of several sums its gradient in the bank for
+    :func:`sgd_step`.  A non-finite loss raises NonFiniteLossError naming
+    ``where`` first."""
     if len(x) > ws.chunk:
         loss, grads = _forward_backward(model, x, bias_mode, ws)
     else:
-        v, loss, db_d = _chunk_loss(model, x, *((model.b_e, model.b_d) if train_biases else ws.zero_biases), ws)
+        v, loss, db_d = _chunk_loss(model, x, bias_mode, ws)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"non-finite reconstruction loss at {where}; reduce the learning rate")
     if len(x) > ws.chunk:
         sgd_step(model, grads, lr)
-    elif train_biases:
-        model.b_e -= lr * _fused_update(model, x, v, ws, lr)
+        return loss
+    db_e = _backward(model, x, v, ws, _sgd_sink(model.w_e.reshape(ws.k, ws.rows), lr))
+    if bias_mode == BIAS_TRAIN_THEN_ZERO:
+        model.b_e -= lr * db_e
         model.b_d -= lr * db_d
-    else:
-        _fused_update(model, x, v, ws, lr)
     return loss
 
 

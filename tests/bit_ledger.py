@@ -10,11 +10,15 @@ these geometries give other bits at two BLAS threads.  The entries:
   short :func:`zbcae.cae.train` (8 samples, batch 4, 3 epochs);
 - ``<geometry>/<bias mode>/loss_gradients``: ``reconstruction_loss`` and
   ``loss_gradients`` of the first 4 samples;
-- ``desk/run-all``: the README desk ``run-all`` report.
+- ``desk/run-all``: the README desk ``run-all`` report;
+- ``gradcheck/seed-0``: the output of ``gradcheck --seed 0``.
 
 Geometries: ``desk`` (K=16, 12x6x6, batch 4: a small step),
-``one-chunk`` (K=64, C=32, 14x14, batch 4: a batch of one chunk) and
-``chunks`` (the same, with ``TRAIN_CHUNK_BYTES`` cut to chunks of 2).
+``one-chunk`` (K=64, C=32, 14x14, batch 4: a batch of one chunk),
+``chunks`` (the same, with ``TRAIN_CHUNK_BYTES`` cut to chunks of 2) and
+``blocks`` (the same in chunks of one sample, N = 196 = 4 (mod 8), with
+``_FILTER_BLOCK_BYTES`` cut to blocks of 24 filter rows, where a block's
+da GEMM rounds otherwise than the whole bank's).
 
 The file is keyed by the numpy version and the OpenBLAS version and core
 (:func:`stack_key`), since another BLAS build or core may round otherwise;
@@ -25,6 +29,7 @@ that moves bits regenerates the file and says which entries moved and why.
 import ctypes
 import glob
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -35,11 +40,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LEDGER = Path(__file__).with_suffix(".json")
 
-# (K, C, extent, TRAIN_CHUNK_BYTES or None) of each geometry; every batch is 4 samples
+# (K, C, extent, TRAIN_CHUNK_BYTES or None, filter rows per block or None)
+# of each geometry; every batch is 4 samples
 GEOMETRIES = {
-    "desk": (16, 12, 6, None),
-    "one-chunk": (64, 32, 14, None),
-    "chunks": (64, 32, 14, 2 * 8 * 14 * 14 * 32 * 9),
+    "desk": (16, 12, 6, None, None),
+    "one-chunk": (64, 32, 14, None, None),
+    "chunks": (64, 32, 14, 2 * 8 * 14 * 14 * 32 * 9, None),
+    "blocks": (64, 32, 14, 8 * 14 * 14 * 32 * 9, 24),
 }
 
 SPEC = "n_classes = 3\nsamples_per_class = 40\nchannels = 12\nheight = 6\nwidth = 6\nmu = 2.0\nsigma = 1.0\nseed = 7\n"
@@ -75,9 +82,10 @@ def _step_entries() -> dict:
     import numpy as np
     from zbcae import cae
 
-    entries, default_chunk_bytes = {}, cae.TRAIN_CHUNK_BYTES
-    for name, (k, c, extent, chunk_bytes) in GEOMETRIES.items():
+    entries, default_chunk_bytes, default_block_bytes = {}, cae.TRAIN_CHUNK_BYTES, cae._FILTER_BLOCK_BYTES
+    for name, (k, c, extent, chunk_bytes, block_rows) in GEOMETRIES.items():
         cae.TRAIN_CHUNK_BYTES = chunk_bytes or default_chunk_bytes
+        cae._FILTER_BLOCK_BYTES = block_rows * c * 3 * 3 * 8 if block_rows else default_block_bytes
         rng = np.random.default_rng(k + c)
         data = np.maximum(rng.normal(0.2, 1.0, size=(8, c, extent, extent)), 0.0)
         for mode in cae.BIAS_MODES:
@@ -92,7 +100,7 @@ def _step_entries() -> dict:
     return entries
 
 
-def _report_entry() -> dict:
+def _cli_entries() -> dict:
     from zbcae.cli import dispatch
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -100,19 +108,22 @@ def _report_entry() -> dict:
         (tmp / "spec.cfg").write_text(SPEC, encoding="utf-8")
         (tmp / "desk.cfg").write_text(DESK_CONFIG, encoding="utf-8")
         report = tmp / "report.json"
-        quiet = open(os.devnull, "w", encoding="utf-8")
+        quiet, gradcheck = open(os.devnull, "w", encoding="utf-8"), io.StringIO()
         out, err, sys.stdout, sys.stderr = sys.stdout, sys.stderr, quiet, quiet
         try:
             codes = [dispatch(["gen-synthetic", "--spec", str(tmp / "spec.cfg"), "--out", str(tmp / "data")]),
                      dispatch(["run-all", "--train", str(tmp / "data/train.json"), "--test",
                                str(tmp / "data/test.json"), "--config", str(tmp / "desk.cfg"),
                                "--report", str(report)])]
+            sys.stdout = gradcheck
+            codes.append(dispatch(["gradcheck", "--seed", "0"]))
         finally:
             sys.stdout, sys.stderr = out, err
             quiet.close()
-        if codes != [0, 0]:
-            raise SystemExit(f"the desk run-all exited {codes}")
-        return {"desk/run-all": hashlib.sha256(report.read_bytes()).hexdigest()}
+        if codes != [0, 0, 0]:
+            raise SystemExit(f"gen-synthetic, the desk run-all and gradcheck exited {codes}")
+        return {"desk/run-all": hashlib.sha256(report.read_bytes()).hexdigest(),
+                "gradcheck/seed-0": hashlib.sha256(gradcheck.getvalue().encode()).hexdigest()}
 
 
 def _child(part: str) -> None:
@@ -120,7 +131,7 @@ def _child(part: str) -> None:
     sys.path.insert(0, str(ROOT / "src"))
     import zbcae.cli  # noqa: F401  (sets the BLAS thread variables before numpy loads)
 
-    entries = _step_entries() if part == "steps" else _report_entry()
+    entries = _step_entries() if part == "steps" else _cli_entries()
     print(json.dumps({"key": stack_key(), "entries": entries}))
 
 
@@ -130,7 +141,7 @@ def digests() -> tuple[str, dict]:
     env = {**os.environ, "ZBCAE_THREADS": "1"}
     children = [subprocess.Popen([sys.executable, __file__, "--child", part], env=env, cwd=ROOT,
                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-                for part in ("steps", "report")]
+                for part in ("steps", "cli")]
     key, entries = None, {}
     for child in children:
         out, err = child.communicate(timeout=300)

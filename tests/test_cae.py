@@ -396,14 +396,16 @@ def chunk_terms_reference(model, x, b_e, b_d):
     """The chunk step's terms from ops calls alone, with fresh arrays
     throughout and the decoder as the transposed convolution: (loss, dec,
     enc, db_e, db_d), with the decoder's and the encoder's weight terms
-    formed as whole banks."""
-    k, _, kh, kw = model.w_e.shape
+    formed as whole banks and da per block of filter rows, as the step
+    forms it (a block's GEMM rounds otherwise at N = 4 (mod 8))."""
+    _, _, kh, kw = model.w_e.shape
     z = np.maximum(conv2d(x, model.w_e, b_e), 0.0)
     g = conv2d_input_grad(z, model.w_e) + b_d[:, None, None]
     r = np.maximum(g, 0.0) - x
     loss = 0.5 * float((r * r).sum())
     dg = r * (g > 0.0)
-    da = conv2d(dg, model.w_e, np.zeros(k))
+    blocks = [model.w_e[rows] for rows in cae._filter_blocks(model.w_e, cae._FILTER_BLOCK_BYTES)]
+    da = np.concatenate([conv2d(dg, w, np.zeros(len(w))) for w in blocks], axis=1)
     da *= z > 0.0
     return loss, conv2d_weight_grad(dg, z, kh, kw), conv2d_weight_grad(x, da, kh, kw), conv2d_bias_grad(da), \
         conv2d_bias_grad(dg)
@@ -639,11 +641,11 @@ class TestStepAllocations:
     def test_warm_step_allocates_less_than_one_input_map(self, k, c, b):
         # numpy reports its buffers to tracemalloc.  Where the step is not
         # small, the residual goes into the column buffer, the decoder's
-        # output gradient into g (the padded buffer's interior) and the
-        # code's ReLU mask into packed bits, so what a warm step still
-        # allocates (bool masks of one map or one filter block, the bias
-        # gradients) stays under one input-sized map (200,704 and 802,816
-        # bytes here).
+        # output gradient into g (the padded buffer's interior) and da
+        # overwrites the code one filter block at a time, so what a warm
+        # step still allocates (bool masks of one map or one filter block,
+        # the bias gradients) stays under one input-sized map (200,704 and
+        # 802,816 bytes here).
         rng = np.random.default_rng(170)
         model = random_model(rng, k=k, c=c)
         x = np.maximum(rng.normal(0.2, 1.0, size=(b, c, 14, 14)), 0.0)
@@ -664,11 +666,11 @@ class TestFusedStep:
     filter rows at a time, with no weight-gradient bank."""
 
     @staticmethod
-    def one_chunk(seed):
-        # K=64, C=32, 14x14 maps, batch 4: one chunk, and not small
+    def one_chunk(seed, b=4):
+        # K=64, C=32, 14x14 maps, batch 4 (or b): one chunk, and not small
         rng = np.random.default_rng(seed)
         model = random_model(rng, k=64, c=32)
-        x = np.maximum(rng.normal(0.2, 1.0, size=(4, 32, 14, 14)), 0.0)
+        x = np.maximum(rng.normal(0.2, 1.0, size=(b, 32, 14, 14)), 0.0)
         ws = workspace(model, x)
         assert not ws.small and len(x) <= ws.chunk
         return model, x, ws
@@ -706,10 +708,13 @@ class TestFusedStep:
         assert ("dw" in vars(built[0])) == chunked
 
     @pytest.mark.parametrize("bias_mode", [BIAS_TRAIN_THEN_ZERO, BIAS_ALWAYS_ZERO])
-    @pytest.mark.parametrize("block_rows", [64, 24], ids=["one-block", "blocks-of-24"])
-    def test_matches_two_subtractions_from_reference_ops(self, monkeypatch, bias_mode, block_rows):
-        # N = 784 = 0 (mod 8), where blocks of W's rows keep the da GEMM's bits
-        model, x, _ = self.one_chunk(173)
+    @pytest.mark.parametrize("block_rows, b", [(64, 4), (24, 4), (24, 1)],
+                             ids=["one-block", "blocks-of-24", "blocks-of-24-N-4-mod-8"])
+    def test_matches_two_subtractions_from_reference_ops(self, monkeypatch, bias_mode, block_rows, b):
+        # N = 784 = 0 (mod 8), where blocks of W's rows keep the da GEMM's
+        # bits, and N = 196 = 4 (mod 8), where they do not: the reference
+        # forms da per block too
+        model, x, _ = self.one_chunk(173, b)
         monkeypatch.setattr(cae, "_FILTER_BLOCK_BYTES", block_rows * model.w_e[0].nbytes)
         expected = copy.deepcopy(model)
         loss = reconstruction_loss(model, x, bias_mode)
@@ -831,12 +836,12 @@ class TestTrain:
 
     @pytest.mark.parametrize("n,batch_size", [(5, 4), (8, 8), (7, 2)])
     def test_one_sgd_step_per_batch(self, monkeypatch, n, batch_size):
-        # a batch of one chunk moves the model inside the step
-        # (_fused_update), a batch of several by sgd_step, here with chunks
-        # of one sample; each batch makes one such call, at the learning
-        # rate of its epoch, which anneals after epoch 1 here
+        # a batch of one chunk moves the model inside its backward pass
+        # (through _sgd_sink), a batch of several by sgd_step, here with
+        # chunks of one sample; each batch makes one such call, at the
+        # learning rate of its epoch, which anneals after epoch 1 here
         calls = []
-        for name in ("sgd_step", "_fused_update"):
+        for name in ("sgd_step", "_sgd_sink"):
             def spy(*args, name=name, real=getattr(cae, name)):
                 calls.append((name, args[-1]))
                 return real(*args)
@@ -851,7 +856,7 @@ class TestTrain:
             rng = np.random.default_rng(27)
             _, history = train(init_model(2, 2, 3, seed=2), tiny_dataset(rng, n=n), config)
             assert history.learning_rate == [1e-4, 1e-4, pytest.approx(1e-5)]
-            assert calls == [("sgd_step" if size > 1 and chunked else "_fused_update", lr)
+            assert calls == [("sgd_step" if size > 1 and chunked else "_sgd_sink", lr)
                              for lr in history.learning_rate for size in sizes]
 
     def test_one_workspace_per_train_call(self, monkeypatch):
