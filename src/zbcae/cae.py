@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CollapseError, NonFiniteLossError, ShapeError, check_finite
+from .errors import CollapseError, NonFiniteLossError, ShapeError, check_fields
 from .ops import (
     _col2im,
     _conv2d,
@@ -103,35 +103,18 @@ class CaeTrainConfig:
     """SGD schedule.  Defaults are the reference operating point: 100
     epochs, batch 512, learning rate 1e-5, tenfold decay on plateau."""
 
-    epochs: int = 100
-    batch_size: int = 512
-    learning_rate: float = 1e-5
-    anneal_factor: float = 0.1
-    plateau_patience: int = 5
-    plateau_rel_tol: float = 1e-3
-    max_anneals: int = 3
-    bias_mode: str = BIAS_TRAIN_THEN_ZERO
-    seed: int = 0
+    epochs: int = field(default=100, metadata={">=": 0})
+    batch_size: int = field(default=512, metadata={">=": 1})
+    learning_rate: float = field(default=1e-5, metadata={">": 0})
+    anneal_factor: float = field(default=0.1, metadata={"in": (0, 1)})
+    plateau_patience: int = field(default=5, metadata={">=": 1})
+    plateau_rel_tol: float = field(default=1e-3, metadata={">": 0})
+    max_anneals: int = field(default=3, metadata={">=": 0})
+    bias_mode: str = field(default=BIAS_TRAIN_THEN_ZERO, metadata={"one of": BIAS_MODES})
+    seed: int = field(default=0, metadata={">=": 0})
 
     def __post_init__(self):
-        check_finite(self)
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 < self.anneal_factor < 1.0:
-            raise ValueError(f"anneal_factor must be in (0, 1), got {self.anneal_factor}")
-        if self.plateau_patience < 1:
-            raise ValueError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
-        if self.plateau_rel_tol <= 0:
-            raise ValueError(f"plateau_rel_tol must be > 0, got {self.plateau_rel_tol}")
-        if self.max_anneals < 0:
-            raise ValueError(f"max_anneals must be >= 0, got {self.max_anneals}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        _check_bias_mode(self.bias_mode)
+        check_fields(self)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .cae import CaeTrainConfig
 from .dataset import SyntheticSpec
-from .errors import ConfigError, ManifestError, NonFiniteValueError, read_number
+from .errors import ConfigError, ManifestError, NonFiniteValueError, check_fields, read_number
 from .svm import LbfgsConfig, SvmTrainConfig
 
 
@@ -55,8 +55,8 @@ class CliConfig:
     The geometry keys admit only the same-size convolution, the one at which
     the tied decoder's reconstruction lands on the input grid."""
 
-    filters: int = 4096
-    kernel: int = 3
+    filters: int = field(default=4096, metadata={">=": 1})
+    kernel: int = field(default=3, metadata={">=": 1})
     stride: int = 1
     pad: int | None = None  # (kernel - 1) // 2 when unset
     pool: int = 2
@@ -65,10 +65,9 @@ class CliConfig:
     svm: SvmTrainConfig = field(default_factory=SvmTrainConfig)
 
     def __post_init__(self):
+        check_fields(self, ConfigError)
         if self.pool != 2:
             raise ConfigError(f"pool must be 2 (the only supported window), got {self.pool}")
-        if self.filters < 1 or self.kernel < 1:
-            raise ConfigError("filters and kernel must be >= 1")
         if self.pad is None:
             self.pad = (self.kernel - 1) // 2
         if self.stride != 1 or self.kernel % 2 == 0 or 2 * self.pad != self.kernel - 1:

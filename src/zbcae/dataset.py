@@ -13,13 +13,12 @@ noise, rectified so inputs are non-negative like real post-ReLU maps.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ManifestError
+from .errors import ManifestError, check_fields
 from .tensorfile import load_tensors, save_tensors
 
 
@@ -117,30 +116,22 @@ class SyntheticSpec:
     generate a no-signal control set.
     """
 
-    n_classes: int = 3
-    samples_per_class: int = 40
-    channels: int = 12
-    height: int = 6
-    width: int = 6
-    mu: float = 2.0
-    sigma: float = 1.0
-    seed: int = 0
+    n_classes: int = field(default=3, metadata={">=": 1})
+    samples_per_class: int = field(default=40, metadata={">=": 1})
+    channels: int = field(default=12, metadata={">=": 1})
+    height: int = field(default=6, metadata={">=": 1})
+    width: int = field(default=6, metadata={">=": 1})
+    mu: float = field(default=2.0, metadata={">=": 0})
+    sigma: float = field(default=1.0, metadata={">": 0})
+    seed: int = field(default=0, metadata={">=": 0})
 
     def __post_init__(self):
-        for name in ("n_classes", "samples_per_class", "channels", "height", "width"):
-            if getattr(self, name) < 1:
-                raise ManifestError(f"synthetic spec field {name} must be >= 1, got {getattr(self, name)}")
+        check_fields(self, ManifestError)
         if self.n_classes > self.channels:
             raise ManifestError(
                 f"n_classes ({self.n_classes}) exceeds channels ({self.channels}): "
                 f"no channel block is available per class"
             )
-        if not (math.isfinite(self.mu) and self.mu >= 0):
-            raise ManifestError(f"mu must be finite and >= 0, got {self.mu}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ManifestError(f"sigma must be finite and > 0, got {self.sigma}")
-        if self.seed < 0:
-            raise ManifestError(f"seed must be >= 0, got {self.seed}")
 
 
 RECORD_NAME = "feature_map"

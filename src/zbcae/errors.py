@@ -1,18 +1,23 @@
 """Exception types shared across the package, :func:`read_number`, the
 one reader of numbers given as text (no numpy here: the CLI reads
-``ZBCAE_THREADS`` with it before numpy loads), and :func:`check_finite`,
-the run configs' first check.
+``ZBCAE_THREADS`` with it before numpy loads), and :func:`check_fields`,
+the one range check of the run settings' dataclasses, whose bounds their
+fields declare in their metadata.
 
 The CLI maps these onto exit codes: usage problems exit 1, data/format
 problems exit 2, numerical failures exit 3.
 """
 
 import math
+import operator
 import re
 from dataclasses import fields
 
 _NUMBER = {int: re.compile(r"[+-]?[0-9]+"), float: re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")}
 _NON_FINITE = re.compile(r"[+-]?(nan|inf|infinity)", re.IGNORECASE)
+# a field's metadata form -> whether its value lies within the bound
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "in": lambda value, b: b[0] < value < b[1],
+           "one of": lambda value, b: value in b}
 
 
 class ShapeError(ValueError):
@@ -76,10 +81,15 @@ def read_number(text: str, kind: type):
     raise NonFiniteValueError("must be finite")
 
 
-def check_finite(config) -> None:
-    """ValueError naming the first field of dataclass ``config`` that holds
-    a float nan or infinity."""
+def check_fields(config, error=ValueError) -> None:
+    """``error`` naming the first field of dataclass ``config`` that holds
+    a float nan or infinity, or a value outside the bound its metadata
+    declares: ``{">=": n}``, ``{">": n}``, the open interval
+    ``{"in": (lo, hi)}`` or ``{"one of": values}``."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+            raise error(f"{f.name} must be finite, got {value}")
+        for form, bound in f.metadata.items():
+            if not _BOUNDS[form](value, bound):
+                raise error(f"{f.name} must be {form} {bound}, got {value!r}")

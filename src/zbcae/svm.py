@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, check_finite
+from .errors import ShapeError, check_fields
 
 
 @dataclass
@@ -86,28 +86,16 @@ class SvmModel:
 
 @dataclass
 class LbfgsConfig:
-    memory: int = 10
-    initial_step: float = 0.1
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    max_iters: int = 500
-    grad_tol: float = 1e-6
-    rel_loss_tol: float = 1e-9
+    memory: int = field(default=10, metadata={">=": 1})
+    initial_step: float = field(default=0.1, metadata={">": 0})
+    armijo_c1: float = field(default=1e-4, metadata={"in": (0, 1)})
+    backtrack_factor: float = field(default=0.5, metadata={"in": (0, 1)})
+    max_iters: int = field(default=500, metadata={">=": 1})
+    grad_tol: float = field(default=1e-6, metadata={">": 0})
+    rel_loss_tol: float = field(default=1e-9, metadata={">": 0})
 
     def __post_init__(self):
-        check_finite(self)
-        if self.memory < 1:
-            raise ValueError(f"memory must be >= 1, got {self.memory}")
-        if self.initial_step <= 0:
-            raise ValueError(f"initial_step must be > 0, got {self.initial_step}")
-        if not 0.0 < self.armijo_c1 < 1.0:
-            raise ValueError(f"armijo_c1 must be in (0, 1), got {self.armijo_c1}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError(f"backtrack_factor must be in (0, 1), got {self.backtrack_factor}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_tol <= 0 or self.rel_loss_tol <= 0:
-            raise ValueError("grad_tol and rel_loss_tol must be > 0")
+        check_fields(self)
 
 
 @dataclass
@@ -116,7 +104,7 @@ class SvmTrainConfig:
     lbfgs: LbfgsConfig = field(default_factory=LbfgsConfig)
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.lam < 0:
             raise ValueError(f"regularization must be >= 0, got {self.lam}")
 
@@ -312,9 +300,9 @@ def lbfgs_minimize(objective, x0, config: LbfgsConfig | None = None, callback=No
 
 def _check_training_data(x, y, n_classes):
     """Validate ``train_svm``'s inputs once; returns (x, y) as float64 and
-    int64.  Malformed shapes, labels that are not class indices (negative,
-    fractional, non-finite or >= ``n_classes``) and non-finite features
-    raise ShapeError."""
+    int64.  Malformed shapes and labels that are not class indices
+    (negative, fractional, non-finite or >= ``n_classes``) raise ShapeError;
+    :func:`_principal_scores` checks the features."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if n_classes < 2:
@@ -327,10 +315,7 @@ def _check_training_data(x, y, n_classes):
         raise ShapeError(f"need at least {n_classes} samples, got {x.shape[0]}")
     if y.shape != (x.shape[0],):
         raise ShapeError(f"labels must have shape ({x.shape[0]},), got {y.shape}")
-    y = _class_indices(y, n_classes)
-    if not np.isfinite(x).all():
-        raise ShapeError("features contain non-finite values")
-    return x, y
+    return x, _class_indices(y, n_classes)
 
 
 def _principal_scores(x, mu):
@@ -339,15 +324,20 @@ def _principal_scores(x, mu):
     smaller Gram matrix formed without copying X: the n x n X X^T minus its
     column and row means when n <= D (P = U S), else the D x D
     X^T X - n mu mu^T (P = X V - 1 mu^T V).  Squared singular values below
-    n * eps * max are dropped as rounding."""
+    n * eps * max are dropped as rounding.  ShapeError when the Gram matrix
+    is not finite: X holds a non-finite value or its products overflow.
+    This is the features' one finiteness check, on at most n x n values."""
     n, d = x.shape
-    if n <= d:
-        gram = x @ x.T
-        gram -= gram.mean(axis=0)
-        gram -= gram.mean(axis=1)[:, None]
-    else:
-        gram = x.T @ x
-        gram -= n * np.outer(mu, mu)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite X gives a non-finite Gram matrix
+        if n <= d:
+            gram = x @ x.T
+            gram -= gram.mean(axis=0)
+            gram -= gram.mean(axis=1)[:, None]
+        else:
+            gram = x.T @ x
+            gram -= n * np.outer(mu, mu)
+    if not np.isfinite(gram).all():
+        raise ShapeError("features contain non-finite values, or their Gram matrix overflows")
     s2, basis = np.linalg.eigh(gram)
     # eigh sorts ascending, so the kept eigenpairs are a suffix
     first = np.searchsorted(s2, n * np.finfo(np.float64).eps * s2[-1], side="right")
@@ -377,7 +367,8 @@ def train_svm(x, y, n_classes, config: SvmTrainConfig | None = None, class_names
         class_names = [str(c) for c in range(n_classes)]
 
     n = x.shape[0]
-    mu = x.mean(axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):  # _principal_scores rejects what makes mu non-finite
+        mu = x.mean(axis=0)
     s2, pcs = _principal_scores(x, mu)
     if s2.size == 0:
         warnings.warn("centred features have rank 0: every feature is constant, so the classifier fits "

@@ -14,6 +14,8 @@ these geometries give other bits at two BLAS threads.  The entries:
 - ``gradcheck/seed-0``: the output of ``gradcheck --seed 0``.
 
 Geometries: ``desk`` (K=16, 12x6x6, batch 4: a small step),
+``desk-chunks`` (the same with ``TRAIN_CHUNK_BYTES`` cut to chunks of 2: a
+small step whose batch adds several chunks into the gradient bank),
 ``one-chunk`` (K=64, C=32, 14x14, batch 4: a batch of one chunk),
 ``chunks`` (the same, with ``TRAIN_CHUNK_BYTES`` cut to chunks of 2) and
 ``blocks`` (the same in chunks of one sample, N = 196 = 4 (mod 8), with
@@ -44,6 +46,7 @@ LEDGER = Path(__file__).with_suffix(".json")
 # of each geometry; every batch is 4 samples
 GEOMETRIES = {
     "desk": (16, 12, 6, None, None),
+    "desk-chunks": (16, 12, 6, 2 * 8 * 6 * 6 * 12 * 9, None),
     "one-chunk": (64, 32, 14, None, None),
     "chunks": (64, 32, 14, 2 * 8 * 14 * 14 * 32 * 9, None),
     "blocks": (64, 32, 14, 8 * 14 * 14 * 32 * 9, 24),

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zbcae.cae import CaeTrainConfig
+from zbcae.cae import BIAS_ALWAYS_ZERO, CaeTrainConfig
 from zbcae.cli import dispatch
 from zbcae.config import CliConfig, parse_config_file, resolve_config
-from zbcae.errors import ConfigError
+from zbcae.dataset import SyntheticSpec
+from zbcae.errors import ConfigError, ManifestError
 from zbcae.svm import LbfgsConfig, SvmTrainConfig
 from test_dataset import MALFORMED_MANIFESTS, write_manifest
 
@@ -40,6 +41,44 @@ seed = 0
 FLOAT_KEYS = sorted(k for k, v in CliConfig().echo().items() if isinstance(v, float))
 FLOAT_FIELDS = [(cls, f.name) for cls in (CaeTrainConfig, SvmTrainConfig, LbfgsConfig)
                 for f in fields(cls) if f.type == "float"]
+
+# (dataclass, field, the first value its bound rejects, the edge value it
+# accepts) for every bounded field; an open interval has a row per end
+TINY, BELOW_ONE = 5e-324, 1.0 - 2.0**-53
+BOUNDS = [
+    (CaeTrainConfig, "epochs", -1, 0),
+    (CaeTrainConfig, "batch_size", 0, 1),
+    (CaeTrainConfig, "learning_rate", 0.0, TINY),
+    (CaeTrainConfig, "anneal_factor", 0.0, TINY),
+    (CaeTrainConfig, "anneal_factor", 1.0, BELOW_ONE),
+    (CaeTrainConfig, "plateau_patience", 0, 1),
+    (CaeTrainConfig, "plateau_rel_tol", 0.0, TINY),
+    (CaeTrainConfig, "max_anneals", -1, 0),
+    (CaeTrainConfig, "bias_mode", "sometimes", BIAS_ALWAYS_ZERO),
+    (CaeTrainConfig, "seed", -1, 0),
+    (LbfgsConfig, "memory", 0, 1),
+    (LbfgsConfig, "initial_step", 0.0, TINY),
+    (LbfgsConfig, "armijo_c1", 0.0, TINY),
+    (LbfgsConfig, "armijo_c1", 1.0, BELOW_ONE),
+    (LbfgsConfig, "backtrack_factor", 0.0, TINY),
+    (LbfgsConfig, "backtrack_factor", 1.0, BELOW_ONE),
+    (LbfgsConfig, "max_iters", 0, 1),
+    (LbfgsConfig, "grad_tol", 0.0, TINY),
+    (LbfgsConfig, "rel_loss_tol", 0.0, TINY),
+    (SvmTrainConfig, "lam", -TINY, 0.0),
+    (SyntheticSpec, "n_classes", 0, 1),
+    (SyntheticSpec, "samples_per_class", 0, 1),
+    (SyntheticSpec, "channels", 0, 1),
+    (SyntheticSpec, "height", 0, 1),
+    (SyntheticSpec, "width", 0, 1),
+    (SyntheticSpec, "mu", -TINY, 0.0),
+    (SyntheticSpec, "sigma", 0.0, TINY),
+    (SyntheticSpec, "seed", -1, 0),
+    (CliConfig, "filters", 0, 1),
+    (CliConfig, "kernel", 0, 1),
+]
+OWNER_ERROR = {CaeTrainConfig: ValueError, LbfgsConfig: ValueError, SvmTrainConfig: ValueError,
+               SyntheticSpec: ManifestError, CliConfig: ConfigError}
 
 
 def _cell_value(text):
@@ -156,6 +195,20 @@ class TestConfigFile:
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
                 cls(**{name: value})
+
+    @pytest.mark.parametrize("cls, name, rejected, accepted", BOUNDS,
+                             ids=[f"{c.__name__}.{n}={r!r}" for c, n, r, _ in BOUNDS])
+    def test_bound_rejects_with_the_owners_error_and_admits_its_edge(self, cls, name, rejected, accepted):
+        base = {"n_classes": 1} if cls is SyntheticSpec else {}  # so that channels = 1 holds a class block
+        with pytest.raises(OWNER_ERROR[cls]) as e:
+            cls(**{**base, name: rejected})
+        assert e.type is OWNER_ERROR[cls]
+        assert str(e.value).startswith(f"{'regularization' if name == 'lam' else name} must be ")
+        assert getattr(cls(**{**base, name: accepted}), name) == accepted
+
+    def test_bounds_table_covers_every_bounded_field(self):
+        bounded = {(cls, f.name) for cls in OWNER_ERROR for f in fields(cls) if f.metadata}
+        assert bounded | {(SvmTrainConfig, "lam")} == {(cls, name) for cls, name, _, _ in BOUNDS}
 
     def test_negative_seed_rejected(self, tmp_path):
         f = tmp_path / "c.cfg"
@@ -300,6 +353,19 @@ class TestExitCodes:
             argv = ["evaluate", "--svm", str(model), "--features", str(features), "--report", str(out)]
         assert dispatch(argv) == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_features_file_is_data_error_with_no_warning(self, tmp_path, capsys):
+        # finite features near 1e307 printed three RuntimeWarning lines and
+        # then numpy's "Eigenvalues did not converge"
+        from zbcae.pipeline import save_features_file
+
+        features, out = tmp_path / "features.zten", tmp_path / "svm.zten"
+        x = np.full((4, 6), 1e307) * np.array([[1.0], [-1.0], [1.0], [-1.0]])
+        save_features_file(features, x, [0.0, 1.0, 0.0, 1.0], ["a", "b"], {})
+        assert dispatch(["train-svm", "--features", str(features), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Gram matrix overflows" in err and "RuntimeWarning" not in err
         assert not out.exists()
 
     def test_non_finite_loss_is_numerical_error(self, synth_dir, tmp_path, capsys, monkeypatch):

@@ -451,6 +451,20 @@ class TestTrainSvm:
         with pytest.raises(ShapeError, match="non-finite"):
             train_svm(x, np.array([0, 1, 0, 1]), 2)
 
+    @pytest.mark.parametrize("case", ["n-by-n-overflow", "d-by-d-overflow", "inf-and-minus-inf"])
+    def test_features_whose_gram_matrix_is_not_finite_are_shape_error(self, case):
+        # finite features near 1e307 reached the eigendecomposition as an
+        # overflowed Gram matrix (numpy's LinAlgError, after RuntimeWarnings);
+        # +inf and -inf in one column make the feature mean warn.  No
+        # RuntimeWarning may escape: the suite turns one into an error
+        n, d = (4, 6) if case == "n-by-n-overflow" else (6, 2)
+        x = np.full((n, d), 1e307) * np.resize([1.0, -1.0], n)[:, None]
+        if case == "inf-and-minus-inf":
+            x = np.arange(12.0).reshape(6, 2)
+            x[1, 1], x[2, 1] = np.inf, -np.inf
+        with pytest.raises(ShapeError, match="non-finite values, or their Gram matrix overflows"):
+            train_svm(x, np.resize([0, 1], n), 2)
+
     @pytest.mark.parametrize("value", [0.0, 3.0])
     def test_constant_features_fit_the_biases_alone(self, value):
         # the centred features are zero, so no coordinate is kept and only
