@@ -21,9 +21,10 @@ size of an input map but the small step's bincount result.  One backward
 pass (:func:`_backward`) hands each block of filter rows' weight terms to
 a sink: a batch of one chunk in :func:`train` moves W_e with them, with no
 weight-gradient bank; a batch of several chunks and :func:`loss_gradients`
-add them into a bank.  Three byte budgets size it all: the training chunk,
+add them into a bank, which a batch in :func:`train` then drains through
+the same SGD sink.  Three byte budgets size it all: the training chunk,
 the filter block and one scratch budget for the temporaries formed next to
-it (an extraction chunk, a col2im index, an SGD row block).
+it (an extraction chunk, a col2im index).
 
 Two bias regimes are supported.  ``train-then-zero`` (default) lets the
 biases learn during reconstruction training and pins them to zero only for
@@ -212,8 +213,7 @@ _FILTER_BLOCK_BYTES = 4 * 2**20
 # adds to: an extraction chunk (larger ones raise desk's peak RSS for no
 # measurable speed; at K=4096 over 14x14 maps a chunk is one sample); a
 # chunk's col2im index, whose fit makes the step small (``_Workspace.small``;
-# desk: 124 KB for 4 samples, paper: 29 MB for 8); a row block of the SGD
-# update's ``lr * dW``, elementwise, so of the same bits at any block size.
+# desk: 124 KB for 4 samples, paper: 29 MB for 8).
 _SCRATCH_BYTES = 2**18
 
 
@@ -313,11 +313,6 @@ class _Workspace:
         return self._views[b]
 
 
-def _check_bias_mode(bias_mode: str):
-    if bias_mode not in BIAS_MODES:
-        raise ValueError(f"bias_mode must be one of {BIAS_MODES}, got {bias_mode!r}")
-
-
 def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray, ws: _Workspace):
     """The batched forward pass over a (B, C, H, W) chunk in ``ws``:
     (views, g), the chunk's :class:`_ChunkViews`, whose code buffer holds
@@ -371,7 +366,7 @@ def _backward(model: CaeModel, x: np.ndarray, v: _ChunkViews, ws: _Workspace, si
         _conv2d_weight_grad(v.code[rows], v.cols, dec)
         mask = v.code[rows] > 0.0
         ws.active[0] += np.count_nonzero(mask)
-        _conv2d(w[rows], v.cols, ws.zero_biases[0][rows], v.code[rows])
+        np.matmul(w[rows], v.cols, out=v.code[rows])
         v.code[rows] *= mask
         sink(rows, dec, *((_conv2d_weight_grad(v.code[rows], v.cols_x, enc),) if ws.small else ()))
     if not ws.small:
@@ -382,11 +377,12 @@ def _backward(model: CaeModel, x: np.ndarray, v: _ChunkViews, ws: _Workspace, si
 
 
 def _sgd_sink(w: np.ndarray, lr: float):
-    """The training step's sink for :func:`_backward`: moves the rows of the
-    (K, C*kh*kw) bank ``w`` by -lr times their terms, with no gradient bank
-    (LOMO's fused update, Lv et al., arXiv:2306.09782).  A small step's two
-    terms are summed first: :func:`sgd_step`'s bits where the bank is one
-    block (desk).  Other steps move rows by lr dec, then by lr enc."""
+    """The training step's one weight update, a sink for :func:`_backward`:
+    moves the rows of the (K, C*kh*kw) bank ``w`` by -lr times their terms,
+    scaled in place (LOMO's fused update, Lv et al., arXiv:2306.09782).  A
+    small step's two terms are summed first: :func:`sgd_step`'s bits where
+    the bank is one block (desk).  Other steps move rows by lr dec, then by
+    lr enc.  A gradient bank's block is one term: :func:`sgd_step`'s bits."""
 
     def move(rows, term, *enc):
         for other in enc:
@@ -420,7 +416,7 @@ def reconstruction_loss(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN
     mode both biases are pinned to zero, as in the gradients of that mode.
     """
     x = _as_batch(model, batch)
-    _check_bias_mode(bias_mode)
+    CaeTrainConfig(bias_mode=bias_mode)
     ws = _Workspace(model, x.shape[1:], len(x))
     return sum(_chunk_loss(model, x[start : start + ws.chunk], bias_mode, ws)[1]
                for start in range(0, len(x), ws.chunk))
@@ -435,24 +431,22 @@ def loss_gradients(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO
     forward pass treats both biases as the constant 0.
     """
     x = _as_batch(model, batch)
-    _check_bias_mode(bias_mode)
+    CaeTrainConfig(bias_mode=bias_mode)
     return _forward_backward(model, x, bias_mode, _Workspace(model, x.shape[1:], len(x)))[1]
 
 
 def sgd_step(model: CaeModel, grads: CaeGradients, lr: float) -> CaeModel:
-    """Plain in-place stochastic gradient step, no momentum or decay.
-
-    The bank moves one block of filter rows (:data:`_SCRATCH_BYTES`) at a
-    time: the same bits as ``w_e -= lr * dw_e`` without a bank-sized
-    ``lr * dw_e``.  ``grads`` is left as it was.  Every gradient must have
-    its parameter's shape (ShapeError before any parameter moves).
+    """Plain in-place stochastic gradient step, no momentum or decay: the
+    reference update ``w_e -= lr * dw_e`` (and so for the biases), whose
+    bits :func:`train` keeps without calling it.  ``grads`` is left as it
+    was.  Every gradient must have its parameter's shape (ShapeError before
+    any parameter moves).
     """
     for name, grad, param in (("weight", grads.dw_e, model.w_e), ("encoder bias", grads.db_e, model.b_e),
                               ("decoder bias", grads.db_d, model.b_d)):
         if np.shape(grad) != param.shape:
             raise ShapeError(f"{name} gradient shape {np.shape(grad)} != {param.shape}")
-    for rows in _filter_blocks(model.w_e, _SCRATCH_BYTES):
-        model.w_e[rows] -= lr * grads.dw_e[rows]
+    model.w_e -= lr * grads.dw_e
     model.b_e -= lr * grads.db_e
     model.b_d -= lr * grads.db_d
     return model
@@ -460,20 +454,24 @@ def sgd_step(model: CaeModel, grads: CaeGradients, lr: float) -> CaeModel:
 
 def _train_step(model: CaeModel, x: np.ndarray, bias_mode: str, lr: float, ws: _Workspace, where: str) -> float:
     """One SGD step at ``lr`` on a (B, C, H, W) batch in ``ws``; returns its
-    loss.  A batch of one chunk moves W_e in its backward pass
-    (:func:`_sgd_sink`), one of several sums its gradient in the bank for
-    :func:`sgd_step`.  A non-finite loss raises NonFiniteLossError naming
-    ``where`` first."""
+    loss.  W_e moves through one :func:`_sgd_sink`: a batch of one chunk
+    hands it to its backward pass, one of several sums its gradient in the
+    bank and then hands it each filter block of the bank, which it scales
+    in place.  A non-finite loss raises NonFiniteLossError naming ``where``
+    before any parameter moves."""
     if len(x) > ws.chunk:
         loss, grads = _forward_backward(model, x, bias_mode, ws)
     else:
         v, loss, db_d = _chunk_loss(model, x, bias_mode, ws)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"non-finite reconstruction loss at {where}; reduce the learning rate")
+    move = _sgd_sink(model.w_e.reshape(ws.k, ws.rows), lr)
     if len(x) > ws.chunk:
-        sgd_step(model, grads, lr)
-        return loss
-    db_e = _backward(model, x, v, ws, _sgd_sink(model.w_e.reshape(ws.k, ws.rows), lr))
+        for rows, *_ in ws.blocks:
+            move(rows, ws.dw[rows])
+        db_e, db_d = grads.db_e, grads.db_d
+    else:
+        db_e = _backward(model, x, v, ws, move)
     if bias_mode == BIAS_TRAIN_THEN_ZERO:
         model.b_e -= lr * db_e
         model.b_d -= lr * db_d
@@ -503,7 +501,6 @@ def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
     if config.epochs == 0:
         return model, history
 
-    _check_bias_mode(config.bias_mode)
     ws = _Workspace(model, data.shape[1:], min(config.batch_size, n))
     held = np.empty((min(config.batch_size, n), *data.shape[1:]))
     rng = np.random.default_rng(config.seed)

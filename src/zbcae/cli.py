@@ -177,31 +177,20 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_run_all(args) -> int:
+    sweep = args.command == "sweep"
+    if sweep:
+        k_values = [_int_at_least(1, v.strip()) for v in args.filters.split(",")]
+        if None in k_values:
+            raise _UsageError(f"--filters expects comma-separated integers >= 1, got {args.filters!r}")
     config = resolve_config(args.config, {})
-    train_m = load_manifest(args.train)
-    test_m = load_manifest(args.test)
-    report, = filter_size_sweep(
-        train_m, test_m, config.cae, config.svm, [config.filters],
-        l2_normalize=config.l2_normalize, kernel=config.kernel, progress=_progress,
-    )
-    _emit(report, args.report)
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    k_values = [_int_at_least(1, v.strip()) for v in args.filters.split(",")]
-    if None in k_values:
-        raise _UsageError(f"--filters expects comma-separated integers >= 1, got {args.filters!r}")
-    config = resolve_config(args.config, {})
-    train_m = load_manifest(args.train)
-    test_m = load_manifest(args.test)
     reports = filter_size_sweep(
-        train_m, test_m, config.cae, config.svm, k_values,
+        load_manifest(args.train), load_manifest(args.test), config.cae, config.svm,
+        k_values if sweep else [config.filters],
         l2_normalize=config.l2_normalize, kernel=config.kernel, progress=_progress,
     )
     rows = [{"filters": r["config"]["filters"], "top1_accuracy": r["results"]["top1_accuracy"],
              "feature_dim": r["results"]["feature_dim"]} for r in reports]
-    _emit({"rows": rows}, args.report)
+    _emit({"rows": rows} if sweep else reports[0], args.report)
     return 0
 
 
@@ -267,7 +256,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--test", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_run_all)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
     p.add_argument("--seed", default="0")

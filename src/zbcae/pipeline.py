@@ -108,13 +108,16 @@ def _model(path, cls, **arrays):
         raise TensorFileError(f"{path}: {e}") from None
 
 
+def _save(path, meta: dict, classes=None, **arrays) -> None:
+    """Write ``arrays`` as ZTEN records in order, then the class table
+    ``classes`` when one is given, then ``meta``."""
+    if classes is not None:
+        arrays["class_names_json"] = _json_record(list(classes))
+    save_tensors(path, {**arrays, "meta_json": _json_record(meta)})
+
+
 def save_cae_checkpoint(path, model: CaeModel, meta: dict) -> None:
-    save_tensors(path, {
-        "encoder_weights": model.w_e,
-        "encoder_bias": model.b_e,
-        "decoder_bias": model.b_d,
-        "meta_json": _json_record(meta),
-    })
+    _save(path, meta, encoder_weights=model.w_e, encoder_bias=model.b_e, decoder_bias=model.b_d)
 
 
 def load_cae_checkpoint(path):
@@ -126,12 +129,7 @@ def load_cae_checkpoint(path):
 
 
 def save_features_file(path, features, labels, classes, meta: dict) -> None:
-    save_tensors(path, {
-        "features": np.asarray(features, dtype=np.float64),
-        "labels": np.asarray(labels, dtype=np.float64),
-        "class_names_json": _json_record(list(classes)),
-        "meta_json": _json_record(meta),
-    })
+    _save(path, meta, classes, features=features, labels=labels)
 
 
 def load_features_file(path):
@@ -142,19 +140,15 @@ def load_features_file(path):
     if not np.isfinite(features).all():
         raise TensorFileError(f"{path}: record 'features' holds non-finite values")
     classes = _class_names(path, records)
-    bad = ~((labels >= 0) & (labels < len(classes)) & (labels == np.floor(labels)))
-    if bad.any():
-        raise TensorFileError(f"{path}: label {float(labels[bad][0])} is not a class index in 0..{len(classes) - 1}")
-    return features, labels.astype(np.int64), classes, _meta(path, records)
+    try:
+        labels = _class_indices(labels, len(classes))
+    except ShapeError as e:
+        raise TensorFileError(f"{path}: {e}") from None
+    return features, labels, classes, _meta(path, records)
 
 
 def save_svm_checkpoint(path, model: SvmModel, meta: dict) -> None:
-    save_tensors(path, {
-        "weights": model.weights,
-        "biases": model.biases,
-        "class_names_json": _json_record(list(model.class_names)),
-        "meta_json": _json_record(meta),
-    })
+    _save(path, meta, model.class_names, weights=model.weights, biases=model.biases)
 
 
 def load_svm_checkpoint(path):

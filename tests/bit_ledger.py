@@ -11,7 +11,10 @@ these geometries give other bits at two BLAS threads.  The entries:
 - ``<geometry>/<bias mode>/loss_gradients``: ``reconstruction_loss`` and
   ``loss_gradients`` of the first 4 samples;
 - ``desk/run-all``: the README desk ``run-all`` report;
-- ``gradcheck/seed-0``: the output of ``gradcheck --seed 0``.
+- ``gradcheck/seed-0``: the output of ``gradcheck --seed 0``;
+- ``svm/train_svm``: W and b of :func:`zbcae.svm.train_svm` with the
+  default config on a seeded, rectified 120 x 64 feature matrix of 3
+  classes (:func:`_svm_entries`).
 
 Geometries: ``desk`` (K=16, 12x6x6, batch 4: a small step),
 ``desk-chunks`` (the same with ``TRAIN_CHUNK_BYTES`` cut to chunks of 2: a
@@ -103,6 +106,17 @@ def _step_entries() -> dict:
     return entries
 
 
+def _svm_entries() -> dict:
+    import numpy as np
+    from zbcae.svm import train_svm
+
+    rng = np.random.default_rng(5)
+    labels = np.arange(120) % 3
+    x = np.maximum(rng.normal(0.0, 1.0, size=(120, 64)) + (labels[:, None] == np.arange(64) % 3), 0.0)
+    model = train_svm(x, labels, 3)
+    return {"svm/train_svm": _digest(model.weights, model.biases)}
+
+
 def _cli_entries() -> dict:
     from zbcae.cli import dispatch
 
@@ -134,7 +148,7 @@ def _child(part: str) -> None:
     sys.path.insert(0, str(ROOT / "src"))
     import zbcae.cli  # noqa: F401  (sets the BLAS thread variables before numpy loads)
 
-    entries = _step_entries() if part == "steps" else _cli_entries()
+    entries = {**_step_entries(), **_svm_entries()} if part == "steps" else _cli_entries()
     print(json.dumps({"key": stack_key(), "entries": entries}))
 
 

@@ -305,6 +305,11 @@ class TestLossGradients:
         with pytest.raises(ValueError, match="bias_mode"):
             loss_gradients(model, [np.ones((1, 3, 3))], "sometimes-zero")
 
+    def test_loss_rejects_unknown_bias_mode(self):
+        model = identity_center_model()
+        with pytest.raises(ValueError, match="bias_mode must be one of"):
+            reconstruction_loss(model, [np.ones((1, 3, 3))], "sometimes-zero")
+
 
 def per_sample_reference_step(model, batch, bias_mode):
     """(loss, dw_enc, dw_dec, db_e, db_d) summed over samples, with the
@@ -836,10 +841,11 @@ class TestTrain:
 
     @pytest.mark.parametrize("n,batch_size", [(5, 4), (8, 8), (7, 2)])
     def test_one_sgd_step_per_batch(self, monkeypatch, n, batch_size):
-        # a batch of one chunk moves the model inside its backward pass
-        # (through _sgd_sink), a batch of several by sgd_step, here with
-        # chunks of one sample; each batch makes one such call, at the
-        # learning rate of its epoch, which anneals after epoch 1 here
+        # a batch of one chunk moves the model inside its backward pass, a
+        # batch of several (here in chunks of one sample) drains its bank
+        # after it, both through one _sgd_sink call per batch at the
+        # learning rate of its epoch, which anneals after epoch 1 here;
+        # train never calls sgd_step
         calls = []
         for name in ("sgd_step", "_sgd_sink"):
             def spy(*args, name=name, real=getattr(cae, name)):
@@ -856,8 +862,7 @@ class TestTrain:
             rng = np.random.default_rng(27)
             _, history = train(init_model(2, 2, 3, seed=2), tiny_dataset(rng, n=n), config)
             assert history.learning_rate == [1e-4, 1e-4, pytest.approx(1e-5)]
-            assert calls == [("sgd_step" if size > 1 and chunked else "_sgd_sink", lr)
-                             for lr in history.learning_rate for size in sizes]
+            assert calls == [("_sgd_sink", lr) for lr in history.learning_rate for _ in sizes]
 
     def test_one_workspace_per_train_call(self, monkeypatch):
         built = []
