@@ -43,7 +43,6 @@ from .errors import CollapseError, NonFiniteLossError, ShapeError, check_fields
 from .ops import (
     _col2im,
     _conv2d,
-    _conv2d_weight_grad,
     _fold,
     _im2col,
     _im2col_views,
@@ -155,25 +154,26 @@ def init_model(n_filters: int, n_channels: int, kernel: int, seed: int) -> CaeMo
     return CaeModel(w_e=w_e, b_e=np.zeros(n_filters), b_d=np.zeros(n_channels))
 
 
-def encode(model: CaeModel, x: np.ndarray, zero_bias: bool = False) -> np.ndarray:
+def encode(model: CaeModel, x, zero_bias: bool = False) -> np.ndarray:
     """ReLU(conv(x, W_e) + b_e) of a (C, H, W) map or a (B, C, H, W) batch,
-    or with b_e pinned to zero when zero_bias.  A map is checked as a batch
-    of one (:func:`_as_batch`)."""
-    if np.ndim(x) == 3:
-        x = _as_batch(model, np.asarray(x)[None])[0]
+    an array or a list, or with b_e pinned to zero when zero_bias.  Both
+    are checked by :func:`_as_batch`, a map as a batch of one."""
     b = np.zeros(model.n_filters) if zero_bias else model.b_e
-    z = conv2d(x, model.w_e, b)
+    z = conv2d(_as_batch(model, x, map_ok=True), model.w_e, b)
     return np.maximum(z, 0.0, out=z)
 
 
-def _as_batch(model: CaeModel, batch) -> np.ndarray:
-    """``batch`` as a (B, C, H, W) float64 array; ShapeError unless it
-    stacks into one array with four axes, at least one sample, the model's
-    channel count and maps of a nonzero extent."""
+def _as_batch(model: CaeModel, batch, map_ok: bool = False) -> np.ndarray:
+    """``batch`` as a (B, C, H, W) float64 array, or where ``map_ok`` a
+    (C, H, W) one checked as a batch of one; ShapeError unless it stacks
+    into one array with four axes, at least one sample, the model's channel
+    count and maps of a nonzero extent."""
     try:
         x = np.asarray(batch, dtype=np.float64)
     except ValueError as e:  # a ragged list of maps
         raise ShapeError(f"a batch must be B x C x H x W, but its maps do not stack into one array: {e}") from e
+    if map_ok and x.ndim == 3:
+        return _as_batch(model, x[None])[0]
     if x.shape[:1] == (0,):
         raise ShapeError("a batch must contain at least one sample; this one is empty")
     if x.ndim != 4:
@@ -363,16 +363,16 @@ def _backward(model: CaeModel, x: np.ndarray, v: _ChunkViews, ws: _Workspace, si
     then calls ``sink(rows, enc)`` per block."""
     w = model.w_e.reshape(ws.k, ws.rows)
     for rows, dec, enc in ws.blocks:
-        _conv2d_weight_grad(v.code[rows], v.cols, dec)
+        np.matmul(v.code[rows], v.cols.T, out=dec)
         mask = v.code[rows] > 0.0
         ws.active[0] += np.count_nonzero(mask)
         np.matmul(w[rows], v.cols, out=v.code[rows])
         v.code[rows] *= mask
-        sink(rows, dec, *((_conv2d_weight_grad(v.code[rows], v.cols_x, enc),) if ws.small else ()))
+        sink(rows, dec, *((np.matmul(v.code[rows], v.cols_x.T, out=enc),) if ws.small else ()))
     if not ws.small:
         _im2col(x, v.interior, v.patches, v.cols_x6)
         for rows, _, enc in ws.blocks:
-            sink(rows, _conv2d_weight_grad(v.code[rows], v.cols_x, enc))
+            sink(rows, np.matmul(v.code[rows], v.cols_x.T, out=enc))
     return conv2d_bias_grad(v.code_maps)
 
 
@@ -437,10 +437,11 @@ def loss_gradients(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO
 
 def sgd_step(model: CaeModel, grads: CaeGradients, lr: float) -> CaeModel:
     """Plain in-place stochastic gradient step, no momentum or decay: the
-    reference update ``w_e -= lr * dw_e`` (and so for the biases), whose
-    bits :func:`train` keeps without calling it.  ``grads`` is left as it
-    was.  Every gradient must have its parameter's shape (ShapeError before
-    any parameter moves).
+    reference update ``w_e -= lr * dw_e`` (and so for the biases).
+    :func:`train` never calls it and keeps its bits, except on a one-chunk
+    batch that is not small, where W_e moves by lr dec and then by lr enc
+    (:func:`_sgd_sink`).  ``grads`` is left as it was.  Every gradient must
+    have its parameter's shape (ShapeError before any parameter moves).
     """
     for name, grad, param in (("weight", grads.dw_e, model.w_e), ("encoder bias", grads.db_e, model.b_e),
                               ("decoder bias", grads.db_d, model.b_d)):
@@ -543,18 +544,18 @@ def train(model: CaeModel, dataset, config: CaeTrainConfig, progress=None):
     return model, history
 
 
-def extract_features(model: CaeModel, x: np.ndarray) -> np.ndarray:
+def extract_features(model: CaeModel, x) -> np.ndarray:
     """Feed-forward feature vector: zero-bias encode, 2x2 max-pool, flatten.
 
     Bias values never influence the output, so the result has length
     D = K * ceil(H/2) * ceil(W/2) and is elementwise non-negative.  A
     (B, C, H, W) batch gives a (B, D) matrix, encoded in chunks of
-    :data:`_SCRATCH_BYTES` of working set; a (C, H, W) map is checked as
-    a batch of one.
+    :data:`_SCRATCH_BYTES` of working set; a (C, H, W) map gives a vector.
+    Either may be an array or a list, checked as by :func:`encode`.
     """
+    x = _as_batch(model, x, map_ok=True)
     if x.ndim != 4:
         return maxpool2(encode(model, x, zero_bias=True)).ravel()
-    x = _as_batch(model, x)
     step = chunk_size(model, x.shape[1:], _SCRATCH_BYTES)
     pooled = (maxpool2(encode(model, x[start : start + step], zero_bias=True)) for start in range(0, len(x), step))
     return np.concatenate([p.reshape(len(p), -1) for p in pooled])

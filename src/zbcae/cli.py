@@ -87,12 +87,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc, path=None) -> None:
-    """Write ``doc`` as indented JSON to stdout, and the same text to
-    ``path`` when one is given."""
+    """Write ``doc`` as indented JSON to ``path`` when one is given, and
+    then the same text to stdout, so a failed write prints no report."""
     text = json.dumps(doc, indent=2) + "\n"
-    sys.stdout.write(text)
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
 
 
 def _progress(epoch, mean_loss, lr) -> None:

@@ -1,21 +1,18 @@
 """Dense float64 tensor kernels.
 
 Everything here is a pure function of its inputs: the same-size 2D
-cross-correlation and its adjoints, kernel flipping and 2x2
+cross-correlation and its bias gradient, kernel flipping and 2x2
 max-pooling.  Tensors are plain ``numpy`` arrays of ``float64``; a feature
 map is ``(C, H, W)``, a batch of maps is ``(B, C, H, W)`` and a filter bank
-is ``(K, C, kh, kw)``.  ``im2col``/``col2im`` and the convolutions accept
-either a single map or a batch; a batch runs as one GEMM per call.
-``im2col`` writes the batch into the interior of a zero-padded buffer
-and copies its patch matrix out of a strided view of that buffer;
-``col2im`` adds the patch matrix into a map with kh*kw shifted slice
-adds, each clipped to the map (``_fold``), or, for the training step's
-small chunks, scatter-adds it in one bincount over an index cached per
-geometry and batch size (``_col2im``).  The public kernels check their
-arguments and return fresh arrays; each calls an unchecked private kernel
-(``_im2col``, ``_fold``, ``_conv2d``, ``_conv2d_weight_grad``), which the
-training step of :mod:`zbcae.cae` calls directly on views of buffers that
-its workspace holds.
+is ``(K, C, kh, kw)``.  ``im2col`` and ``conv2d`` accept either a single
+map or a batch; a batch runs as one GEMM.  ``im2col`` writes the batch
+into the interior of a zero-padded buffer and copies its patch matrix out
+of a strided view of that buffer.  The public kernels check their
+arguments and return fresh arrays.  The training step of
+:mod:`zbcae.cae` calls the unchecked private kernels directly, on views of
+buffers its workspace holds: ``_im2col``, ``_conv2d`` and the two folds
+of a patch matrix back into a map (the adjoint of im2col), ``_fold``'s
+kh*kw shifted slice adds and ``_col2im``'s one bincount.
 
 The convolution has one geometry, the same-size one: stride 1 and zero
 padding (k - 1) / 2 around an odd kernel extent k.  There the transposed
@@ -136,28 +133,6 @@ def _fold(cols6: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add patch columns back to a map of
-    ``shape``, either (C, H, W) or (B, C, H, W).
-
-    The columns are added into a fresh map with kh*kw shifted slice adds
-    (:func:`_fold`), each clipped to the map, so the entries read from the
-    padding are dropped.  Every output entry sums its terms in (u, v) order
-    starting from 0.0, as the training step's bincount does, so both give
-    the same bits.
-    """
-    _half_pad(kh, kw)
-    b, c, h, w = shape if len(shape) == 4 else (1, *shape)
-    return _fold(np.reshape(cols, (c, kh, kw, b, h, w)), np.empty((b, c, h, w))).reshape(shape)
-
-
-def _by_channel(maps: np.ndarray) -> np.ndarray:
-    """(K, H, W) or (B, K, H, W) maps as a (K, B*H*W) matrix whose columns
-    follow :func:`im2col`'s order (a view for the outputs of :func:`conv2d`)."""
-    k = maps.shape[-3]
-    return maps.reshape(k, -1) if maps.ndim == 3 else maps.swapaxes(0, 1).reshape(k, -1)
-
-
 def _conv2d(w: np.ndarray, cols: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The conv2d kernel, unchecked: the (K, N) GEMM of a bank matrix
     (K, C*kh*kw) and a patch matrix, plus one bias per row, in ``out`` when
@@ -165,13 +140,6 @@ def _conv2d(w: np.ndarray, cols: np.ndarray, bias: np.ndarray, out: np.ndarray |
     out = np.matmul(w, cols, out=out)
     out += bias[:, None]
     return out
-
-
-def _conv2d_weight_grad(d: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The conv2d_weight_grad kernel, unchecked: the (K, C*kh*kw) GEMM
-    d cols^T of an output gradient matrix (K, N) and a patch matrix, in
-    ``out`` when given."""
-    return np.matmul(d, cols.T, out=out)
 
 
 def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -202,24 +170,6 @@ def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     if x.ndim == 3:
         return out.reshape(k, *x.shape[1:])
     return out.reshape(k, x.shape[0], *x.shape[2:]).swapaxes(0, 1)
-
-
-def conv2d_weight_grad(x: np.ndarray, dout: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Gradient of conv2d w.r.t. its weights, given dL/dout of shape
-    (K, H, W), or (B, K, H, W) summed over the batch."""
-    x = np.asarray(x, dtype=np.float64)
-    d = _by_channel(dout)
-    return _conv2d_weight_grad(d, im2col(x, kh, kw)).reshape(d.shape[0], x.shape[-3], kh, kw)
-
-
-def conv2d_input_grad(dout: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Gradient of conv2d w.r.t. its input, given dL/dout of shape (K, H, W)
-    or (B, K, H, W): the transposed convolution of ``dout``, a (C, H, W) or
-    (B, C, H, W) map, folded by :func:`col2im` from the column matrix
-    W^T dout."""
-    k, c, kh, kw = weights.shape
-    shape = (c, *dout.shape[1:]) if dout.ndim == 3 else (len(dout), c, *dout.shape[2:])
-    return col2im(weights.reshape(k, c * kh * kw).T @ _by_channel(dout), shape, kh, kw)
 
 
 def conv2d_bias_grad(dout: np.ndarray) -> np.ndarray:

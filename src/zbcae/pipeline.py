@@ -236,13 +236,16 @@ def filter_size_sweep(train_manifest: DatasetManifest, test_manifest: DatasetMan
     extract zero-bias features for both splits, fit the SVM on the train
     features and score the test split, sharing every seed; return one report
     document per count.  Each manifest is loaded once, and the class tables
-    and sample shapes of both are checked before any training.  Each report
-    reads the CAE stage's meta plus what ``encode`` and ``train-svm`` add."""
+    (one table, of at least two classes) and sample shapes of both are
+    checked before any training.  Each report reads the CAE stage's meta
+    plus what ``encode`` and ``train-svm`` add."""
     if not k_values:
         raise ValueError("k_values must be non-empty")
     classes = list(train_manifest.classes)
     if classes != list(test_manifest.classes):
         raise ShapeError("train and test manifests declare different class tables")
+    if len(classes) < 2:
+        raise ShapeError(f"need at least 2 classes, got {len(classes)}")
     (train_t, train_y), (test_t, test_y) = load_dataset(train_manifest), load_dataset(test_manifest)
     if train_t.shape[1:] != test_t.shape[1:]:
         raise ShapeError(f"train samples have shape {train_t.shape[1:]} but test samples have "

@@ -236,7 +236,7 @@ class _CurvatureHistory:
         return np.negative(d, out=d)
 
 
-def lbfgs_minimize(objective, x0, config: LbfgsConfig | None = None, callback=None) -> LbfgsResult:
+def lbfgs_minimize(objective, x0, config: LbfgsConfig | None = None) -> LbfgsResult:
     """Minimize a smooth function with L-BFGS.
 
     ``objective(x)`` returns (value, gradient).  The direction is the
@@ -250,9 +250,6 @@ def lbfgs_minimize(objective, x0, config: LbfgsConfig | None = None, callback=No
     "grad_tol", "rel_loss_tol", "max_iters" or "line_search_failed".  The
     point returned is always the last accepted one, which is also the best
     seen: an accepted step never increases the value.
-
-    ``callback``, if given, is called as callback(iteration, x, value) after
-    every accepted step; the ``x`` it receives is never mutated afterwards.
     """
     config = config or LbfgsConfig()
     x = np.asarray(x0, dtype=np.float64).copy()
@@ -289,8 +286,6 @@ def lbfgs_minimize(objective, x0, config: LbfgsConfig | None = None, callback=No
 
         rel_change = abs(f - f_new) / max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
-        if callback is not None:
-            callback(iteration, x, float(f))
         if np.abs(g).max() < config.grad_tol:
             return LbfgsResult(x=x, value=float(f), iterations=iteration, reason="grad_tol")
         if rel_change < config.rel_loss_tol:

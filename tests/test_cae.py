@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from adjoints import conv2d_input_grad, conv2d_weight_grad
 from oracles import central_diff_grad, max_rel_error
 from zbcae import cae, ops
 from zbcae.cae import (
@@ -26,13 +27,7 @@ from zbcae.cae import (
     train,
 )
 from zbcae.errors import CollapseError, NonFiniteLossError, ShapeError
-from zbcae.ops import (
-    conv2d,
-    conv2d_bias_grad,
-    conv2d_input_grad,
-    conv2d_weight_grad,
-    tied_decoder_weights,
-)
+from zbcae.ops import conv2d, conv2d_bias_grad, tied_decoder_weights
 
 
 def identity_center_model(bias=0.0):
@@ -398,7 +393,7 @@ class TestBatchedStep:
 
 
 def chunk_terms_reference(model, x, b_e, b_d):
-    """The chunk step's terms from ops calls alone, with fresh arrays
+    """The chunk step's terms from ops and adjoints calls alone, with fresh arrays
     throughout and the decoder as the transposed convolution: (loss, dec,
     enc, db_e, db_d), with the decoder's and the encoder's weight terms
     formed as whole banks and da per block of filter rows, as the step
@@ -417,7 +412,7 @@ def chunk_terms_reference(model, x, b_e, b_d):
 
 
 def chunk_forward_backward_reference(model, x, b_e, b_d):
-    """The chunk step from ops calls alone (:func:`chunk_terms_reference`),
+    """The chunk step from ops and adjoints calls alone (:func:`chunk_terms_reference`),
     its weight terms summed as enc + dec.  Returns (loss, dw_e, db_e,
     db_d)."""
     loss, dec, enc, db_e, db_d = chunk_terms_reference(model, x, b_e, b_d)
@@ -427,7 +422,7 @@ def chunk_forward_backward_reference(model, x, b_e, b_d):
 
 def fused_step_reference(model, x, bias_mode, lr):
     """The training step of a one-chunk batch that is not small, from ops
-    calls alone: W_e - lr dec - lr enc in two subtractions, and the biases
+    and adjoints calls alone: W_e - lr dec - lr enc in two subtractions, and the biases
     as sgd_step moves them."""
     _, dec, enc, db_e, db_d = chunk_terms_reference(model, x, *biases(model, bias_mode))
     model.w_e -= lr * dec
@@ -1071,3 +1066,22 @@ class TestZeroExtentMaps:
         # empty code map or feature vector
         with pytest.raises(ShapeError, match="nonzero extent"):
             call(init_model(3, 2, 3, seed=0), np.zeros(shape))
+
+
+class TestListInput:
+    """encode and extract_features take a list the way train does, through
+    _as_batch."""
+
+    @pytest.mark.parametrize("call", [encode, extract_features], ids=["encode", "extract_features"])
+    @pytest.mark.parametrize("shape", [(3, 2, 5, 4), (2, 5, 4)], ids=["batch", "map"])
+    def test_list_gives_the_array_result(self, call, shape):
+        # extract_features used to raise AttributeError on a list
+        x = np.random.default_rng(40).normal(size=shape)
+        model = init_model(3, 2, 3, seed=41)
+        npt.assert_array_equal(call(model, x.tolist()), call(model, x))
+
+    @pytest.mark.parametrize("call", [encode, extract_features], ids=["encode", "extract_features"])
+    def test_ragged_list_is_shape_error(self, call):
+        # encode used to raise numpy's own ValueError
+        with pytest.raises(ShapeError, match="do not stack"):
+            call(init_model(3, 2, 3, seed=0), [np.zeros((2, 4, 4)), np.zeros((2, 4, 5))])

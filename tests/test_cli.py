@@ -334,6 +334,33 @@ class TestExitCodes:
                                           "svm"]
         assert report["results"]["top1_accuracy"] == 1.0
 
+    def test_unwritable_report_prints_nothing_on_stdout(self, tmp_path, capsys):
+        # the report used to reach stdout in full before its file write failed
+        from zbcae.pipeline import save_features_file, save_svm_checkpoint
+        from zbcae.svm import SvmModel
+
+        features, model = tmp_path / "features.zten", tmp_path / "svm.zten"
+        save_features_file(features, np.eye(3), [0.0, 1.0, 2.0], list("abc"), {})
+        save_svm_checkpoint(model, SvmModel(np.eye(3), np.zeros(3), list("abc")), {})
+        assert dispatch(["evaluate", "--svm", str(model), "--features", str(features), "--report", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+        assert captured.out == ""
+
+    def test_one_class_table_is_rejected_before_training(self, tmp_path, capsys):
+        # run-all used to train every CAE epoch before train_svm rejected it
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SYNTH_SPEC.replace("n_classes = 2", "n_classes = 1"))
+        assert dispatch(["gen-synthetic", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+        capsys.readouterr()
+        config, report = tmp_path / "pipe.cfg", tmp_path / "report.json"
+        config.write_text(PIPE_CONFIG)
+        assert dispatch(["run-all", "--train", str(tmp_path / "data" / "train.json"), "--test",
+                         str(tmp_path / "data" / "test.json"), "--config", str(config), "--report", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: need at least 2 classes, got 1\n"
+        assert captured.out == "" and not report.exists()
+
     @pytest.mark.parametrize("command", ["train-svm", "evaluate"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_features_file_is_data_error(self, tmp_path, capsys, command, value):

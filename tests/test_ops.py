@@ -1,6 +1,9 @@
 """Tensor-kernel tests: the same-size conv2d against a naive loop oracle,
-adjoint identities of the convolution kernels, flips, ReLU, max-pooling."""
+adjoint identities of the convolution kernels (through the training step's
+own kernels, :mod:`adjoints`), flips, max-pooling."""
 
+import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -9,19 +12,10 @@ import numpy.testing as npt
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from zbcae import ops
+from adjoints import col2im, conv2d_input_grad, conv2d_weight_grad
+from zbcae import ops, svm
 from zbcae.errors import ShapeError
-from zbcae.ops import (
-    col2im,
-    conv2d,
-    conv2d_bias_grad,
-    conv2d_input_grad,
-    conv2d_weight_grad,
-    flip180,
-    im2col,
-    maxpool2,
-    tied_decoder_weights,
-)
+from zbcae.ops import conv2d, conv2d_bias_grad, flip180, im2col, maxpool2, tied_decoder_weights
 
 
 def conv2d_loops(x, w, b):
@@ -143,8 +137,6 @@ class TestConv2d:
             conv2d(np.zeros((1, 4, 4)), np.zeros((1, 1, 2, 2)), np.zeros(1))
         with pytest.raises(ShapeError, match="odd"):
             im2col(np.zeros((1, 4, 4)), 3, 4)
-        with pytest.raises(ShapeError, match="odd"):
-            col2im(np.zeros((4, 16)), (1, 4, 4), 2, 2)
 
     def test_non_3d_input(self):
         with pytest.raises(ShapeError, match="C x H x W"):
@@ -218,6 +210,7 @@ class TestBatchedKernels:
             cols = im2col(x, kh, kh)
             y = rng.normal(size=cols.shape)
             self.assert_same_inner(inner(cols, y), inner(x, col2im(y, x.shape, kh, kh)))
+            self.assert_same_inner(inner(cols, y), inner(x, ops._col2im(y, x.shape, kh, kh)))
 
     def test_input_grad_is_adjoint_of_conv2d(self):
         # <conv2d(x, W), y> == <x, conv2d_input_grad(y, W)>
@@ -437,3 +430,32 @@ def test_readme_lists_every_public_kernel():
     public = {name for name, fn in vars(ops).items()
               if callable(fn) and not name.startswith("_") and getattr(fn, "__module__", None) == ops.__name__}
     assert set(re.findall(r"`(\w+)`", sentence)) == public
+
+
+def test_every_public_kernel_and_solver_runs_in_the_program():
+    # every public function of ops and svm is referenced by code (names and
+    # attributes, not docstrings) in src/zbcae outside its own definition and
+    # outside the definitions of functions this finds unused, or is imported
+    # by the acceptance tests
+    src = Path(ops.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")}
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
+    imported = {(node.module.split(".")[-1], alias.name) for node in ast.walk(acceptance)
+                if isinstance(node, ast.ImportFrom) and node.module in ("zbcae.ops", "zbcae.svm")
+                for alias in node.names}
+    public = {(m.__name__.split(".")[-1], name) for m in (ops, svm) for name, fn in vars(m).items()
+              if inspect.isfunction(fn) and fn.__module__ == m.__name__ and not name.startswith("_")}
+
+    def referenced(name, skip):
+        return any(name in {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(top)
+                            if isinstance(n, (ast.Name, ast.Attribute))}
+                   for module, tree in trees.items() for top in tree.body
+                   if not (isinstance(top, ast.FunctionDef) and (module, top.name) in skip))
+
+    unused = set()
+    while True:
+        found = {f for f in public - imported - unused if not referenced(f[1], unused | {f})}
+        if not found:
+            break
+        unused |= found
+    assert not unused
