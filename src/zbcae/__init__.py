@@ -2,7 +2,7 @@
 auto-encoder, plus a quadratic-hinge linear SVM trained by L-BFGS.
 
 Submodules:
-    ops         dense float64 tensor kernels (conv2d, pooling, flips)
+    ops         dense float64 tensor kernels (im2col, folds, pooling, flips)
     cae         auto-encoder model, backprop, SGD trainer, feature extraction
     svm         one-vs-rest squared-hinge SVM and the L-BFGS minimizer
     tensorfile  binary multi-tensor container (ZTEN format)

@@ -5,7 +5,7 @@ derived from it, so no stale decoder state can exist.  Encoding is
 ReLU(conv(x, W_e) + b), decoding is ReLU(conv(z, tied(W_e)) + b_d);
 reconstruction loss is half the summed squared error over a batch.
 Training, the loss and its gradients take their samples as one
-(B, C, H, W) array; encoding and feature extraction take a map or a batch.
+(B, C, H, W) array; feature extraction takes a map or a batch.
 Every convolution is the same-size one of :mod:`zbcae.ops` (stride 1, pad
 (kernel - 1) / 2, odd kernel), so the reconstruction lands on the input
 grid.  The loss is the training step's own loss, from one batched forward
@@ -15,16 +15,17 @@ W_e, which equals conv(z, tied(W_e)) at that geometry.
 A training step runs in one step workspace (:class:`_Workspace`) that
 :func:`train` makes once and reuses for every step, whatever the batch
 size, and calls the unchecked kernels of :mod:`zbcae.ops` on views of it
-built once per chunk size; the public ops check their arguments, call the
-same kernels and return fresh arrays.  A warm step allocates nothing the
-size of an input map but the small step's bincount result.  One backward
-pass (:func:`_backward`) hands each block of filter rows' weight terms to
-a sink: a batch of one chunk in :func:`train` moves W_e with them, with no
+built once per chunk size.  A warm step allocates nothing the size of an
+input map but the small step's bincount result.  One encoder
+(:func:`_encode`) serves the forward pass and feature extraction, which
+runs it with zero biases in a workspace of its own.  One backward pass
+(:func:`_backward`) hands each block of filter rows' weight terms to a
+sink: a batch of one chunk in :func:`train` moves W_e with them, with no
 weight-gradient bank; a batch of several chunks and :func:`loss_gradients`
 add them into a bank, which a batch in :func:`train` then drains through
 the same SGD sink.  Three byte budgets size it all: the training chunk,
-the filter block and one scratch budget for the temporaries formed next to
-it (an extraction chunk, a col2im index).
+the filter block and one scratch budget for the working sets formed next
+to a held one (an extraction chunk, a col2im index).
 
 Two bias regimes are supported.  ``train-then-zero`` (default) lets the
 biases learn during reconstruction training and pins them to zero only for
@@ -40,16 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CollapseError, NonFiniteLossError, ShapeError, check_fields
-from .ops import (
-    _col2im,
-    _conv2d,
-    _fold,
-    _im2col,
-    _im2col_views,
-    conv2d,
-    conv2d_bias_grad,
-    maxpool2,
-)
+from .ops import _col2im, _fold, _im2col, _im2col_views, conv2d_bias_grad, maxpool2
 
 BIAS_TRAIN_THEN_ZERO = "train-then-zero"
 BIAS_ALWAYS_ZERO = "always-zero"
@@ -154,15 +146,6 @@ def init_model(n_filters: int, n_channels: int, kernel: int, seed: int) -> CaeMo
     return CaeModel(w_e=w_e, b_e=np.zeros(n_filters), b_d=np.zeros(n_channels))
 
 
-def encode(model: CaeModel, x, zero_bias: bool = False) -> np.ndarray:
-    """ReLU(conv(x, W_e) + b_e) of a (C, H, W) map or a (B, C, H, W) batch,
-    an array or a list, or with b_e pinned to zero when zero_bias.  Both
-    are checked by :func:`_as_batch`, a map as a batch of one."""
-    b = np.zeros(model.n_filters) if zero_bias else model.b_e
-    z = conv2d(_as_batch(model, x, map_ok=True), model.w_e, b)
-    return np.maximum(z, 0.0, out=z)
-
-
 def _as_batch(model: CaeModel, batch, map_ok: bool = False) -> np.ndarray:
     """``batch`` as a (B, C, H, W) float64 array, or where ``map_ok`` a
     (C, H, W) one checked as a batch of one; ShapeError unless it stacks
@@ -209,11 +192,12 @@ TRAIN_CHUNK_BYTES = 64 * 2**20
 _FILTER_BLOCK_BYTES = 4 * 2**20
 
 
-# Budget of any temporary formed next to a held working set, whose peak it
-# adds to: an extraction chunk (larger ones raise desk's peak RSS for no
-# measurable speed; at K=4096 over 14x14 maps a chunk is one sample); a
-# chunk's col2im index, whose fit makes the step small (``_Workspace.small``;
-# desk: 124 KB for 4 samples, paper: 29 MB for 8).
+# Budget of a working set formed next to a held one, whose peak it adds to:
+# an extraction chunk, the one chunk of :func:`extract_features`'s workspace
+# (larger ones raise desk's peak RSS for no measurable speed; at K=4096 over
+# 14x14 maps a chunk is one sample); a chunk's col2im index, whose fit makes
+# the step small (``_Workspace.small``; desk: 124 KB for 4 samples, paper:
+# 29 MB for 8).
 _SCRATCH_BYTES = 2**18
 
 
@@ -255,8 +239,10 @@ class _ChunkViews:
 
 class _Workspace:
     """Scratch memory of the training step, made once per :func:`train`,
-    :func:`loss_gradients` or :func:`reconstruction_loss` call and sized
-    for the largest chunk of a batch of ``samples`` maps, N = chunk * H * W:
+    :func:`loss_gradients`, :func:`reconstruction_loss` or
+    :func:`extract_features` call and sized for the largest chunk of a batch
+    of ``samples`` maps, N = chunk * H * W, a chunk being what fits
+    ``budget_bytes`` (:data:`TRAIN_CHUNK_BYTES` unless given):
     a zero-padded input buffer, whose border nothing writes; a code buffer
     (K x N); a column buffer (C*kh*kw x N), whose head holds the residual
     between the decoder's fold and cols(dG); a cols(x) buffer, a second
@@ -273,14 +259,16 @@ class _Workspace:
     bincount (:func:`zbcae.ops._col2im`); any other refills cols(x) and
     folds into the padded buffer's interior (:func:`zbcae.ops._fold`).
     Each chunk size's views are built once, so the buffers' pages are
-    touched on the first step and reused by every later one.
+    touched on the first step and reused by every later one; extraction
+    writes only the padded, code and cols(x) buffers, and the others, made
+    with ``np.empty``, take no resident pages.
     """
 
-    def __init__(self, model: CaeModel, sample_shape: tuple, samples: int):
+    def __init__(self, model: CaeModel, sample_shape: tuple, samples: int, budget_bytes: int | None = None):
         k, c, kh, kw = model.w_e.shape
         _, h, w = sample_shape
         self.k, self.rows, self.sample_shape, self.kernel = k, c * kh * kw, (c, h, w), (kh, kw)
-        self.chunk = chunk_size(model, sample_shape, TRAIN_CHUNK_BYTES)
+        self.chunk = chunk_size(model, sample_shape, budget_bytes or TRAIN_CHUNK_BYTES)
         most = min(samples, self.chunk)
         n = most * h * w
         self.padded = np.zeros(most * c * (h + kh - 1) * (w + kw - 1))
@@ -313,20 +301,29 @@ class _Workspace:
         return self._views[b]
 
 
+def _encode(model: CaeModel, x: np.ndarray, b_e: np.ndarray, ws: _Workspace) -> _ChunkViews:
+    """The encoder over a (B, C, H, W) chunk in ``ws``: the chunk's
+    :class:`_ChunkViews`, with cols(x) in the cols(x) buffer and the code
+    z = ReLU(W cols(x) + b_e) in the code buffer, one GEMM for the chunk.
+    Training encodes with its biases, extraction with zero ones."""
+    v = ws.views(len(x))
+    _im2col(x, v.interior, v.patches, v.cols_x6)
+    np.matmul(model.w_e.reshape(ws.k, ws.rows), v.cols_x, out=v.code)
+    v.code += b_e[:, None]
+    np.maximum(v.code, 0.0, out=v.code)
+    return v
+
+
 def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray, ws: _Workspace):
     """The batched forward pass over a (B, C, H, W) chunk in ``ws``:
     (views, g), the chunk's :class:`_ChunkViews`, whose code buffer holds
-    the code z, and the decoder pre-activation g.  The decoder's column
-    matrix W^T z goes into the column buffer and is folded into g: in one
-    bincount when ``ws.small``, else into the padded buffer's interior.
-    That transposed convolution equals conv(z, tied(W)) for the same-size
-    convolution, so no tied copy of the bank is formed."""
-    v = ws.views(len(x))
-    w = model.w_e.reshape(ws.k, ws.rows)
-    _im2col(x, v.interior, v.patches, v.cols_x6)
-    _conv2d(w, v.cols_x, b_e, v.code)
-    np.maximum(v.code, 0.0, out=v.code)
-    np.matmul(w.T, v.code, out=v.cols)
+    the code z (:func:`_encode`), and the decoder pre-activation g.  The
+    decoder's column matrix W^T z goes into the column buffer and is folded
+    into g: in one bincount when ``ws.small``, else into the padded buffer's
+    interior.  That transposed convolution equals conv(z, tied(W)) for the
+    same-size convolution, so no tied copy of the bank is formed."""
+    v = _encode(model, x, b_e, ws)
+    np.matmul(model.w_e.reshape(ws.k, ws.rows).T, v.code, out=v.cols)
     g = _col2im(v.cols, v.shape, *ws.kernel) if ws.small else _fold(v.cols6, v.interior)
     g += b_d[:, None, None]
     return v, g
@@ -380,9 +377,10 @@ def _sgd_sink(w: np.ndarray, lr: float):
     """The training step's one weight update, a sink for :func:`_backward`:
     moves the rows of the (K, C*kh*kw) bank ``w`` by -lr times their terms,
     scaled in place (LOMO's fused update, Lv et al., arXiv:2306.09782).  A
-    small step's two terms are summed first: :func:`sgd_step`'s bits where
-    the bank is one block (desk).  Other steps move rows by lr dec, then by
-    lr enc.  A gradient bank's block is one term: :func:`sgd_step`'s bits."""
+    small step's two terms are summed first, so where the bank is one block
+    (desk) W_e gets the bits of ``w_e -= lr * dw_e`` with dw_e = dec + enc.
+    Other steps move rows by lr dec, then by lr enc.  A gradient bank's
+    block is one term: the bits of ``w_e -= lr * dw_e``."""
 
     def move(rows, term, *enc):
         for other in enc:
@@ -433,24 +431,6 @@ def loss_gradients(model: CaeModel, batch, bias_mode: str = BIAS_TRAIN_THEN_ZERO
     x = _as_batch(model, batch)
     CaeTrainConfig(bias_mode=bias_mode)
     return _forward_backward(model, x, bias_mode, _Workspace(model, x.shape[1:], len(x)))[1]
-
-
-def sgd_step(model: CaeModel, grads: CaeGradients, lr: float) -> CaeModel:
-    """Plain in-place stochastic gradient step, no momentum or decay: the
-    reference update ``w_e -= lr * dw_e`` (and so for the biases).
-    :func:`train` never calls it and keeps its bits, except on a one-chunk
-    batch that is not small, where W_e moves by lr dec and then by lr enc
-    (:func:`_sgd_sink`).  ``grads`` is left as it was.  Every gradient must
-    have its parameter's shape (ShapeError before any parameter moves).
-    """
-    for name, grad, param in (("weight", grads.dw_e, model.w_e), ("encoder bias", grads.db_e, model.b_e),
-                              ("decoder bias", grads.db_d, model.b_d)):
-        if np.shape(grad) != param.shape:
-            raise ShapeError(f"{name} gradient shape {np.shape(grad)} != {param.shape}")
-    model.w_e -= lr * grads.dw_e
-    model.b_e -= lr * grads.db_e
-    model.b_d -= lr * grads.db_d
-    return model
 
 
 def _train_step(model: CaeModel, x: np.ndarray, bias_mode: str, lr: float, ws: _Workspace, where: str) -> float:
@@ -549,13 +529,19 @@ def extract_features(model: CaeModel, x) -> np.ndarray:
 
     Bias values never influence the output, so the result has length
     D = K * ceil(H/2) * ceil(W/2) and is elementwise non-negative.  A
-    (B, C, H, W) batch gives a (B, D) matrix, encoded in chunks of
-    :data:`_SCRATCH_BYTES` of working set; a (C, H, W) map gives a vector.
-    Either may be an array or a list, checked as by :func:`encode`.
+    (B, C, H, W) batch gives a (B, D) matrix; a (C, H, W) map, a batch of
+    one, gives a vector.  Either may be an array or a list, checked by
+    :func:`_as_batch`.  The batch is encoded by :func:`_encode` in one
+    workspace whose chunk fits :data:`_SCRATCH_BYTES`, and each chunk's
+    pooled code is written into the result.
     """
     x = _as_batch(model, x, map_ok=True)
-    if x.ndim != 4:
-        return maxpool2(encode(model, x, zero_bias=True)).ravel()
-    step = chunk_size(model, x.shape[1:], _SCRATCH_BYTES)
-    pooled = (maxpool2(encode(model, x[start : start + step], zero_bias=True)) for start in range(0, len(x), step))
-    return np.concatenate([p.reshape(len(p), -1) for p in pooled])
+    batch = x.reshape(-1, *x.shape[-3:])
+    ws = _Workspace(model, batch.shape[1:], len(batch), _SCRATCH_BYTES)
+    _, h, w = ws.sample_shape
+    features = np.empty((len(batch), ws.k * -(-h // 2) * -(-w // 2)))
+    for start in range(0, len(batch), ws.chunk):
+        chunk = batch[start : start + ws.chunk]
+        v = _encode(model, chunk, ws.zero_biases[0], ws)
+        features[start : start + len(chunk)] = maxpool2(v.code_maps).reshape(len(chunk), -1)
+    return features if x.ndim == 4 else features[0]

@@ -1,24 +1,26 @@
 """Dense float64 tensor kernels.
 
-Everything here is a pure function of its inputs: the same-size 2D
-cross-correlation and its bias gradient, kernel flipping and 2x2
-max-pooling.  Tensors are plain ``numpy`` arrays of ``float64``; a feature
-map is ``(C, H, W)``, a batch of maps is ``(B, C, H, W)`` and a filter bank
-is ``(K, C, kh, kw)``.  ``im2col`` and ``conv2d`` accept either a single
-map or a batch; a batch runs as one GEMM.  ``im2col`` writes the batch
-into the interior of a zero-padded buffer and copies its patch matrix out
-of a strided view of that buffer.  The public kernels check their
-arguments and return fresh arrays.  The training step of
-:mod:`zbcae.cae` calls the unchecked private kernels directly, on views of
-buffers its workspace holds: ``_im2col``, ``_conv2d`` and the two folds
-of a patch matrix back into a map (the adjoint of im2col), ``_fold``'s
-kh*kw shifted slice adds and ``_col2im``'s one bincount.
+Everything here is a function of its inputs alone: the kernels of the
+same-size 2D cross-correlation, its bias gradient, kernel flipping and
+2x2 max-pooling.  Tensors are plain ``numpy`` arrays of ``float64``; a
+feature map is ``(C, H, W)``, a batch of maps is ``(B, C, H, W)`` and a
+filter bank is ``(K, C, kh, kw)``.  The public ops (``conv2d_bias_grad``,
+``flip180``, ``tied_decoder_weights`` and ``maxpool2``) check their
+arguments and return fresh arrays.  The convolution itself runs only in
+:mod:`zbcae.cae`'s step workspace, which calls the unchecked private
+kernels on views of its buffers: ``_im2col``, which writes a batch into
+the interior of a zero-padded buffer and copies its patch matrix out of
+a strided view of that buffer (``_im2col_views``), and the two folds of a
+patch matrix back into a map (the adjoint of im2col), ``_fold``'s kh*kw
+shifted slice adds and ``_col2im``'s one bincount.  The GEMMs in between
+are the workspace's own.
 
 The convolution has one geometry, the same-size one: stride 1 and zero
 padding (k - 1) / 2 around an odd kernel extent k.  There the transposed
 convolution with a bank W equals the convolution with
-:func:`tied_decoder_weights` (W).  ``conv2d`` is cross-correlation: no
-kernel flip happens inside it; the decoder's 180-degree flip is explicit.
+:func:`tied_decoder_weights` (W).  The convolution is cross-correlation:
+no kernel flip happens inside it; the decoder's 180-degree flip is
+explicit.
 """
 
 from __future__ import annotations
@@ -32,14 +34,6 @@ from .errors import ShapeError
 
 def _as_f64(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float64)
-
-
-def _half_pad(kh: int, kw: int) -> tuple:
-    """Zero padding (k - 1) / 2 of each odd kernel extent; ShapeError for an
-    even one, which has no same-size padding."""
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"same-size convolution needs odd kernel extents, got {kh} x {kw}")
-    return (kh - 1) // 2, (kw - 1) // 2
 
 
 def _im2col_views(xp: np.ndarray, kh: int, kw: int) -> tuple:
@@ -62,35 +56,14 @@ def _im2col(x: np.ndarray, interior: np.ndarray, patches: np.ndarray, out: np.nd
     out[...] = patches
 
 
-def im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Unfold a (C, H, W) map, or a (B, C, H, W) batch of them, into a
-    (C*kh*kw, B*H*W) patch matrix (B = 1 for a single map).
-
-    Rows run over (c, u, v) in row-major order, so a filter bank reshaped to
-    (K, C*kh*kw) multiplies the matrix directly; columns run over
-    (b, i, j), the output positions of every sample in turn.  The whole
-    batch is written into the interior of one zero-filled padded buffer,
-    and the matrix is copied out of a (C, kh, kw, B, H, W) view built from
-    that buffer's strides (:func:`_im2col_views`): entry (c, u, v, b, i, j)
-    reads xpad[b, c, i + u, j + v].
-    """
-    ph, pw = _half_pad(kh, kw)
-    xb = x if x.ndim == 4 else x[None]
-    b, c, h, w = xb.shape
-    interior, patches = _im2col_views(np.zeros((b, c, h + 2 * ph, w + 2 * pw)), kh, kw)
-    out = np.empty((c * kh * kw, b * h * w))
-    _im2col(xb, interior, patches, out.reshape(patches.shape))
-    return out
-
-
 @lru_cache(maxsize=16)
 def _col2im_index(c: int, h: int, w: int, kh: int, kw: int, samples: int = 1) -> np.ndarray:
     """Read-only flat index of each (c, u, v, s, i, j) entry of the patch
     matrix of ``samples`` maps into a (samples*C*H*W + 1) vector: the
-    position s*C*H*W + (c, i + u - ph, j + v - pw) that :func:`im2col` read
+    position s*C*H*W + (c, i + u - ph, j + v - pw) that :func:`_im2col` read
     it from, or the last slot, samples*C*H*W, for an entry read from the
     zero padding."""
-    ph, pw = _half_pad(kh, kw)
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
     size = c * h * w
     rows = np.arange(kh)[:, None, None, None, None] + np.arange(h)[:, None] - ph  # (kh, 1, 1, h, 1)
     cols = np.arange(kw)[:, None, None, None] + np.arange(w) - pw  # (kw, 1, 1, w)
@@ -133,47 +106,8 @@ def _fold(cols6: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv2d(w: np.ndarray, cols: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The conv2d kernel, unchecked: the (K, N) GEMM of a bank matrix
-    (K, C*kh*kw) and a patch matrix, plus one bias per row, in ``out`` when
-    given."""
-    out = np.matmul(w, cols, out=out)
-    out += bias[:, None]
-    return out
-
-
-def conv2d(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-size cross-correlation of a (C, H, W) map, or a (B, C, H, W)
-    batch, with a (K, C, kh, kw) bank of odd kernel extents.
-
-    out[k, i, j] = bias[k]
-                 + sum_{c,u,v} xpad[c, i + u, j + v] * weights[k, c, u, v]
-
-    with xpad the input zero-padded by (kh - 1) / 2 rows and (kw - 1) / 2
-    columns on each side, so the output keeps the input's extent.  Bias is
-    one scalar per output map.  A batch is one GEMM; its (B, K, H, W) result
-    is a view of (K, B, H, W) memory.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    w = _as_f64(weights)
-    b = _as_f64(bias)
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"conv2d input must be C x H x W or B x C x H x W, got {x.ndim}-D shape {x.shape}")
-    if w.ndim != 4:
-        raise ShapeError(f"conv2d weights must be K x C x kh x kw, got {w.ndim}-D shape {w.shape}")
-    k, c, kh, kw = w.shape
-    if x.shape[-3] != c:
-        raise ShapeError(f"input has {x.shape[-3]} channels but weights expect {c}")
-    if b.shape != (k,):
-        raise ShapeError(f"bias has length {b.size} but there are {k} filters")
-    out = _conv2d(w.reshape(k, c * kh * kw), im2col(x, kh, kw), b)
-    if x.ndim == 3:
-        return out.reshape(k, *x.shape[1:])
-    return out.reshape(k, x.shape[0], *x.shape[2:]).swapaxes(0, 1)
-
-
 def conv2d_bias_grad(dout: np.ndarray) -> np.ndarray:
-    """Gradient of conv2d w.r.t. its per-map bias: sum over each output map
+    """Gradient of the convolution w.r.t. its per-map bias: sum over each map
     (and over the batch for a (B, K, Ho, Wo) gradient)."""
     return np.add.reduce(dout, axis=(1, 2) if dout.ndim == 3 else (0, 2, 3))
 

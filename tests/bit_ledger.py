@@ -10,6 +10,9 @@ these geometries give other bits at two BLAS threads.  The entries:
   short :func:`zbcae.cae.train` (8 samples, batch 4, 3 epochs);
 - ``<geometry>/<bias mode>/loss_gradients``: ``reconstruction_loss`` and
   ``loss_gradients`` of the first 4 samples;
+- ``<geometry>/extract_features``: :func:`zbcae.cae.extract_features` of
+  the 8 samples as a batch and of the first as a single map, from the
+  always-zero model after its short train;
 - ``desk/run-all``: the README desk ``run-all`` report;
 - ``gradcheck/seed-0``: the output of ``gradcheck --seed 0``;
 - ``svm/train_svm``: W and b of :func:`zbcae.svm.train_svm` with the
@@ -103,6 +106,8 @@ def _step_entries() -> dict:
             config = cae.CaeTrainConfig(epochs=3, batch_size=4, learning_rate=1e-5, bias_mode=mode, seed=2)
             model, history = cae.train(model, data, config)
             entries[f"{name}/{mode}/train"] = _digest(model.w_e, model.b_e, model.b_d, history.mean_loss)
+        entries[f"{name}/extract_features"] = _digest(cae.extract_features(model, data),
+                                                      cae.extract_features(model, data[0]))
     return entries
 
 

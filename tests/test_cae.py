@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adjoints import conv2d_input_grad, conv2d_weight_grad
+from adjoints import conv2d, conv2d_input_grad, conv2d_weight_grad, encode, sgd_step
 from oracles import central_diff_grad, max_rel_error
 from zbcae import cae, ops
 from zbcae.cae import (
@@ -18,16 +18,14 @@ from zbcae.cae import (
     CaeGradients,
     CaeModel,
     CaeTrainConfig,
-    encode,
     extract_features,
     init_model,
     loss_gradients,
     reconstruction_loss,
-    sgd_step,
     train,
 )
 from zbcae.errors import CollapseError, NonFiniteLossError, ShapeError
-from zbcae.ops import conv2d, conv2d_bias_grad, tied_decoder_weights
+from zbcae.ops import conv2d_bias_grad, maxpool2, tied_decoder_weights
 
 
 def identity_center_model(bias=0.0):
@@ -839,14 +837,14 @@ class TestTrain:
         # a batch of one chunk moves the model inside its backward pass, a
         # batch of several (here in chunks of one sample) drains its bank
         # after it, both through one _sgd_sink call per batch at the
-        # learning rate of its epoch, which anneals after epoch 1 here;
-        # train never calls sgd_step
+        # learning rate of its epoch, which anneals after epoch 1 here
         calls = []
-        for name in ("sgd_step", "_sgd_sink"):
-            def spy(*args, name=name, real=getattr(cae, name)):
-                calls.append((name, args[-1]))
-                return real(*args)
-            monkeypatch.setattr(cae, name, spy)
+
+        def spy(*args, real=cae._sgd_sink):
+            calls.append(("_sgd_sink", args[-1]))
+            return real(*args)
+
+        monkeypatch.setattr(cae, "_sgd_sink", spy)
         config = CaeTrainConfig(epochs=3, batch_size=batch_size, learning_rate=1e-4, plateau_patience=1,
                                 plateau_rel_tol=1e9, seed=0)
         sizes = [len(range(n)[start : start + batch_size]) for start in range(0, n, batch_size)]
@@ -1035,6 +1033,48 @@ class TestExtractFeatures:
         for row, sample in zip(batched, x):
             assert_rel_close(row, extract_features(model, sample))
 
+    @pytest.mark.parametrize("k,c,extent,chunk", [(3, 2, 6, 2), (64, 32, 14, 1)])
+    def test_chunks_have_the_reference_bits(self, monkeypatch, k, c, extent, chunk):
+        # 5 samples in chunks of 2 (a scratch budget cut to fit them), whose
+        # short last chunk gets views of its own, and in the default budget's
+        # one-sample chunks at K=64, 32x14x14: each chunk's features are the
+        # bits of the zero-bias encoder as one convolution, ReLU and pool
+        rng = np.random.default_rng(44)
+        model = random_model(rng, k=k, c=c, bias_scale=1.0)
+        x = rng.normal(size=(5, c, extent, extent))
+        if chunk == 2:
+            monkeypatch.setattr(cae, "_SCRATCH_BYTES", 2 * 8 * extent * extent * max(k, c * 9))
+        assert cae.chunk_size(model, x.shape[1:], cae._SCRATCH_BYTES) == chunk
+        parts = [x[start : start + chunk] for start in range(0, len(x), chunk)]
+        expected = np.concatenate([maxpool2(encode(model, part, zero_bias=True)).reshape(len(part), -1)
+                                   for part in parts])
+        npt.assert_array_equal(extract_features(model, x), expected)
+        npt.assert_array_equal(extract_features(model, x[0]), extract_features(model, x[:1])[0])
+
+    @pytest.mark.parametrize("kernel", [1, 5])
+    def test_odd_extents_have_the_reference_bits(self, monkeypatch, kernel):
+        # 7 x 5 maps, whose pool keeps a last odd row and column, in chunks
+        # of 2 over 5 samples at kernel extents other than the default 3
+        rng = np.random.default_rng(45 + kernel)
+        model = random_model(rng, k=4, c=3, kernel=kernel, bias_scale=1.0)
+        x = rng.normal(size=(5, 3, 7, 5))
+        monkeypatch.setattr(cae, "_SCRATCH_BYTES", 2 * 8 * 7 * 5 * max(4, 3 * kernel * kernel))
+        assert cae.chunk_size(model, x.shape[1:], cae._SCRATCH_BYTES) == 2
+        expected = np.concatenate([maxpool2(encode(model, x[start : start + 2], zero_bias=True)).reshape(-1, 4 * 4 * 3)
+                                   for start in range(0, 5, 2)])
+        npt.assert_array_equal(extract_features(model, x), expected)
+
+    def test_training_forward_pass_codes_the_same_bits(self):
+        # extraction and the training step share one encoder: the forward
+        # pass at zero biases, in a workspace of extraction's chunk, leaves
+        # the code whose pool is the feature matrix
+        rng = np.random.default_rng(47)
+        model = random_model(rng, k=8, c=3, bias_scale=1.0)
+        x = rng.normal(size=(1, 3, 9, 8))
+        ws = cae._Workspace(model, x.shape[1:], len(x), cae._SCRATCH_BYTES)
+        v, _ = cae._forward(model, x, *ws.zero_biases, ws)
+        npt.assert_array_equal(extract_features(model, x), maxpool2(v.code_maps).reshape(1, -1))
+
     def test_bitwise_invariant_under_bias_randomization(self):
         rng = np.random.default_rng(36)
         model = random_model(rng)
@@ -1059,20 +1099,20 @@ class TestZeroExtentMaps:
         with pytest.raises(ShapeError, match="nonzero extent"):
             call(random_model(np.random.default_rng(39)), np.zeros(shape))
 
-    @pytest.mark.parametrize("call", [encode, extract_features], ids=["encode", "extract_features"])
+    @pytest.mark.parametrize("call", [extract_features], ids=["extract_features"])
     @pytest.mark.parametrize("shape", [(2, 0, 3), (2, 3, 0)])
     def test_single_map_is_shape_error(self, call, shape):
         # a single map is checked as a batch of one; it used to give an
-        # empty code map or feature vector
+        # empty feature vector
         with pytest.raises(ShapeError, match="nonzero extent"):
             call(init_model(3, 2, 3, seed=0), np.zeros(shape))
 
 
 class TestListInput:
-    """encode and extract_features take a list the way train does, through
+    """extract_features takes a list the way train does, through
     _as_batch."""
 
-    @pytest.mark.parametrize("call", [encode, extract_features], ids=["encode", "extract_features"])
+    @pytest.mark.parametrize("call", [extract_features], ids=["extract_features"])
     @pytest.mark.parametrize("shape", [(3, 2, 5, 4), (2, 5, 4)], ids=["batch", "map"])
     def test_list_gives_the_array_result(self, call, shape):
         # extract_features used to raise AttributeError on a list
@@ -1080,8 +1120,8 @@ class TestListInput:
         model = init_model(3, 2, 3, seed=41)
         npt.assert_array_equal(call(model, x.tolist()), call(model, x))
 
-    @pytest.mark.parametrize("call", [encode, extract_features], ids=["encode", "extract_features"])
+    @pytest.mark.parametrize("call", [extract_features], ids=["extract_features"])
     def test_ragged_list_is_shape_error(self, call):
-        # encode used to raise numpy's own ValueError
+        # a ragged list used to raise numpy's own ValueError
         with pytest.raises(ShapeError, match="do not stack"):
             call(init_model(3, 2, 3, seed=0), [np.zeros((2, 4, 4)), np.zeros((2, 4, 5))])

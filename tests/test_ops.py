@@ -1,8 +1,10 @@
-"""Tensor-kernel tests: the same-size conv2d against a naive loop oracle,
-adjoint identities of the convolution kernels (through the training step's
-own kernels, :mod:`adjoints`), flips, max-pooling."""
+"""Tensor-kernel tests: the same-size convolution and its adjoints, as
+:mod:`adjoints` builds them from the training step's own kernels, against
+a naive loop oracle and through their adjoint identities; flips,
+max-pooling."""
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -12,10 +14,10 @@ import numpy.testing as npt
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from adjoints import col2im, conv2d_input_grad, conv2d_weight_grad
-from zbcae import ops, svm
+from adjoints import col2im, conv2d, conv2d_input_grad, conv2d_weight_grad, im2col
+from zbcae import ops
 from zbcae.errors import ShapeError
-from zbcae.ops import conv2d, conv2d_bias_grad, flip180, im2col, maxpool2, tied_decoder_weights
+from zbcae.ops import conv2d_bias_grad, flip180, maxpool2, tied_decoder_weights
 
 
 def conv2d_loops(x, w, b):
@@ -433,17 +435,18 @@ def test_readme_lists_every_public_kernel():
 
 
 def test_every_public_kernel_and_solver_runs_in_the_program():
-    # every public function of ops and svm is referenced by code (names and
-    # attributes, not docstrings) in src/zbcae outside its own definition and
-    # outside the definitions of functions this finds unused, or is imported
-    # by the acceptance tests
+    # every public function of every module of src/zbcae is referenced by
+    # code (names and attributes, not docstrings) in src/zbcae outside its
+    # own definition and outside the definitions of functions this finds
+    # unused, or is imported from its module by the acceptance tests
     src = Path(ops.__file__).parent
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")}
+    modules = [importlib.import_module(f"zbcae.{name}") for name in trees if name != "__init__"]
     acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
     imported = {(node.module.split(".")[-1], alias.name) for node in ast.walk(acceptance)
-                if isinstance(node, ast.ImportFrom) and node.module in ("zbcae.ops", "zbcae.svm")
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("zbcae.")
                 for alias in node.names}
-    public = {(m.__name__.split(".")[-1], name) for m in (ops, svm) for name, fn in vars(m).items()
+    public = {(m.__name__.split(".")[-1], name) for m in modules for name, fn in vars(m).items()
               if inspect.isfunction(fn) and fn.__module__ == m.__name__ and not name.startswith("_")}
 
     def referenced(name, skip):
