@@ -23,9 +23,11 @@ runs it with zero biases in a workspace of its own.  One backward pass
 sink: a batch of one chunk in :func:`train` moves W_e with them, with no
 weight-gradient bank; a batch of several chunks and :func:`loss_gradients`
 add them into a bank, which a batch in :func:`train` then drains through
-the same SGD sink.  Three byte budgets size it all: the training chunk,
-the filter block and one scratch budget for the working sets formed next
-to a held one (an extraction chunk, a col2im index).
+the same SGD sink.  Every product of the step and of extraction takes
+one block of rows of the bank at a time.  Three byte budgets size it
+all: the training chunk, the filter block and one scratch budget for the
+working sets formed next to a held one (an extraction chunk, a col2im
+index).
 
 Two bias regimes are supported.  ``train-then-zero`` (default) lets the
 biases learn during reconstruction training and pins them to zero only for
@@ -178,17 +180,21 @@ def chunk_size(model: CaeModel, sample_shape: tuple, budget_bytes: int) -> int:
 
 
 # Working-set budget of one training chunk.  At the paper geometry (K=4096,
-# 14x14 maps) a chunk is ten samples: a batch of 8 runs as one GEMM per layer.
+# 14x14 maps) a chunk is ten samples: a batch of 8 runs as one chunk.
 # A step holds one chunk's workspace; a batch of several chunks adds one
 # gradient bank, so batch 512 needs no more than batch 11.
 TRAIN_CHUNK_BYTES = 64 * 2**20
 
 
-# Budget of one block of filter rows in the weight-gradient products, which
-# never form a bank-sized temporary.  At the paper geometry a block is 224 of
-# the 4096 filters (4.1 MB of a 75.5 MB bank); smaller blocks cost more time
-# than they save memory there (a step's encoder-side term: 317 ms at 16 MiB,
-# 340 ms at 4 MiB, 375 ms at 2 MiB, 438 ms at 1 MiB).
+# Budget of one block of rows of the bank in every product of the step and
+# of extraction: the encoder W cols(x) and da over blocks of W's rows, the
+# decoder W^T z over blocks of W^T's rows, and the weight terms over blocks
+# of the code's.  OpenBLAS packs and keeps resident a slice of a product's
+# whole first operand, so a block bounds that buffer as well as the weight
+# terms' temporaries.  At the paper geometry a block is 224 of the 4096
+# filters (4.1 MB of a 75.5 MB bank) and 128 of W^T's 2304 rows; smaller
+# blocks cost more time than they save memory there (a step's encoder-side
+# term: 317 ms at 16 MiB, 340 ms at 4 MiB, 375 ms at 2 MiB, 438 ms at 1 MiB).
 _FILTER_BLOCK_BYTES = 4 * 2**20
 
 
@@ -202,18 +208,19 @@ _SCRATCH_BYTES = 2**18
 
 
 def _block_rows(bank: np.ndarray, budget_bytes: int) -> int:
-    """Filter rows per block of a (K, ...) array: as many as fit
-    ``budget_bytes``, rounded down to a multiple of 8 (at least 8), so a
-    bank of a multiple of 8 filters never ends in a one-row block, which
-    numpy would run as a GEMV instead of a GEMM."""
+    """Rows per block of a (K, ...) array: as many as fit ``budget_bytes``,
+    rounded down to a multiple of 8 (at least 8)."""
     return max(8, budget_bytes // (bank.nbytes // len(bank)) // 8 * 8)
 
 
-def _filter_blocks(bank: np.ndarray, budget_bytes: int):
-    """Consecutive slices of the filter rows of a (K, ...) array, each
-    :func:`_block_rows` long except perhaps the last."""
-    rows = _block_rows(bank, budget_bytes)
-    return (slice(start, start + rows) for start in range(0, len(bank), rows))
+def _filter_blocks(bank: np.ndarray, budget_bytes: int) -> list:
+    """Consecutive slices of the rows of a (K, ...) array, each
+    :func:`_block_rows` long but the last, which takes a tail of fewer than
+    8 rows with it: no block but a whole bank of fewer than 8 rows is
+    shorter than 8 rows, so none runs as the GEMV numpy makes of a one-row
+    product, which rounds otherwise."""
+    starts = range(0, max(len(bank) - 7, 1), _block_rows(bank, budget_bytes))
+    return [slice(start, stop) for start, stop in zip(starts, (*starts[1:], len(bank)))]
 
 
 class _ChunkViews:
@@ -249,9 +256,11 @@ class _Workspace:
     column buffer when ``small``, else the column buffer, refilled;
     ``blocks``, (rows, dec, enc) per block of filter rows, views of a
     filter-block buffer (:data:`_FILTER_BLOCK_BYTES`) and of a second one
-    when ``small``; ``dw``, the gradient bank, made only by a step that sums
-    one; the zero biases of always-zero mode; and ``active``, the positive
-    code and reconstruction units counted since :func:`train` reset it.
+    when ``small``; ``col_blocks``, the decoder's slices of the column
+    matrix's rows, one per block of W^T's rows; ``dw``, the gradient bank,
+    made only by a step that sums one; the zero biases of always-zero mode;
+    and ``active``, the positive code and reconstruction units counted
+    since :func:`train` reset it.
 
     ``small``, the step's one switch, is whether the largest chunk's column
     matrix, and so its col2im index, fits :data:`_SCRATCH_BYTES`.  A small
@@ -276,10 +285,12 @@ class _Workspace:
         self.cols = np.empty(self.rows * n)
         self.small = 8 * self.rows * n <= _SCRATCH_BYTES
         self.cols_x = np.empty(self.rows * n) if self.small else self.cols
-        dec = np.empty(min(k, _block_rows(model.w_e, _FILTER_BLOCK_BYTES)) * self.rows)
+        filters = _filter_blocks(model.w_e, _FILTER_BLOCK_BYTES)
+        dec = np.empty(max(len(model.w_e[rows]) for rows in filters) * self.rows)
         buffers = (dec, np.empty_like(dec) if self.small else dec)
         self.blocks = [(rows, *(b[: len(model.w_e[rows]) * self.rows].reshape(-1, self.rows) for b in buffers))
-                       for rows in _filter_blocks(model.w_e, _FILTER_BLOCK_BYTES)]
+                       for rows in filters]
+        self.col_blocks = _filter_blocks(model.w_e.reshape(k, self.rows).T, _FILTER_BLOCK_BYTES)
         self.zero_biases = (np.zeros(k), np.zeros(c))
         self.active = [0, 0]
         self._views = {}
@@ -304,13 +315,17 @@ class _Workspace:
 def _encode(model: CaeModel, x: np.ndarray, b_e: np.ndarray, ws: _Workspace) -> _ChunkViews:
     """The encoder over a (B, C, H, W) chunk in ``ws``: the chunk's
     :class:`_ChunkViews`, with cols(x) in the cols(x) buffer and the code
-    z = ReLU(W cols(x) + b_e) in the code buffer, one GEMM for the chunk.
-    Training encodes with its biases, extraction with zero ones."""
+    z = ReLU(W cols(x) + b_e) in the code buffer, one GEMM per block of
+    filter rows (``ws.blocks``), each followed by its bias add and ReLU
+    while its rows of z are still in cache.  Training encodes with its
+    biases, extraction with zero ones."""
     v = ws.views(len(x))
     _im2col(x, v.interior, v.patches, v.cols_x6)
-    np.matmul(model.w_e.reshape(ws.k, ws.rows), v.cols_x, out=v.code)
-    v.code += b_e[:, None]
-    np.maximum(v.code, 0.0, out=v.code)
+    w = model.w_e.reshape(ws.k, ws.rows)
+    for rows, *_ in ws.blocks:
+        z = np.matmul(w[rows], v.cols_x, out=v.code[rows])
+        z += b_e[rows, None]
+        np.maximum(z, 0.0, out=z)
     return v
 
 
@@ -318,12 +333,15 @@ def _forward(model: CaeModel, x: np.ndarray, b_e: np.ndarray, b_d: np.ndarray, w
     """The batched forward pass over a (B, C, H, W) chunk in ``ws``:
     (views, g), the chunk's :class:`_ChunkViews`, whose code buffer holds
     the code z (:func:`_encode`), and the decoder pre-activation g.  The
-    decoder's column matrix W^T z goes into the column buffer and is folded
-    into g: in one bincount when ``ws.small``, else into the padded buffer's
-    interior.  That transposed convolution equals conv(z, tied(W)) for the
-    same-size convolution, so no tied copy of the bank is formed."""
+    decoder's column matrix W^T z goes into the column buffer one GEMM per
+    block of W^T's rows (``ws.col_blocks``) and is folded into g: in one
+    bincount when ``ws.small``, else into the padded buffer's interior.
+    That transposed convolution equals conv(z, tied(W)) for the same-size
+    convolution, so no tied copy of the bank is formed."""
     v = _encode(model, x, b_e, ws)
-    np.matmul(model.w_e.reshape(ws.k, ws.rows).T, v.code, out=v.cols)
+    w = model.w_e.reshape(ws.k, ws.rows)
+    for rows in ws.col_blocks:
+        np.matmul(w[:, rows].T, v.code, out=v.cols[rows])
     g = _col2im(v.cols, v.shape, *ws.kernel) if ws.small else _fold(v.cols6, v.interior)
     g += b_d[:, None, None]
     return v, g

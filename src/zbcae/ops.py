@@ -141,17 +141,19 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
     array with at least three axes, such as a (K, H, W) map or a
     (B, K, H, W) batch.
 
-    Odd extents keep a final window truncated at the border: the input is
-    copied into a -inf-padded buffer of even extents, and the result, of
-    shape (..., ceil(H/2), ceil(W/2)), is the elementwise maximum of its
-    four stride-2 slices.
+    The result, of shape (..., ceil(H/2), ceil(W/2)), is the elementwise
+    maximum of the input's four stride-2 slices.  Odd extents keep a final
+    window truncated at the border: only then is the input first copied
+    into a -inf-padded buffer of even extents.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 3:
         raise ShapeError(f"maxpool2 input needs at least 3 axes (... x H x W), got {x.ndim}-D shape {x.shape}")
     *lead, h, w = x.shape
-    padded = np.full((*lead, h + h % 2, w + w % 2), -np.inf)
-    padded[..., :h, :w] = x
-    top = np.maximum(padded[..., 0::2, 0::2], padded[..., 0::2, 1::2])
-    bottom = np.maximum(padded[..., 1::2, 0::2], padded[..., 1::2, 1::2])
+    if h % 2 or w % 2:
+        padded = np.full((*lead, h + h % 2, w + w % 2), -np.inf)
+        padded[..., :h, :w] = x
+        x = padded
+    top = np.maximum(x[..., 0::2, 0::2], x[..., 0::2, 1::2])
+    bottom = np.maximum(x[..., 1::2, 0::2], x[..., 1::2, 1::2])
     return np.maximum(top, bottom, out=top)

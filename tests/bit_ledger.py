@@ -26,7 +26,7 @@ small step whose batch adds several chunks into the gradient bank),
 ``chunks`` (the same, with ``TRAIN_CHUNK_BYTES`` cut to chunks of 2) and
 ``blocks`` (the same in chunks of one sample, N = 196 = 4 (mod 8), with
 ``_FILTER_BLOCK_BYTES`` cut to blocks of 24 filter rows, where a block's
-da GEMM rounds otherwise than the whole bank's).
+encoder, decoder and da GEMMs round otherwise than the whole bank's).
 
 The file is keyed by the numpy version and the OpenBLAS version and core
 (:func:`stack_key`), since another BLAS build or core may round otherwise;

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adjoints import conv2d, conv2d_input_grad, conv2d_weight_grad, encode, sgd_step
+from adjoints import by_channel, col2im, conv2d, conv2d_input_grad, conv2d_weight_grad, encode, sgd_step
 from oracles import central_diff_grad, max_rel_error
 from zbcae import cae, ops
 from zbcae.cae import (
@@ -390,20 +390,36 @@ class TestBatchedStep:
         assert 8 * n * 14 * 14 * 4096 <= cae.TRAIN_CHUNK_BYTES
 
 
+def blocked_conv2d(x, weights, bias):
+    """:func:`adjoints.conv2d` of a (B, C, H, W) batch one block of filter
+    rows at a time, as the step forms it."""
+    return np.concatenate([conv2d(x, weights[rows], bias[rows])
+                           for rows in cae._filter_blocks(weights, cae._FILTER_BLOCK_BYTES)], axis=1)
+
+
+def blocked_conv2d_input_grad(dout, weights):
+    """:func:`adjoints.conv2d_input_grad` of a (B, K, H, W) batch, its
+    W^T dout one block of W^T's rows at a time, as the step forms it."""
+    k, c, kh, kw = weights.shape
+    wt = weights.reshape(k, -1).T
+    cols = np.concatenate([wt[rows] @ by_channel(dout) for rows in cae._filter_blocks(wt, cae._FILTER_BLOCK_BYTES)])
+    return col2im(cols, (len(dout), c, *dout.shape[2:]), kh, kw)
+
+
 def chunk_terms_reference(model, x, b_e, b_d):
     """The chunk step's terms from ops and adjoints calls alone, with fresh arrays
     throughout and the decoder as the transposed convolution: (loss, dec,
     enc, db_e, db_d), with the decoder's and the encoder's weight terms
-    formed as whole banks and da per block of filter rows, as the step
-    forms it (a block's GEMM rounds otherwise at N = 4 (mod 8))."""
+    formed as whole banks and the encoder, the decoder and da per block of
+    rows, as the step forms them (a block's GEMM rounds otherwise at N = 4
+    (mod 8))."""
     _, _, kh, kw = model.w_e.shape
-    z = np.maximum(conv2d(x, model.w_e, b_e), 0.0)
-    g = conv2d_input_grad(z, model.w_e) + b_d[:, None, None]
+    z = np.maximum(blocked_conv2d(x, model.w_e, b_e), 0.0)
+    g = blocked_conv2d_input_grad(z, model.w_e) + b_d[:, None, None]
     r = np.maximum(g, 0.0) - x
     loss = 0.5 * float((r * r).sum())
     dg = r * (g > 0.0)
-    blocks = [model.w_e[rows] for rows in cae._filter_blocks(model.w_e, cae._FILTER_BLOCK_BYTES)]
-    da = np.concatenate([conv2d(dg, w, np.zeros(len(w))) for w in blocks], axis=1)
+    da = blocked_conv2d(dg, model.w_e, np.zeros(model.n_filters))
     da *= z > 0.0
     return loss, conv2d_weight_grad(dg, z, kh, kw), conv2d_weight_grad(x, da, kh, kw), conv2d_bias_grad(da), \
         conv2d_bias_grad(dg)
@@ -732,6 +748,86 @@ class TestFusedStep:
             assert_same_bits(getattr(model, name), getattr(before, name))
 
 
+class TestBlockedProducts:
+    """Every product of the step and of extraction runs one block of rows
+    at a time (:data:`cae._FILTER_BLOCK_BYTES`), so OpenBLAS packs a block,
+    not the bank: the encoder and da over blocks of W's rows, the weight
+    terms over blocks of the code's, the decoder over blocks of W^T's."""
+
+    @staticmethod
+    def blocks_of_24(monkeypatch, seed, b=4):
+        # K=64, C=32, 14x14 maps, batch 4 (or b), 24 filter rows per block:
+        # blocks of 24, 24 and 16 rows of W, and of 104, 104 and 80 of W^T
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, k=64, c=32)
+        x = np.maximum(rng.normal(0.2, 1.0, size=(b, 32, 14, 14)), 0.0)
+        monkeypatch.setattr(cae, "_FILTER_BLOCK_BYTES", 24 * model.w_e[0].nbytes)
+        ws = workspace(model, x)
+        assert [len(model.w_e[rows]) for rows, *_ in ws.blocks] == [24, 24, 16]
+        assert [rows.stop - rows.start for rows in ws.col_blocks] == [104, 104, 80]
+        return model, x, ws
+
+    def test_forward_matches_whole_bank_references(self, monkeypatch):
+        # N = 784 = 0 (mod 8), the paper and desk case: the blocked encoder
+        # and decoder keep the bits of one GEMM over the whole bank
+        model, x, ws = self.blocks_of_24(monkeypatch, 180)
+        v, g = cae._forward(model, x, model.b_e, model.b_d, ws)
+        z = np.maximum(conv2d(x, model.w_e, model.b_e), 0.0)
+        assert_same_bits(v.code_maps, z)
+        assert_same_bits(g, conv2d_input_grad(z, model.w_e) + model.b_d[:, None, None])
+
+    @pytest.mark.parametrize("call", ["one-chunk-step", "several-chunk-step", "loss_gradients", "extract_features"])
+    def test_no_product_takes_more_than_one_block(self, monkeypatch, call):
+        # every product's first operand is a block: at most _block_rows rows
+        # of W (or of the code, whose rows are W's) or of W^T
+        model, x, ws = self.blocks_of_24(monkeypatch, 181)
+        k = model.n_filters
+        w = model.w_e.reshape(k, -1)
+        if call == "several-chunk-step":
+            one_sample_chunks(monkeypatch)
+            ws = workspace(model, x)
+        run = {"loss_gradients": lambda: loss_gradients(model, x),
+               "extract_features": lambda: extract_features(model, x)}.get(
+            call, lambda: cae._train_step(model, x, BIAS_TRAIN_THEN_ZERO, 1e-6, ws, "epoch 0, batch 0"))
+        run()  # a warm step: the chunk's views are built
+        firsts = []
+        matmul = np.matmul
+
+        def spy(a, *args, **kwargs):
+            firsts.append(a.shape)
+            return matmul(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        run()
+        assert firsts
+        for shape in firsts:
+            assert shape[0] <= cae._block_rows(w.T if shape[1] == k else w, cae._FILTER_BLOCK_BYTES)
+
+    def test_short_tail_folds_into_the_last_block(self, monkeypatch):
+        # C = 57 gives W^T 513 = 4 * 128 + 1 rows and K = 20 filters 20 =
+        # 8 + 12: no block is a one-row GEMV, and the step keeps the bits
+        # of the reference formed over the same blocks (N = 196)
+        rng = np.random.default_rng(182)
+        model = random_model(rng, k=20, c=57)
+        x = np.maximum(rng.normal(0.2, 1.0, size=(1, 57, 14, 14)), 0.0)
+        monkeypatch.setattr(cae, "_FILTER_BLOCK_BYTES", 128 * 8 * 20)
+        ws = workspace(model, x)
+        assert not ws.small and len(x) <= ws.chunk
+        assert [len(model.w_e[rows]) for rows, *_ in ws.blocks] == [8, 12]
+        assert [rows.stop - rows.start for rows in ws.col_blocks] == [128, 128, 128, 129]
+        expected = copy.deepcopy(model)
+        fused_step_reference(expected, x, BIAS_TRAIN_THEN_ZERO, 1e-4)
+        cae._train_step(model, x, BIAS_TRAIN_THEN_ZERO, 1e-4, ws, "epoch 0, batch 0")
+        for name in ("w_e", "b_e", "b_d"):
+            assert_same_bits(getattr(model, name), getattr(expected, name))
+
+    @pytest.mark.parametrize("rows, blocks", [(3, [3]), (8, [8]), (15, [15]), (16, [8, 8]), (23, [8, 15]),
+                                              (24, [8, 8, 8])])
+    def test_no_block_but_a_short_bank_has_fewer_than_8_rows(self, rows, blocks):
+        bank = np.zeros((rows, 4))
+        assert [len(bank[s]) for s in cae._filter_blocks(bank, 8 * bank[0].nbytes)] == blocks
+
+
 class TestSgdStep:
     def test_zero_lr_leaves_model_unchanged(self):
         rng = np.random.default_rng(19)
@@ -782,9 +878,10 @@ class TestSgdStep:
         lr = 0.37
         expected = model.w_e.copy()
         expected -= lr * grads.dw_e
-        # 8 filter rows per block: blocks of 8, 8 and a trailing 4
+        # 8 filter rows per block: a block of 8, then 12, which takes the
+        # short tail of 4 with it
         monkeypatch.setattr(cae, "_SCRATCH_BYTES", 8 * model.w_e[0].nbytes)
-        assert len(list(cae._filter_blocks(model.w_e, cae._SCRATCH_BYTES))) == 3
+        assert [len(model.w_e[rows]) for rows in cae._filter_blocks(model.w_e, cae._SCRATCH_BYTES)] == [8, 12]
         sgd_step(model, grads, lr)
         assert_same_bits(model.w_e, expected)
         for name in ("dw_e", "db_e", "db_d"):

@@ -7,6 +7,7 @@ import ast
 import importlib
 import inspect
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -424,6 +425,30 @@ class TestMaxpool2:
     def test_rejects_non_3d(self):
         with pytest.raises(ShapeError):
             maxpool2(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("layout", ["contiguous", "swapped"])
+    def test_even_map_pools_without_a_padded_copy(self, layout):
+        # numpy reports its buffers to tracemalloc: pooling an even map
+        # allocates two quarter-size maxima and the ufuncs' strided-input
+        # buffers (8192 values each), under one input map (802,816 bytes),
+        # and no -inf-padded copy; its bytes are those of the pool through
+        # one (a (B, K, H, W) view of (K, B, H, W) memory is the code maps'
+        # layout in extraction)
+        x = np.random.default_rng(46).normal(size=(8, 16, 28, 28))
+        if layout == "swapped":
+            x = x.swapaxes(0, 1)
+        padded = np.full(x.shape, -np.inf)
+        padded[...] = x
+        expected = np.maximum(np.maximum(padded[..., 0::2, 0::2], padded[..., 0::2, 1::2]),
+                              np.maximum(padded[..., 1::2, 0::2], padded[..., 1::2, 1::2]))
+        tracemalloc.start()
+        try:
+            pooled = maxpool2(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
+        assert pooled.shape == expected.shape and pooled.tobytes() == expected.tobytes()
 
 
 def test_readme_lists_every_public_kernel():
